@@ -66,6 +66,7 @@ class RadialGrid:
     N: int
     h: float = field(init=False)
     nodes: np.ndarray = field(init=False, repr=False)
+    omega: float = field(init=False, repr=False)
 
     def __post_init__(self):
         h = math.log(self.s_max / self.s_min) / (self.M - 1)
@@ -73,10 +74,7 @@ class RadialGrid:
         nodes.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "nodes", nodes)
-
-    @property
-    def omega(self) -> float:
-        return sphere_area(self.N)
+        object.__setattr__(self, "omega", sphere_area(self.N))
 
     def trapezoid_weights(self) -> np.ndarray:
         w = np.ones(self.M)

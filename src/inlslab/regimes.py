@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.optimize import brentq
-
 from .errors import DomainError, EmptyGridError, HypothesisViolation, SearchFailed
 
 EQ_TOL = 1e-12
@@ -369,6 +367,8 @@ def tilde_s_root(mu: float, S1: float, S2: float, N: int, eta1: float, eta2: flo
     if mu == 0.0:
         return S1 ** ((N - eta1) / (2.0 - eta1))
 
+    from scipy.optimize import brentq  # deferred: `import inlslab` loads no scipy
+
     lo, hi = 1.0, 1.0
     for _ in range(2000):
         if f(lo) < 0:
@@ -419,6 +419,8 @@ def gamma_mu_roots(mu: float, C: float, C1: float, exp_low: float, exp_high: flo
         )
     if _close(gmin, 1.0):
         return tstar, tstar
+
+    from scipy.optimize import brentq  # deferred: `import inlslab` loads no scipy
 
     def f(t: float) -> float:
         return g(t) - 1.0

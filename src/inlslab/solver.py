@@ -11,7 +11,10 @@ All solvers share one strategy, validated on the reference problems:
 * descent: gradient steps preconditioned by the fixed symmetric
   tridiagonal operator (gradient stiffness + weighted mass diagonal),
   i.e. steepest descent in a discrete energy inner product, with Armijo
-  backtracking.
+  backtracking. The operator is factored once per solve (LAPACK dgttrf)
+  and each step is one dgttrs back-substitution; each iterate's value
+  is computed once and serves the line search, the gradient and the
+  next step.
 * endgame: Levenberg-Marquardt iterations on the stationarity residual,
   using the exact tridiagonal-plus-diagonal Hessian of the objective.
   The near-neutral scaling-orbit direction makes the plain Newton system
@@ -29,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DomainError, NotCoerciveConfig, SingularHessian, ZeroProfileError
 from .functionals import (
@@ -90,15 +92,50 @@ class SolveReport:
         }
 
 
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+class _Tridiag:
+    """LU factors of a tridiagonal matrix given in solve_banded's (1, 1) layout.
+
+    LAPACK dgttrf/dgttrs perform the partial-pivoting elimination of the
+    dgtsv call behind scipy.linalg.solve_banded, operation for operation,
+    so solve() returns the same bits while a fixed matrix is factored
+    only once. Non-finite input raises ValueError and an exactly zero
+    pivot raises SingularHessian.
+    """
+
+    def __init__(self, ab: np.ndarray):
+        from scipy.linalg import lapack  # deferred: `import inlslab` loads no scipy
+
+        _check_finite(ab)
+        *factors, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+        if info > 0:
+            raise SingularHessian("singular matrix")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgttrf")
+        self._factors = factors
+        self._dgttrs = lapack.dgttrs
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        _check_finite(rhs)
+        x, info = self._dgttrs(*self._factors, rhs)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of dgttrs")
+        return x
+
+
 class _Workspace:
-    """Precomputed quadrature arrays for one (grid, exponent set)."""
+    """Precomputed quadrature arrays for one grid, plus the factored
+    descent preconditioner once a driver has set it."""
 
     def __init__(self, grid: RadialGrid):
         self.grid = grid
         M = grid.M
         s = grid.nodes
-        self.h = grid.h
-        self.omega = grid.omega
+        self.omega_h = grid.omega * grid.h
         self.w = grid.trapezoid_weights()
         self.mu = volume_weights(grid)
         self.smid = np.sqrt(s[:-1] * s[1:])
@@ -113,19 +150,27 @@ class _Workspace:
         ab[0, 1:] = -k[1:-1]
         ab[2, :-1] = -k[1:-1]
         self.stiff_tri = ab
+        self._wpow = {}
+        self._pre = None
 
     def mass(self, eta: float) -> np.ndarray:
         return _mass(self.grid, eta)
 
     def wint(self, vals: np.ndarray, r: float, eta: float) -> float:
-        g = self.grid
-        return g.omega * g.h * float(
-            np.sum(self.w * np.abs(vals) ** r * g.nodes ** (g.N - eta))
-        )
+        """grid.weighted_integral on raw nodal values, bit for bit.
+
+        The cached w * s^(N-eta) reassociates w * |v|^r * s^(N-eta); w is
+        0.5 or 1, so both orders round to the same products.
+        """
+        wp = self._wpow.get(eta)
+        if wp is None:
+            g = self.grid
+            wp = self._wpow[eta] = self.w * g.nodes ** (g.N - eta)
+        return self.omega_h * float((np.abs(vals) ** r * wp).sum())
 
     def dirich(self, vals: np.ndarray) -> float:
         slopes = (vals[1:] - vals[:-1]) / self.ds
-        return float(np.sum(self.cw * slopes * slopes))
+        return float((self.cw * slopes * slopes).sum())
 
     def grad_dirich(self, vals: np.ndarray) -> np.ndarray:
         slopes = (vals[1:] - vals[:-1]) / self.ds
@@ -137,19 +182,23 @@ class _Workspace:
 
     def dual_norm(self, g: np.ndarray) -> float:
         gf = g[self.free]
-        return math.sqrt(float(np.sum(gf * gf / self.mu[self.free])))
+        return math.sqrt(float((gf * gf / self.mu[self.free]).sum()))
 
-    def precondition(self, g: np.ndarray, mass_diag: np.ndarray) -> np.ndarray:
+    def factor_preconditioner(self, mass_diag: np.ndarray) -> None:
+        """Factor stiffness + diag(mass_diag) on the free nodes for precondition()."""
         ab = self.stiff_tri.copy()
         ab[1, :] += mass_diag[self.free]
+        self._pre = _Tridiag(ab)
+
+    def precondition(self, g: np.ndarray) -> np.ndarray:
         out = np.zeros(self.grid.M)
-        out[self.free] = solve_banded((1, 1), ab, g[self.free])
+        out[self.free] = self._pre.solve(g[self.free])
         return out
 
     def solve_shifted(self, hess_diag: np.ndarray, nu: float, dref: np.ndarray, g: np.ndarray):
         ab = 0.5 * self.stiff_tri
         ab[1, :] += hess_diag[self.free] + nu * dref
-        return solve_banded((1, 1), ab, g[self.free])
+        return _Tridiag(ab).solve(g[self.free])
 
 
 def _pin(vals: np.ndarray) -> np.ndarray:
@@ -173,7 +222,13 @@ class _Objective:
     """Discrete functional sum_k coeff_k * wint(r_k, eta_k) + 1/2 dirichlet.
 
     Covers both drivers: the coercive energy directly, and the Rayleigh
-    quotient through its numerator/denominator pieces.
+    quotient through its numerator.
+
+    The drivers see an objective through three methods: evaluate(vals)
+    gives (value, scale), where the Armijo test divides the slope by
+    scale; grad(vals, value) is the stationarity gradient, which may use
+    the value already computed at vals; hess_diag(vals) is the diagonal
+    part of its derivative.
     """
 
     def __init__(self, ws: _Workspace, terms: list[tuple[float, float, float]]):
@@ -188,7 +243,10 @@ class _Objective:
             out += c * self.ws.wint(vals, r, eta)
         return out
 
-    def grad(self, vals: np.ndarray) -> np.ndarray:
+    def evaluate(self, vals: np.ndarray) -> tuple[float, float]:
+        return self.value(vals), 1.0
+
+    def grad(self, vals: np.ndarray, value: float | None = None) -> np.ndarray:
         out = 0.5 * self.ws.grad_dirich(vals)
         for (c, _, r), mass in zip(self.terms, self.masses):
             out += c * r * mass * _pow(vals, r - 1.0) * np.sign(vals)
@@ -201,63 +259,102 @@ class _Objective:
         return out
 
 
-def _armijo_descent(ws, value, grad, mass_diag, vals, tol, budget, opts,
-                    denom=None):
+class _Quotient:
+    """Rayleigh quotient lambda = I/J, I = 1/2 dirichlet + 1/q wint(q, b),
+    J = 1/p wint(p, a), in the _Objective interface.
+
+    grad is the stationarity gradient gI - lambda gJ, which is J times
+    the quotient's gradient; evaluate returns J as the slope scale so
+    the Armijo test is a sufficient-decrease test for the quotient.
+    """
+
+    def __init__(self, ws: _Workspace, params: Params):
+        self.ws = ws
+        self.params = params
+        self.num = _Objective(ws, [(1.0 / params.q, params.b, params.q)])
+        self.massb = ws.mass(params.b)
+        self.den_mass = ws.mass(params.a)
+
+    def _I_J(self, vals: np.ndarray) -> tuple[float, float]:
+        p = self.params
+        return self.num.value(vals), self.ws.wint(vals, p.p, p.a) / p.p
+
+    def lam(self, vals: np.ndarray) -> float:
+        I, J = self._I_J(vals)
+        return I / J
+
+    def evaluate(self, vals: np.ndarray) -> tuple[float, float]:
+        I, J = self._I_J(vals)
+        if J <= 0 or not math.isfinite(J):
+            return math.inf, J
+        return I / J, J
+
+    def grad(self, vals: np.ndarray, lam: float | None = None) -> np.ndarray:
+        if lam is None:
+            lam = self.lam(vals)
+        gJ = self.den_mass * _pow(vals, self.params.p - 1.0) * np.sign(vals)
+        return self.num.grad(vals) - lam * gJ
+
+    def hess_diag(self, vals: np.ndarray) -> np.ndarray:
+        p = self.params
+        lam = self.lam(vals)
+        return ((p.q - 1.0) * self.massb * _pow(vals, p.q - 2.0)
+                - lam * (p.p - 1.0) * self.den_mass * _pow(vals, p.p - 2.0))
+
+
+def _armijo_descent(ws, obj, vals, tol, budget, opts):
     """Preconditioned descent with Armijo backtracking.
 
-    value/grad are closures over nodal arrays; denom (if given) returns
-    a positive scalar normalizing the slope (the Rayleigh mode passes J,
-    making the test a sufficient-decrease test for the quotient while
-    grad stays the stationarity gradient used for convergence).
+    Each iterate is evaluated once: the accepted trial's value becomes
+    the next reference value and feeds the next gradient.
     Returns (vals, res, iters_used, converged).
     """
+    f0, scale = obj.evaluate(vals)
     it = 0
     while it < budget:
-        g = grad(vals)
+        g = obj.grad(vals, f0)
         res = ws.dual_norm(g)
         if res <= tol:
             return vals, res, it, True
-        d = -ws.precondition(g, mass_diag)
-        scale = denom(vals) if denom is not None else 1.0
+        d = -ws.precondition(g)
         slope = float(np.dot(g[ws.free], d[ws.free])) / scale
         if not slope < 0:
             return vals, res, it, False
-        f0 = value(vals)
         alpha = opts.step_init
         accepted = False
         while alpha > 1e-18:
             trial = _pin(vals + alpha * d)
-            fv = value(trial)
+            fv, sv = obj.evaluate(trial)
             if math.isfinite(fv) and fv <= f0 + opts.armijo_c * alpha * slope:
                 accepted = True
                 break
             alpha *= opts.armijo_shrink
         if not accepted:
             return vals, res, it, False
-        vals = trial
+        vals, f0, scale = trial, fv, sv
         it += 1
-    res = ws.dual_norm(grad(vals))
+    res = ws.dual_norm(obj.grad(vals, f0))
     return vals, res, it, res <= tol
 
 
-def _lm_polish(ws, grad, hess_diag, vals, tol, budget, mass_diag=None):
+def _lm_polish(ws, obj, vals, tol, budget, descend=False):
     """Levenberg-Marquardt on the stationarity residual norm.
 
-    grad/hess_diag are closures; the Hessian used is
-    0.5*stiffness + diag(hess_diag), the exact second derivative of the
-    discrete objective. When the shifted-Newton step fails to reduce the
-    residual, one backtracked preconditioned-gradient step is tried
-    before giving up (escapes shallow local minima of the residual
-    norm). Returns (vals, res, iters_used, converged).
+    The Hessian used is 0.5*stiffness + diag(obj.hess_diag), the exact
+    second derivative of the discrete objective. When the shifted-Newton
+    step fails to reduce the residual and descend is set, one backtracked
+    preconditioned-gradient step is tried before giving up (escapes
+    shallow local minima of the residual norm).
+    Returns (vals, res, iters_used, converged).
     """
     nu = 1e-8
-    g = grad(vals)
+    g = obj.grad(vals)
     res = ws.dual_norm(g)
     it = 0
     while it < budget:
         if res <= tol:
             return vals, res, it, True
-        hd = hess_diag(vals)
+        hd = obj.hess_diag(vals)
         dref = np.abs(0.5 * ws.stiff_tri[1, :] + hd[ws.free]) + 1e-300
         improved = False
         for _ in range(60):
@@ -265,8 +362,6 @@ def _lm_polish(ws, grad, hess_diag, vals, tol, budget, mass_diag=None):
                 break
             try:
                 step = ws.solve_shifted(hd, nu, dref, g)
-            except np.linalg.LinAlgError as exc:
-                raise SingularHessian(str(exc)) from exc
             except ValueError:
                 nu *= 10.0
                 continue
@@ -276,7 +371,7 @@ def _lm_polish(ws, grad, hess_diag, vals, tol, budget, mass_diag=None):
             trial = vals.copy()
             trial[ws.free] -= step
             trial = _pin(trial)
-            gv = grad(trial)
+            gv = obj.grad(trial)
             if not np.all(np.isfinite(gv)):
                 nu *= 10.0
                 continue
@@ -287,12 +382,12 @@ def _lm_polish(ws, grad, hess_diag, vals, tol, budget, mass_diag=None):
                 improved = True
                 break
             nu *= 10.0
-        if not improved and mass_diag is not None:
-            d = -ws.precondition(g, mass_diag)
+        if not improved and descend:
+            d = -ws.precondition(g)
             alpha = 1.0
             while alpha > 1e-14:
                 trial = _pin(vals + alpha * d)
-                gv = grad(trial)
+                gv = obj.grad(trial)
                 if np.all(np.isfinite(gv)):
                     rv = ws.dual_norm(gv)
                     if rv < res:
@@ -306,8 +401,11 @@ def _lm_polish(ws, grad, hess_diag, vals, tol, budget, mass_diag=None):
     return vals, res, it, res <= tol
 
 
-def _hybrid(ws, value, grad, mass_diag, hess_diag, vals, opts, denom=None):
-    """Descent chunks alternated with LM polish until grad_tol or budget."""
+def _hybrid(ws, obj, vals, opts):
+    """Descent chunks alternated with LM polish until grad_tol or budget.
+
+    ws must have its preconditioner factored.
+    """
     tol = opts.grad_tol
     budget = opts.max_iters
     used = 0
@@ -317,9 +415,7 @@ def _hybrid(ws, value, grad, mass_diag, hess_diag, vals, opts, denom=None):
     while used < budget:
         round_start = best_res
         chunk = min(6000, budget - used)
-        vals, res, n, _ = _armijo_descent(
-            ws, value, grad, mass_diag, vals, max(tol, switch), chunk, opts, denom=denom
-        )
+        vals, res, n, _ = _armijo_descent(ws, obj, vals, max(tol, switch), chunk, opts)
         used += max(n, 1)
         if res < best_res:
             best_vals, best_res = vals, res
@@ -328,7 +424,7 @@ def _hybrid(ws, value, grad, mass_diag, hess_diag, vals, opts, denom=None):
         if used >= budget:
             break
         vals2, res2, n2, _ = _lm_polish(
-            ws, grad, hess_diag, vals, tol, min(300, budget - used), mass_diag=mass_diag
+            ws, obj, vals, tol, min(300, budget - used), descend=True
         )
         used += max(n2, 1)
         if res2 < best_res:
@@ -345,25 +441,6 @@ def _hybrid(ws, value, grad, mass_diag, hess_diag, vals, opts, denom=None):
         else:
             stagnant = 0
     return best_vals, best_res, used, best_res <= tol
-
-
-def _rayleigh_pieces(ws: _Workspace, params: Params):
-    num = _Objective(ws, [(1.0 / params.q, params.b, params.q)])
-    den_mass = ws.mass(params.a)
-
-    def I_of(vals):
-        return num.value(vals)
-
-    def J_of(vals):
-        return ws.wint(vals, params.p, params.a) / params.p
-
-    def gI(vals):
-        return num.grad(vals)
-
-    def gJ(vals):
-        return den_mass * _pow(vals, params.p - 1.0) * np.sign(vals)
-
-    return I_of, J_of, gI, gJ, den_mass
 
 
 def _align_init(ws: _Workspace, params: Params, vals: np.ndarray) -> np.ndarray:
@@ -421,41 +498,22 @@ def minimize_rayleigh(
         raise DomainError("grid dimension does not match params.N")
 
     ws = _Workspace(grid)
-    I_of, J_of, gI, gJ, den_mass = _rayleigh_pieces(ws, params)
-    massb = ws.mass(params.b)
-
-    def lam_of(vals):
-        return I_of(vals) / J_of(vals)
-
-    def value(vals):
-        Jv = J_of(vals)
-        if Jv <= 0 or not math.isfinite(Jv):
-            return math.inf
-        return I_of(vals) / Jv
-
-    def grad(vals):
-        return gI(vals) - lam_of(vals) * gJ(vals)
-
-    def hess_diag(vals):
-        lam = lam_of(vals)
-        return ((params.q - 1.0) * massb * _pow(vals, params.q - 2.0)
-                - lam * (params.p - 1.0) * den_mass * _pow(vals, params.p - 2.0))
+    obj = _Quotient(ws, params)
 
     vals = _pin(init.values)
     if not np.any(vals):
         raise ZeroProfileError("initial profile vanishes on the interior nodes")
 
-    res0 = ws.dual_norm(grad(vals))
+    res0 = ws.dual_norm(obj.grad(vals))
     iters = 0
     if res0 > opts.grad_tol:
         vals = _align_init(ws, params, vals)
-        vals, res, iters, converged = _hybrid(
-            ws, value, grad, 0.5 * massb, hess_diag, vals, opts, denom=J_of
-        )
+        ws.factor_preconditioner(0.5 * obj.massb)
+        vals, res, iters, converged = _hybrid(ws, obj, vals, opts)
     else:
         res, converged = res0, True
 
-    lam = lam_of(vals)
+    lam = obj.lam(vals)
     profile = RadialProfile(grid, vals)
     eig_terms = [TermSpec(lam, params.a, params.p)]
     return SolveReport(
@@ -530,7 +588,6 @@ def minimize_coercive(
     for t in terms:
         pieces.append((-t.c / t.r, t.eta, t.r))
     obj = _Objective(ws, pieces)
-    massb = ws.mass(params.b)
 
     pos = [t for t in terms if t.c > 0]
     if not pos and lam <= 0:
@@ -565,9 +622,8 @@ def minimize_coercive(
         raise ZeroProfileError("initialization scan found no usable profile")
     vals = _pin(best[1])
 
-    vals, res, iters, converged = _hybrid(
-        ws, obj.value, obj.grad, 0.5 * massb, obj.hess_diag, vals, opts
-    )
+    ws.factor_preconditioner(0.5 * ws.mass(params.b))
+    vals, res, iters, converged = _hybrid(ws, obj, vals, opts)
 
     profile = RadialProfile(grid, vals)
     full = list(terms) + ([TermSpec(lam, params.a, params.p)] if lam != 0 else [])
@@ -606,9 +662,7 @@ def newton_refine(
 
     tol = min(opts.grad_tol, 1e-10)
     vals = _pin(u.values)
-    vals, res, iters, converged = _lm_polish(
-        ws, obj.grad, obj.hess_diag, vals, tol, min(opts.max_iters, 500)
-    )
+    vals, res, iters, converged = _lm_polish(ws, obj, vals, tol, min(opts.max_iters, 500))
 
     profile = RadialProfile(u.grid, vals)
     full = list(terms) + ([TermSpec(lam, params.a, params.p)] if lam != 0 else [])
@@ -647,27 +701,17 @@ def probe_best_constant(
     ws = _Workspace(grid)
     mass = ws.mass(eta)
 
-    def B_of(vals):
-        return ws.wint(vals, c, eta)
-
-    def value(vals):
-        B = B_of(vals)
+    def evaluate(vals):
+        """(quotient, dirichlet form A, denominator integral B)."""
+        A, B = ws.dirich(vals), ws.wint(vals, c, eta)
         if B <= 0 or not math.isfinite(B):
-            return math.inf
-        return ws.dirich(vals) / B ** (2.0 / c)
-
-    def grad(vals):
-        A = ws.dirich(vals)
-        B = B_of(vals)
-        g = ws.grad_dirich(vals) - (2.0 * A / (c * B)) * (
-            c * mass * _pow(vals, c - 1.0) * np.sign(vals)
-        )
-        return g / B ** (2.0 / c)
+            return math.inf, A, B
+        return A / B ** (2.0 / c), A, B
 
     if init is None:
         init = sample_function(grid, "AubinTalenti", scale=1.0)
     vals = _pin(init.values)
-    B = B_of(vals)
+    B = ws.wint(vals, c, eta)
     if B <= 0:
         raise DomainError("probe initialization degenerate on this grid")
     vals = vals / B ** (1.0 / c)
@@ -675,29 +719,33 @@ def probe_best_constant(
     # pure-stiffness preconditioner; the shift only guards the factorization
     tiny = np.zeros(grid.M)
     tiny[ws.free] = 1e-12 * np.abs(ws.stiff_tri[1, :])
+    ws.factor_preconditioner(tiny)
+    f0, A, B = evaluate(vals)
     it = 0
     while it < min(opts.max_iters, 20_000):
-        g = grad(vals)
+        g = ws.grad_dirich(vals) - (2.0 * A / (c * B)) * (
+            c * mass * _pow(vals, c - 1.0) * np.sign(vals)
+        )
+        g = g / B ** (2.0 / c)
         res = ws.dual_norm(g)
         if res <= opts.grad_tol:
             break
-        d = -ws.precondition(g, tiny)
+        d = -ws.precondition(g)
         slope = float(np.dot(g[ws.free], d[ws.free]))
         if not slope < 0:
             break
-        f0 = value(vals)
         alpha = opts.step_init
         accepted = False
         while alpha > 1e-18:
             trial = _pin(vals + alpha * d)
-            fv = value(trial)
+            fv, _, Bt = evaluate(trial)
             if math.isfinite(fv) and fv <= f0 + opts.armijo_c * alpha * slope:
                 accepted = True
                 break
             alpha *= opts.armijo_shrink
         if not accepted:
             break
-        B = B_of(trial)
-        vals = trial / B ** (1.0 / c)
+        vals = trial / Bt ** (1.0 / c)
+        f0, A, B = evaluate(vals)
         it += 1
-    return value(vals)
+    return f0

@@ -1,6 +1,10 @@
 """CLI behavior: JSON documents, files, exit codes, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +154,16 @@ def test_floats_have_17_significant_digits(capsys):
     value = out.split('"cstar": ')[1].split("\n")[0].strip()
     mantissa = value.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
     assert len(mantissa) == 17
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported where a solve or a root search first needs it, so
+    # the scalar commands start without it
+    src = str(Path(il.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, inlslab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

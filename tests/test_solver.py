@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import inlslab as il
+from inlslab.solver import _Tridiag, _Workspace
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,15 @@ def test_rayleigh_solution_satisfies_el_equation(ref_params, small_grid, eigen_r
     res_term = il.el_residual(u, ref_params, 0.0, [il.TermSpec(lam, ref_params.a, ref_params.p)])
     assert res_lambda == pytest.approx(res_term, rel=1e-12)
     assert res_lambda <= 1e-8
+
+
+def test_rayleigh_small_window_exact(ref_params):
+    # the fast small-window solve, pinned to the last bit: a change to the
+    # descent kernels that alters any iterate moves the count or the value
+    g = il.make_grid(1e-3, 1e3, 257, 3)
+    rep = il.minimize_rayleigh(g, ref_params, il.sample_function(g, "Gaussian", sigma=1.0))
+    assert rep.iters == 1164
+    assert rep.value == 1.3458659777074762
 
 
 # ------------------------------------------------------------- coercive
@@ -199,6 +209,69 @@ def test_eigenvalue_refinement_trend(ref_params, capsys):
         print(f"\n[refinement trend] lambda at M=257,513,1025: "
               f"{vals[0]:.8f}, {vals[1]:.8f}, {vals[2]:.8f}")
     assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0]) + 1e-6
+
+
+# --------------------------------------------------------------- kernels
+
+
+def test_factored_preconditioner_matches_solve_banded():
+    from scipy.linalg import solve_banded
+
+    g = il.make_grid(1e-4, 1e4, 1025, 3)
+    ws = _Workspace(g)
+    mass_diag = 0.5 * ws.mass(1.0)
+    ws.factor_preconditioner(mass_diag)
+    ab = ws.stiff_tri.copy()
+    ab[1, :] += mass_diag[ws.free]
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        rhs = rng.standard_normal(g.M) * 10.0 ** rng.uniform(-12, 12, g.M)
+        want = solve_banded((1, 1), ab, rhs[ws.free])
+        got = ws.precondition(rhs)
+        assert got[0] == 0.0 and got[-1] == 0.0
+        np.testing.assert_allclose(got[ws.free], want, rtol=1e-13, atol=0.0)
+
+
+def test_tridiag_matches_solve_banded_with_pivoting():
+    # the Levenberg-Marquardt matrices are not diagonally dominant, so row
+    # interchanges happen; the factored solve must still match
+    from scipy.linalg import solve_banded
+
+    rng = np.random.default_rng(11)
+    n = 300
+    for _ in range(20):
+        ab = rng.standard_normal((3, n))
+        ab[1, :] *= 0.1
+        rhs = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        np.testing.assert_allclose(
+            _Tridiag(ab).solve(rhs), solve_banded((1, 1), ab, rhs), rtol=1e-13, atol=0.0
+        )
+
+
+def test_tridiag_keeps_solve_banded_checks():
+    g = il.make_grid(1e-2, 1e2, 64, 3)
+    ws = _Workspace(g)
+    ws.factor_preconditioner(ws.mass(1.0))
+    bad = np.ones(g.M)
+    bad[10] = np.nan
+    with pytest.raises(ValueError):
+        ws.precondition(bad)
+    with pytest.raises(ValueError):
+        ws.factor_preconditioner(bad)
+    with pytest.raises(il.SingularHessian):
+        _Tridiag(np.zeros((3, 8)))
+
+
+def test_cached_wint_matches_weighted_integral():
+    g = il.make_grid(1e-4, 1e4, 1025, 3)
+    ws = _Workspace(g)
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        u = il.RadialProfile(g, rng.standard_normal(g.M) * 10.0 ** rng.uniform(-3, 3))
+        for eta in (0.0, 0.5, 1.0, 1.8, 2.5):
+            for r in (1.5, 2.0, 3.0, 6.0):
+                for _repeat in range(2):  # first call fills the cache, second reads it
+                    assert ws.wint(u.values, r, eta) == il.weighted_integral(u, r, eta)
 
 
 # ---------------------------------------------------------------- options
