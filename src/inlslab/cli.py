@@ -138,10 +138,7 @@ def _emit(doc) -> None:
 def _finish_solve(report) -> int:
     _emit(report.to_dict())
     if not report.converged:
-        sys.stderr.write(
-            to_json({"error": "DIVERGED", "message": "solver did not reach grad_tol"}) + "\n"
-        )
-        return 3
+        raise Diverged("solver did not reach grad_tol")
     return 0
 
 

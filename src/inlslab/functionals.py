@@ -9,7 +9,11 @@ and the full objective for a term list {(c_j, eta_j, r_j)} is
 
     Phi(u) = I(u) - lambda J(u) - sum_j (c_j / r_j) int |u|^(r_j) |x|^(-eta_j).
 
-Gradients are exact derivatives of these discrete sums with respect to
+Energy is the one discrete Phi: value, exact gradient and Hessian
+diagonal on raw nodal values, evaluated through the grid's Quadrature.
+The solvers minimize it, and phi, grad_phi, el_residual and I_energy
+wrap it, so a solver's reported residual is the public one bit for bit.
+Gradients are exact derivatives of the discrete sums with respect to
 nodal values (differentiate the quadrature, not the PDE), so central
 finite differences reproduce them to rounding. The residuals below are
 the workbench's verification surface: Euler-Lagrange stationarity in a
@@ -64,19 +68,69 @@ class FunctionalReport:
         }
 
 
-def _mass(grid: RadialGrid, eta: float) -> np.ndarray:
-    """Diagonal quadrature weights of the eta-weighted integral."""
-    w = grid.trapezoid_weights()
-    return grid.omega * grid.h * w * grid.nodes ** (grid.N - eta)
+def energy_terms(params: Params, lam: float, terms: list[TermSpec]) -> list[tuple[float, float, float]]:
+    """The (coeff, eta, r) list of Phi, each meaning coeff * int |u|^r |x|^-eta:
+    the operator term, the eigen term (when lam != 0), then the term list."""
+    out = [(1.0 / params.q, params.b, params.q)]
+    if lam != 0.0:
+        out.append((-lam / params.p, params.a, params.p))
+    out += [(-t.c / t.r, t.eta, t.r) for t in terms]
+    return out
 
 
-def volume_weights(grid: RadialGrid) -> np.ndarray:
-    """Unweighted volume measure per node; used by the dual norm."""
-    return _mass(grid, 0.0)
+def _pow(vals: np.ndarray, e: float) -> np.ndarray:
+    """|v|^e with the convention 0^e = 0 also for e <= 0 (term powers < 2)."""
+    if e >= 0:
+        return np.abs(vals) ** e
+    out = np.zeros_like(vals)
+    nz = vals != 0
+    out[nz] = np.abs(vals[nz]) ** e
+    return out
+
+
+class Energy:
+    """Discrete Phi = 1/2 dirichlet + sum_k coeff_k wint(r_k, eta_k) on nodal values.
+
+    terms is a (coeff, eta, r) list as built by energy_terms. The
+    descent driver reads it through evaluate(vals) = (value, slope
+    scale) and grad(vals, value, scale); an energy's slope scale is 1.
+    hess_diag is the diagonal part of the Hessian, whose tridiagonal
+    part is half the stiffness matrix.
+    """
+
+    def __init__(self, grid: RadialGrid, terms: list[tuple[float, float, float]]):
+        self.quad = grid.quad
+        self.terms = terms
+        self.masses = [self.quad.mass(eta) for _, eta, _ in terms]
+
+    def value(self, vals: np.ndarray) -> float:
+        out = 0.5 * self.quad.dirich(vals)
+        for (c, eta, r) in self.terms:
+            out += c * self.quad.wint(vals, r, eta)
+        return out
+
+    def evaluate(self, vals: np.ndarray) -> tuple[float, float]:
+        return self.value(vals), 1.0
+
+    def grad(self, vals: np.ndarray, value: float | None = None, scale: float | None = None) -> np.ndarray:
+        out = 0.5 * self.quad.grad_dirich(vals)
+        for (c, _, r), mass in zip(self.terms, self.masses):
+            out += c * r * mass * _pow(vals, r - 1.0) * np.sign(vals)
+        return out
+
+    def hess_diag(self, vals: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(vals))
+        for (c, _, r), mass in zip(self.terms, self.masses):
+            out += c * r * (r - 1.0) * mass * _pow(vals, r - 2.0)
+        return out
+
+
+def _phi_energy(u: RadialProfile, params: Params, lam: float, terms: list[TermSpec]) -> Energy:
+    return Energy(u.grid, energy_terms(params, lam, terms))
 
 
 def I_energy(u: RadialProfile, params: Params) -> float:
-    return 0.5 * dirichlet_energy(u) + weighted_integral(u, params.q, params.b) / params.q
+    return _phi_energy(u, params, 0.0, []).value(u.values)
 
 
 def J_energy(u: RadialProfile, params: Params) -> float:
@@ -90,37 +144,8 @@ def rayleigh(u: RadialProfile, params: Params) -> float:
     return I_energy(u, params) / J_energy(u, params)
 
 
-def _grad_dirichlet(u: RadialProfile) -> np.ndarray:
-    g = u.grid
-    ds = g.nodes[1:] - g.nodes[:-1]
-    smid = np.sqrt(g.nodes[:-1] * g.nodes[1:])
-    slopes = (u.values[1:] - u.values[:-1]) / ds
-    f = 2.0 * g.omega * g.h * smid ** g.N * slopes / ds
-    out = np.zeros(g.M)
-    out[1:] += f
-    out[:-1] -= f
-    return out
-
-
-def _grad_power(u: RadialProfile, coeff: float, eta: float, r: float) -> np.ndarray:
-    """Gradient of coeff * int |u|^r |x|^(-eta); coeff carries the 1/r."""
-    mass = _mass(u.grid, eta)
-    return coeff * r * mass * np.abs(u.values) ** (r - 1.0) * np.sign(u.values)
-
-
-def grad_I(u: RadialProfile, params: Params) -> np.ndarray:
-    return 0.5 * _grad_dirichlet(u) + _grad_power(u, 1.0 / params.q, params.b, params.q)
-
-
-def grad_J(u: RadialProfile, params: Params) -> np.ndarray:
-    return _grad_power(u, 1.0 / params.p, params.a, params.p)
-
-
 def phi(u: RadialProfile, params: Params, lam: float, terms: list[TermSpec]) -> float:
-    val = I_energy(u, params) - lam * J_energy(u, params)
-    for t in terms:
-        val -= (t.c / t.r) * weighted_integral(u, t.r, t.eta)
-    return val
+    return _phi_energy(u, params, lam, terms).value(u.values)
 
 
 def grad_phi(u: RadialProfile, params: Params, lam: float, terms: list[TermSpec]) -> np.ndarray:
@@ -129,10 +154,7 @@ def grad_phi(u: RadialProfile, params: Params, lam: float, terms: list[TermSpec]
     Returns a vector of length M-1 (nodes 0 .. M-2); the outer node is
     pinned to zero by the profile invariant.
     """
-    g = grad_I(u, params) - lam * grad_J(u, params)
-    for t in terms:
-        g -= _grad_power(u, t.c / t.r, t.eta, t.r)
-    return g[:-1]
+    return _phi_energy(u, params, lam, terms).grad(u.values)[:-1]
 
 
 def el_residual(u: RadialProfile, params: Params, lam: float, terms: list[TermSpec]) -> float:
@@ -145,9 +167,7 @@ def el_residual(u: RadialProfile, params: Params, lam: float, terms: list[TermSp
     by the solvers, so interior stationarity is what characterizes a
     computed critical point.
     """
-    g = grad_phi(u, params, lam, terms)
-    mu = volume_weights(u.grid)
-    return math.sqrt(float(np.sum(g[1:] ** 2 / mu[1:-1])))
+    return u.grid.quad.dual_norm(_phi_energy(u, params, lam, terms).grad(u.values))
 
 
 def pohozaev_residual(u: RadialProfile, params: Params, terms: list[TermSpec]) -> float:

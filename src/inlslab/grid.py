@@ -9,7 +9,9 @@ integral becomes a smooth integral with weight s^(N-eta):
 evaluated by the trapezoid rule. The gradient term uses cell slopes
 (two-point differences) against geometric-midpoint weights; this keeps
 the quadratic form positive definite on every mesh mode and makes its
-Hessian tridiagonal.
+Hessian tridiagonal. Both sums, their nodal gradients and the dual norm
+are written once, in the Quadrature each grid builds on first use
+(RadialGrid.quad); every energy and solver evaluates through it.
 
 The scaling u_t(x) = t^delta u(tx) acts on the log grid as a pure index
 shift when ln t is a multiple of h (exact up to window truncation) and
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
@@ -76,11 +79,68 @@ class RadialGrid:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "omega", sphere_area(self.N))
 
-    def trapezoid_weights(self) -> np.ndarray:
-        w = np.ones(self.M)
-        w[0] = 0.5
-        w[-1] = 0.5
-        return w
+    @cached_property
+    def quad(self) -> "Quadrature":
+        """The grid's quadrature, built on first use."""
+        return Quadrature(self)
+
+
+class Quadrature:
+    """The discrete sums of one grid on raw nodal values.
+
+    wint(v, r, eta) = omega h sum_i w_i |v_i|^r s_i^(N-eta)   (trapezoid in ln s)
+    dirich(v)       = sum_cells cw_i slope_i^2,   cw_i = omega h smid_i^N
+
+    with w the trapezoid weights, slope_i = (v_{i+1} - v_i) / ds_i and
+    smid the geometric cell midpoint. w s^(N-eta) is cached per eta;
+    w is 0.5 or 1, so every grouping of these products rounds alike.
+    """
+
+    def __init__(self, grid: RadialGrid):
+        s = grid.nodes
+        self.nodes = s
+        self.N = grid.N
+        self.omega_h = grid.omega * grid.h
+        self.w = np.ones(grid.M)
+        self.w[0] = self.w[-1] = 0.5
+        self.ds = s[1:] - s[:-1]
+        self.cw = self.omega_h * np.sqrt(s[:-1] * s[1:]) ** grid.N
+        #: interior nodes; both boundary nodes are pinned by the solvers
+        self.free = slice(1, grid.M - 1)
+        self._wpow = {}
+        self._mu_free = self.mass(0.0)[self.free]
+
+    def _w_pow(self, eta: float) -> np.ndarray:
+        wp = self._wpow.get(eta)
+        if wp is None:
+            wp = self._wpow[eta] = self.w * self.nodes ** (self.N - eta)
+        return wp
+
+    def mass(self, eta: float) -> np.ndarray:
+        """Diagonal weights omega h w s^(N-eta) of the eta-weighted integral."""
+        return self.omega_h * self._w_pow(eta)
+
+    def wint(self, vals: np.ndarray, r: float, eta: float) -> float:
+        return self.omega_h * float((np.abs(vals) ** r * self._w_pow(eta)).sum())
+
+    def dirich(self, vals: np.ndarray) -> float:
+        slopes = (vals[1:] - vals[:-1]) / self.ds
+        return float((self.cw * slopes * slopes).sum())
+
+    def grad_dirich(self, vals: np.ndarray) -> np.ndarray:
+        """Gradient of dirich with respect to the nodal values."""
+        slopes = (vals[1:] - vals[:-1]) / self.ds
+        f = 2.0 * self.cw * slopes / self.ds
+        out = np.zeros(len(vals))
+        out[1:] += f
+        out[:-1] -= f
+        return out
+
+    def dual_norm(self, g: np.ndarray) -> float:
+        """sqrt(sum g_i^2 / mu_i) over the interior nodes, mu = mass(0): the
+        Riesz map of the discrete L^2 pairing, stable under refinement."""
+        gf = g[self.free]
+        return math.sqrt(float((gf * gf / self._mu_free).sum()))
 
 
 def make_grid(s_min: float, s_max: float, M: int, N: int) -> RadialGrid:
@@ -126,23 +186,12 @@ def weighted_integral(u: RadialProfile, r: float, eta: float) -> float:
         raise DomainError(f"power r must be >= 1, got {r}")
     if not 0 <= eta < g.N:
         raise DomainError(f"eta must lie in [0, N), got {eta}")
-    w = g.trapezoid_weights()
-    val = g.omega * g.h * float(np.sum(w * np.abs(u.values) ** r * g.nodes ** (g.N - eta)))
-    return val
-
-
-def _cell_slopes(u: RadialProfile):
-    g = u.grid
-    ds = g.nodes[1:] - g.nodes[:-1]
-    return (u.values[1:] - u.values[:-1]) / ds
+    return g.quad.wint(u.values, r, eta)
 
 
 def dirichlet_energy(u: RadialProfile) -> float:
     """omega_{N-1} * sum_cells (slope_i)^2 smid_i^N h, smid geometric midpoint."""
-    g = u.grid
-    smid = np.sqrt(g.nodes[:-1] * g.nodes[1:])
-    slopes = _cell_slopes(u)
-    return g.omega * g.h * float(np.sum(slopes * slopes * smid ** g.N))
+    return u.grid.quad.dirich(u.values)
 
 
 def shift_values(grid: RadialGrid, vals: np.ndarray, k: int) -> np.ndarray:

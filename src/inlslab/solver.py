@@ -1,5 +1,10 @@
 """Optimization drivers over radial profiles.
 
+The drivers minimize discrete objectives that all evaluate through the
+grid's Quadrature: the coercive energy and Newton's target are
+functionals.Energy (the one discrete Phi), the Rayleigh quotient I/J is
+_Quotient over Energy's operator part, and the embedding-constant probe
+is _ProbeQuotient. Every driver fills its SolveReport through _report.
 All solvers share one strategy, validated on the reference problems:
 
 * search space: nodal values with BOTH boundary nodes pinned to zero.
@@ -8,7 +13,8 @@ All solvers share one strategy, validated on the reference problems:
   values are upper bounds of the continuum infimum. (With the inner
   node free, the truncated-window quotient is minimized by profiles
   escaping through s_min, which undershoots the true value.)
-* descent: gradient steps preconditioned by the fixed symmetric
+* descent (_armijo_descent, shared by the Rayleigh, coercive and probe
+  drivers): gradient steps preconditioned by a fixed symmetric
   tridiagonal operator (gradient stiffness + weighted mass diagonal),
   i.e. steepest descent in a discrete energy inner product, with Armijo
   backtracking. The operator is factored once per solve (LAPACK dgttrf)
@@ -20,26 +26,28 @@ All solvers share one strategy, validated on the reference problems:
   The near-neutral scaling-orbit direction makes the plain Newton system
   nearly singular; the adaptive diagonal shift handles it.
 
-The Rayleigh driver does not renormalize iterates onto I = 1: the
-quotient is scale-free, and interpolated rescaling would inject O(h^2)
-noise that breaks monotone descent. Iterates keep their natural window
-scale and reports quote lambda = I/J directly.
+The quotient drivers do not renormalize iterates: both quotients are
+scale-free, and for the Rayleigh quotient interpolated rescaling onto
+I = 1 would inject O(h^2) noise that breaks monotone descent. Iterates
+keep their natural window scale and reports quote lambda = I/J directly.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, NotCoerciveConfig, SingularHessian, ZeroProfileError
 from .functionals import (
+    Energy,
     TermSpec,
-    _mass,
+    _pow,
     eigen_relation_residual,
+    energy_terms,
     pohozaev_residual,
-    volume_weights,
 )
 from .grid import RadialGrid, RadialProfile, sample_function, shift_values
 from .regimes import Params, Regime, WeightedPair, classify_pair, critical_exponent, ell_of
@@ -128,61 +136,20 @@ class _Tridiag:
 
 
 class _Workspace:
-    """Precomputed quadrature arrays for one grid, plus the factored
-    descent preconditioner once a driver has set it."""
+    """The descent preconditioner and the Levenberg-Marquardt shifted solve
+    of one grid, on the free (interior) nodes of its quadrature."""
 
     def __init__(self, grid: RadialGrid):
-        self.grid = grid
-        M = grid.M
-        s = grid.nodes
-        self.omega_h = grid.omega * grid.h
-        self.w = grid.trapezoid_weights()
-        self.mu = volume_weights(grid)
-        self.smid = np.sqrt(s[:-1] * s[1:])
-        self.ds = s[1:] - s[:-1]
-        self.cw = grid.omega * grid.h * self.smid ** grid.N
-        self.spring = 2.0 * self.cw / self.ds ** 2
-        self.free = slice(1, M - 1)
+        self.quad = q = grid.quad
+        self.free = q.free
         # tridiagonal of the full gradient quadratic form on free nodes
-        k = self.spring
-        ab = np.zeros((3, M - 2))
+        k = 2.0 * q.cw / q.ds ** 2
+        ab = np.zeros((3, grid.M - 2))
         ab[1, :] = k[:-1] + k[1:]
         ab[0, 1:] = -k[1:-1]
         ab[2, :-1] = -k[1:-1]
         self.stiff_tri = ab
-        self._wpow = {}
         self._pre = None
-
-    def mass(self, eta: float) -> np.ndarray:
-        return _mass(self.grid, eta)
-
-    def wint(self, vals: np.ndarray, r: float, eta: float) -> float:
-        """grid.weighted_integral on raw nodal values, bit for bit.
-
-        The cached w * s^(N-eta) reassociates w * |v|^r * s^(N-eta); w is
-        0.5 or 1, so both orders round to the same products.
-        """
-        wp = self._wpow.get(eta)
-        if wp is None:
-            g = self.grid
-            wp = self._wpow[eta] = self.w * g.nodes ** (g.N - eta)
-        return self.omega_h * float((np.abs(vals) ** r * wp).sum())
-
-    def dirich(self, vals: np.ndarray) -> float:
-        slopes = (vals[1:] - vals[:-1]) / self.ds
-        return float((self.cw * slopes * slopes).sum())
-
-    def grad_dirich(self, vals: np.ndarray) -> np.ndarray:
-        slopes = (vals[1:] - vals[:-1]) / self.ds
-        f = 2.0 * self.cw * slopes / self.ds
-        out = np.zeros(self.grid.M)
-        out[1:] += f
-        out[:-1] -= f
-        return out
-
-    def dual_norm(self, g: np.ndarray) -> float:
-        gf = g[self.free]
-        return math.sqrt(float((gf * gf / self.mu[self.free]).sum()))
 
     def factor_preconditioner(self, mass_diag: np.ndarray) -> None:
         """Factor stiffness + diag(mass_diag) on the free nodes for precondition()."""
@@ -191,7 +158,7 @@ class _Workspace:
         self._pre = _Tridiag(ab)
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.grid.M)
+        out = np.zeros(len(g))
         out[self.free] = self._pre.solve(g[self.free])
         return out
 
@@ -208,76 +175,25 @@ def _pin(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pow(vals: np.ndarray, e: float) -> np.ndarray:
-    """|v|^e with the convention 0^e = 0 also for e <= 0 (term powers < 2)."""
-    if e >= 0:
-        return np.abs(vals) ** e
-    out = np.zeros_like(vals)
-    nz = vals != 0
-    out[nz] = np.abs(vals[nz]) ** e
-    return out
-
-
-class _Objective:
-    """Discrete functional sum_k coeff_k * wint(r_k, eta_k) + 1/2 dirichlet.
-
-    Covers both drivers: the coercive energy directly, and the Rayleigh
-    quotient through its numerator.
-
-    The drivers see an objective through three methods: evaluate(vals)
-    gives (value, scale), where the Armijo test divides the slope by
-    scale; grad(vals, value) is the stationarity gradient, which may use
-    the value already computed at vals; hess_diag(vals) is the diagonal
-    part of its derivative.
-    """
-
-    def __init__(self, ws: _Workspace, terms: list[tuple[float, float, float]]):
-        # terms: (coeff, eta, r) meaning coeff * int |u|^r |x|^-eta
-        self.ws = ws
-        self.terms = terms
-        self.masses = [ws.mass(eta) for _, eta, _ in terms]
-
-    def value(self, vals: np.ndarray) -> float:
-        out = 0.5 * self.ws.dirich(vals)
-        for (c, eta, r) in self.terms:
-            out += c * self.ws.wint(vals, r, eta)
-        return out
-
-    def evaluate(self, vals: np.ndarray) -> tuple[float, float]:
-        return self.value(vals), 1.0
-
-    def grad(self, vals: np.ndarray, value: float | None = None) -> np.ndarray:
-        out = 0.5 * self.ws.grad_dirich(vals)
-        for (c, _, r), mass in zip(self.terms, self.masses):
-            out += c * r * mass * _pow(vals, r - 1.0) * np.sign(vals)
-        return out
-
-    def hess_diag(self, vals: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.ws.grid.M)
-        for (c, _, r), mass in zip(self.terms, self.masses):
-            out += c * r * (r - 1.0) * mass * _pow(vals, r - 2.0)
-        return out
-
-
 class _Quotient:
     """Rayleigh quotient lambda = I/J, I = 1/2 dirichlet + 1/q wint(q, b),
-    J = 1/p wint(p, a), in the _Objective interface.
+    J = 1/p wint(p, a), in the descent interface of Energy.
 
     grad is the stationarity gradient gI - lambda gJ, which is J times
     the quotient's gradient; evaluate returns J as the slope scale so
     the Armijo test is a sufficient-decrease test for the quotient.
     """
 
-    def __init__(self, ws: _Workspace, params: Params):
-        self.ws = ws
+    def __init__(self, grid: RadialGrid, params: Params):
+        self.quad = grid.quad
         self.params = params
-        self.num = _Objective(ws, [(1.0 / params.q, params.b, params.q)])
-        self.massb = ws.mass(params.b)
-        self.den_mass = ws.mass(params.a)
+        self.num = Energy(grid, energy_terms(params, 0.0, []))
+        self.massb = self.quad.mass(params.b)
+        self.den_mass = self.quad.mass(params.a)
 
     def _I_J(self, vals: np.ndarray) -> tuple[float, float]:
         p = self.params
-        return self.num.value(vals), self.ws.wint(vals, p.p, p.a) / p.p
+        return self.num.value(vals), self.quad.wint(vals, p.p, p.a) / p.p
 
     def lam(self, vals: np.ndarray) -> float:
         I, J = self._I_J(vals)
@@ -289,7 +205,7 @@ class _Quotient:
             return math.inf, J
         return I / J, J
 
-    def grad(self, vals: np.ndarray, lam: float | None = None) -> np.ndarray:
+    def grad(self, vals: np.ndarray, lam: float | None = None, scale: float | None = None) -> np.ndarray:
         if lam is None:
             lam = self.lam(vals)
         gJ = self.den_mass * _pow(vals, self.params.p - 1.0) * np.sign(vals)
@@ -302,24 +218,57 @@ class _Quotient:
                 - lam * (p.p - 1.0) * self.den_mass * _pow(vals, p.p - 2.0))
 
 
+class _ProbeQuotient:
+    """S = A / D, A = dirichlet, D = B^(2/c), B = wint(c, eta), in the
+    descent interface of Energy.
+
+    As for _Quotient, evaluate returns the denominator D as the slope
+    scale and grad is D times the quotient's gradient, gA - S gD with
+    gD = (2/c) D/B gB. S is 0-homogeneous and this descent commutes
+    with amplitude scaling, so iterates need no renormalization.
+    """
+
+    def __init__(self, grid: RadialGrid, c: float, eta: float):
+        self.quad = grid.quad
+        self.c = c
+        self.eta = eta
+        self.mass = self.quad.mass(eta)
+
+    def evaluate(self, vals: np.ndarray) -> tuple[float, float]:
+        A, B = self.quad.dirich(vals), self.quad.wint(vals, self.c, self.eta)
+        if B <= 0 or not math.isfinite(B):
+            return math.inf, B
+        D = B ** (2.0 / self.c)
+        return A / D, D
+
+    def grad(self, vals: np.ndarray, S: float, D: float) -> np.ndarray:
+        # gB = c mass |v|^(c-1) sign(v) and B = D^(c/2), so S gD = k mass |v|^(c-1) sign(v)
+        c = self.c
+        k = 2.0 * S * D ** (1.0 - c / 2.0)
+        return self.quad.grad_dirich(vals) - k * self.mass * _pow(vals, c - 1.0) * np.sign(vals)
+
+
 def _armijo_descent(ws, obj, vals, tol, budget, opts):
     """Preconditioned descent with Armijo backtracking.
 
-    Each iterate is evaluated once: the accepted trial's value becomes
-    the next reference value and feeds the next gradient.
-    Returns (vals, res, iters_used, converged).
+    obj gives evaluate(vals) = (value, slope scale) and grad(vals, value,
+    scale), the stationarity gradient; the Armijo test divides the slope
+    by the scale. Each iterate is evaluated once: the accepted trial's
+    value becomes the next reference value and feeds the next gradient.
+    Returns (vals, value, res, iters_used, converged).
     """
+    dual_norm = ws.quad.dual_norm
     f0, scale = obj.evaluate(vals)
     it = 0
     while it < budget:
-        g = obj.grad(vals, f0)
-        res = ws.dual_norm(g)
+        g = obj.grad(vals, f0, scale)
+        res = dual_norm(g)
         if res <= tol:
-            return vals, res, it, True
+            return vals, f0, res, it, True
         d = -ws.precondition(g)
         slope = float(np.dot(g[ws.free], d[ws.free])) / scale
         if not slope < 0:
-            return vals, res, it, False
+            return vals, f0, res, it, False
         alpha = opts.step_init
         accepted = False
         while alpha > 1e-18:
@@ -330,11 +279,11 @@ def _armijo_descent(ws, obj, vals, tol, budget, opts):
                 break
             alpha *= opts.armijo_shrink
         if not accepted:
-            return vals, res, it, False
+            return vals, f0, res, it, False
         vals, f0, scale = trial, fv, sv
         it += 1
-    res = ws.dual_norm(obj.grad(vals, f0))
-    return vals, res, it, res <= tol
+    res = dual_norm(obj.grad(vals, f0, scale))
+    return vals, f0, res, it, res <= tol
 
 
 def _lm_polish(ws, obj, vals, tol, budget, descend=False):
@@ -347,9 +296,10 @@ def _lm_polish(ws, obj, vals, tol, budget, descend=False):
     shallow local minima of the residual norm).
     Returns (vals, res, iters_used, converged).
     """
+    dual_norm = ws.quad.dual_norm
     nu = 1e-8
     g = obj.grad(vals)
-    res = ws.dual_norm(g)
+    res = dual_norm(g)
     it = 0
     while it < budget:
         if res <= tol:
@@ -375,7 +325,7 @@ def _lm_polish(ws, obj, vals, tol, budget, descend=False):
             if not np.all(np.isfinite(gv)):
                 nu *= 10.0
                 continue
-            rv = ws.dual_norm(gv)
+            rv = dual_norm(gv)
             if rv < res:
                 vals, g, res = trial, gv, rv
                 nu = max(nu * 0.25, 1e-16)
@@ -389,7 +339,7 @@ def _lm_polish(ws, obj, vals, tol, budget, descend=False):
                 trial = _pin(vals + alpha * d)
                 gv = obj.grad(trial)
                 if np.all(np.isfinite(gv)):
-                    rv = ws.dual_norm(gv)
+                    rv = dual_norm(gv)
                     if rv < res:
                         vals, g, res = trial, gv, rv
                         improved = True
@@ -415,7 +365,7 @@ def _hybrid(ws, obj, vals, opts):
     while used < budget:
         round_start = best_res
         chunk = min(6000, budget - used)
-        vals, res, n, _ = _armijo_descent(ws, obj, vals, max(tol, switch), chunk, opts)
+        vals, _, res, n, _ = _armijo_descent(ws, obj, vals, max(tol, switch), chunk, opts)
         used += max(n, 1)
         if res < best_res:
             best_vals, best_res = vals, res
@@ -443,7 +393,22 @@ def _hybrid(ws, obj, vals, opts):
     return best_vals, best_res, used, best_res <= tol
 
 
-def _align_init(ws: _Workspace, params: Params, vals: np.ndarray) -> np.ndarray:
+def _report(grid, params, vals, value, iters, res, converged, lam, terms=()) -> SolveReport:
+    """SolveReport of a critical point of Phi(.; lam, terms) with nodal values vals."""
+    profile = RadialProfile(grid, vals)
+    full = list(terms) + ([TermSpec(lam, params.a, params.p)] if lam != 0 else [])
+    return SolveReport(
+        value=value,
+        iters=iters,
+        el_res=res,
+        pohozaev_res=pohozaev_residual(profile, params, full) if full else 0.0,
+        eigen_rel_res=eigen_relation_residual(profile, params, lam),
+        converged=converged,
+        profile=profile,
+    )
+
+
+def _align_init(grid: RadialGrid, params: Params, vals: np.ndarray) -> np.ndarray:
     """Pick the best grid-exact scaling and amplitude of the init profile.
 
     The quotient along the family A * shift_k(u) has a closed-form
@@ -451,18 +416,19 @@ def _align_init(ws: _Workspace, params: Params, vals: np.ndarray) -> np.ndarray:
     per candidate shift. Kept deterministic; includes the unshifted
     profile so an already-good init survives unchanged.
     """
-    p, q, delta = params.p, params.q, params.delta
-    M = ws.grid.M
+    p, q = params.p, params.q
+    quad = grid.quad
+    M = grid.M
     best = (math.inf, 0, 1.0)
     for k in range(-(M - 2), M - 1, 4):
-        sv = shift_values(ws.grid, vals, k)
+        sv = shift_values(grid, vals, k)
         sv[0] = 0.0
         sv[-1] = 0.0
         if not np.any(sv):
             continue
-        d = 0.5 * ws.dirich(sv)
-        e = ws.wint(sv, q, params.b) / q
-        f = ws.wint(sv, p, params.a) / p
+        d = 0.5 * quad.dirich(sv)
+        e = quad.wint(sv, q, params.b) / q
+        f = quad.wint(sv, p, params.a) / p
         if f <= 0 or d <= 0 or e <= 0:
             continue
         try:
@@ -475,7 +441,7 @@ def _align_init(ws: _Workspace, params: Params, vals: np.ndarray) -> np.ndarray:
     if not math.isfinite(best[0]):
         raise ZeroProfileError("initial profile vanishes on the interior nodes")
     _, k, A = best
-    out = A * shift_values(ws.grid, vals, k)
+    out = A * shift_values(grid, vals, k)
     return _pin(out)
 
 
@@ -497,34 +463,23 @@ def minimize_rayleigh(
     if grid.N != params.N:
         raise DomainError("grid dimension does not match params.N")
 
-    ws = _Workspace(grid)
-    obj = _Quotient(ws, params)
-
+    obj = _Quotient(grid, params)
     vals = _pin(init.values)
     if not np.any(vals):
         raise ZeroProfileError("initial profile vanishes on the interior nodes")
 
-    res0 = ws.dual_norm(obj.grad(vals))
+    res0 = grid.quad.dual_norm(obj.grad(vals))
     iters = 0
     if res0 > opts.grad_tol:
-        vals = _align_init(ws, params, vals)
+        vals = _align_init(grid, params, vals)
+        ws = _Workspace(grid)
         ws.factor_preconditioner(0.5 * obj.massb)
         vals, res, iters, converged = _hybrid(ws, obj, vals, opts)
     else:
         res, converged = res0, True
 
     lam = obj.lam(vals)
-    profile = RadialProfile(grid, vals)
-    eig_terms = [TermSpec(lam, params.a, params.p)]
-    return SolveReport(
-        value=lam,
-        iters=iters,
-        el_res=res,
-        pohozaev_res=pohozaev_residual(profile, params, eig_terms),
-        eigen_rel_res=eigen_relation_residual(profile, params, lam),
-        converged=converged,
-        profile=profile,
-    )
+    return _report(grid, params, vals, lam, iters, res, converged, lam)
 
 
 def _check_coercive(params: Params, terms: list[TermSpec], lam: float) -> None:
@@ -581,29 +536,12 @@ def minimize_coercive(
         raise DomainError("grid dimension does not match params.N")
     _check_coercive(params, terms, lam)
 
-    ws = _Workspace(grid)
-    pieces = [(1.0 / params.q, params.b, params.q)]
-    if lam != 0.0:
-        pieces.append((-lam / params.p, params.a, params.p))
-    for t in terms:
-        pieces.append((-t.c / t.r, t.eta, t.r))
-    obj = _Objective(ws, pieces)
-
-    pos = [t for t in terms if t.c > 0]
-    if not pos and lam <= 0:
-        profile = RadialProfile(grid, np.zeros(grid.M))
-        full = list(terms) + ([TermSpec(lam, params.a, params.p)] if lam != 0 else [])
-        return SolveReport(
-            value=0.0,
-            iters=0,
-            el_res=0.0,
-            pohozaev_res=pohozaev_residual(profile, params, full) if full else 0.0,
-            eigen_rel_res=0.0,
-            converged=True,
-            profile=profile,
-        )
+    obj = Energy(grid, energy_terms(params, lam, terms))
+    if not any(t.c > 0 for t in terms) and lam <= 0:
+        return _report(grid, params, np.zeros(grid.M), 0.0, 0, 0.0, True, lam, terms)
 
     # init: most negative energy over a shift x amplitude family scan
+    quad = grid.quad
     base = sample_function(grid, "Gaussian", sigma=1.0).values
     best = (math.inf, None)
     amps = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 25))
@@ -611,9 +549,9 @@ def minimize_coercive(
         sv = _pin(shift_values(grid, base, k))
         if not np.any(sv):
             continue
-        d = 0.5 * ws.dirich(sv)
-        ints = [(c, ws.wint(sv, r, eta)) for (c, eta, r) in pieces]
-        rs = [r for (_, _, r) in pieces]
+        d = 0.5 * quad.dirich(sv)
+        ints = [(c, quad.wint(sv, r, eta)) for (c, eta, r) in obj.terms]
+        rs = [r for (_, _, r) in obj.terms]
         for A in amps:
             val = d * A * A + sum(c * iv * A ** r for (c, iv), r in zip(ints, rs))
             if val < best[0]:
@@ -622,20 +560,10 @@ def minimize_coercive(
         raise ZeroProfileError("initialization scan found no usable profile")
     vals = _pin(best[1])
 
-    ws.factor_preconditioner(0.5 * ws.mass(params.b))
+    ws = _Workspace(grid)
+    ws.factor_preconditioner(0.5 * quad.mass(params.b))
     vals, res, iters, converged = _hybrid(ws, obj, vals, opts)
-
-    profile = RadialProfile(grid, vals)
-    full = list(terms) + ([TermSpec(lam, params.a, params.p)] if lam != 0 else [])
-    return SolveReport(
-        value=obj.value(vals),
-        iters=iters,
-        el_res=res,
-        pohozaev_res=pohozaev_residual(profile, params, full),
-        eigen_rel_res=eigen_relation_residual(profile, params, lam),
-        converged=converged,
-        profile=profile,
-    )
+    return _report(grid, params, vals, obj.value(vals), iters, res, converged, lam, terms)
 
 
 def newton_refine(
@@ -652,29 +580,16 @@ def newton_refine(
     min(grad_tol, 1e-10); a report with converged = False means the
     iteration stalled above it (no global convergence is claimed).
     """
-    ws = _Workspace(u.grid)
-    pieces = [(1.0 / params.q, params.b, params.q)]
-    if lam != 0.0:
-        pieces.append((-lam / params.p, params.a, params.p))
-    for t in terms:
-        pieces.append((-t.c / t.r, t.eta, t.r))
-    obj = _Objective(ws, pieces)
-
+    obj = Energy(u.grid, energy_terms(params, lam, terms))
     tol = min(opts.grad_tol, 1e-10)
     vals = _pin(u.values)
-    vals, res, iters, converged = _lm_polish(ws, obj, vals, tol, min(opts.max_iters, 500))
-
-    profile = RadialProfile(u.grid, vals)
-    full = list(terms) + ([TermSpec(lam, params.a, params.p)] if lam != 0 else [])
-    return SolveReport(
-        value=obj.value(vals),
-        iters=iters,
-        el_res=res,
-        pohozaev_res=pohozaev_residual(profile, params, full) if full else 0.0,
-        eigen_rel_res=eigen_relation_residual(profile, params, lam),
-        converged=converged,
-        profile=profile,
+    vals, res, iters, converged = _lm_polish(
+        _Workspace(u.grid), obj, vals, tol, min(opts.max_iters, 500)
     )
+    return _report(u.grid, params, vals, obj.value(vals), iters, res, converged, lam, terms)
+
+
+_PROBE_MAX_ITERS = 20_000
 
 
 def probe_best_constant(
@@ -687,9 +602,16 @@ def probe_best_constant(
     """Upper bound for the critical embedding constant S_eta.
 
     Minimizes int |grad u|^2 / (int |u|^c |x|^-eta)^(2/c) with
-    c = 2(N-eta)/(N-2) over interior profiles; the quotient is invariant
-    under amplitude scaling, so iterates renormalize the denominator to
-    one exactly. init defaults to the Aubin-Talenti profile.
+    c = 2(N-eta)/(N-2) over interior profiles, by the preconditioned
+    Armijo descent of the other drivers with a pure-stiffness
+    preconditioner. The quotient is invariant under amplitude scaling,
+    so the init is normalized to a unit denominator once and iterates
+    are not renormalized. init defaults to the Aubin-Talenti profile.
+
+    The descent runs at most min(opts.max_iters, 20_000) iterations.
+    When it stops above opts.grad_tol, at that cap or on a failed line
+    search, a RuntimeWarning gives the final dual-norm residual; the
+    quotient at the last iterate is returned either way.
     """
     if N < 3:
         raise DomainError(f"probe requires N >= 3, got {N}")
@@ -698,54 +620,28 @@ def probe_best_constant(
     if grid.N != N:
         raise DomainError("grid dimension does not match N")
     c = critical_exponent(N, eta)
-    ws = _Workspace(grid)
-    mass = ws.mass(eta)
-
-    def evaluate(vals):
-        """(quotient, dirichlet form A, denominator integral B)."""
-        A, B = ws.dirich(vals), ws.wint(vals, c, eta)
-        if B <= 0 or not math.isfinite(B):
-            return math.inf, A, B
-        return A / B ** (2.0 / c), A, B
-
     if init is None:
         init = sample_function(grid, "AubinTalenti", scale=1.0)
     vals = _pin(init.values)
-    B = ws.wint(vals, c, eta)
+    B = grid.quad.wint(vals, c, eta)
     if B <= 0:
         raise DomainError("probe initialization degenerate on this grid")
     vals = vals / B ** (1.0 / c)
 
+    ws = _Workspace(grid)
     # pure-stiffness preconditioner; the shift only guards the factorization
     tiny = np.zeros(grid.M)
     tiny[ws.free] = 1e-12 * np.abs(ws.stiff_tri[1, :])
     ws.factor_preconditioner(tiny)
-    f0, A, B = evaluate(vals)
-    it = 0
-    while it < min(opts.max_iters, 20_000):
-        g = ws.grad_dirich(vals) - (2.0 * A / (c * B)) * (
-            c * mass * _pow(vals, c - 1.0) * np.sign(vals)
+    budget = min(opts.max_iters, _PROBE_MAX_ITERS)
+    _, S, res, iters, converged = _armijo_descent(
+        ws, _ProbeQuotient(grid, c, eta), vals, opts.grad_tol, budget, opts
+    )
+    if not converged:
+        warnings.warn(
+            f"probe_best_constant stopped after {iters} of at most {budget} iterations "
+            f"at dual-norm residual {res:.3e} > grad_tol {opts.grad_tol:.3e}",
+            RuntimeWarning,
+            stacklevel=2,
         )
-        g = g / B ** (2.0 / c)
-        res = ws.dual_norm(g)
-        if res <= opts.grad_tol:
-            break
-        d = -ws.precondition(g)
-        slope = float(np.dot(g[ws.free], d[ws.free]))
-        if not slope < 0:
-            break
-        alpha = opts.step_init
-        accepted = False
-        while alpha > 1e-18:
-            trial = _pin(vals + alpha * d)
-            fv, _, Bt = evaluate(trial)
-            if math.isfinite(fv) and fv <= f0 + opts.armijo_c * alpha * slope:
-                accepted = True
-                break
-            alpha *= opts.armijo_shrink
-        if not accepted:
-            break
-        vals = trial / Bt ** (1.0 / c)
-        f0, A, B = evaluate(vals)
-        it += 1
-    return f0
+    return S

@@ -94,6 +94,53 @@ def test_quadrature_positivity():
     assert il.weighted_integral(il.RadialProfile(g, vals), 2.0, 0.5) == 0.0
 
 
+# ------------------------------------------------- reference formulas of the quadrature
+
+
+def _random_profiles(g, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        vals = rng.standard_normal(g.M) * 10.0 ** rng.uniform(-3, 3)
+        vals[-1] = 0.0
+        yield vals
+
+
+def test_quadrature_matches_reference_sums_bit_for_bit():
+    # the explicit formulas the sums were first written as; the cached
+    # products regroup them, which is exact because w is 0.5 or 1
+    g = il.make_grid(1e-4, 1e4, 1025, 3)
+    w = np.ones(g.M)
+    w[0] = w[-1] = 0.5
+    smid = np.sqrt(g.nodes[:-1] * g.nodes[1:])
+    ds = g.nodes[1:] - g.nodes[:-1]
+    for eta in (0.0, 1.0, 1.3333333333333335, 1.8):
+        mass = g.omega * g.h * w * g.nodes ** (g.N - eta)
+        assert np.array_equal(g.quad.mass(eta), mass)
+        for vals in _random_profiles(g, 5):
+            for r in (1.5, 2.2, 3.0, 6.0):
+                ref = g.omega * g.h * float(np.sum(w * np.abs(vals) ** r * g.nodes ** (g.N - eta)))
+                assert g.quad.wint(vals, r, eta) == ref
+    for vals in _random_profiles(g, 6):
+        slopes = (vals[1:] - vals[:-1]) / ds
+        f = 2.0 * g.omega * g.h * smid ** g.N * slopes / ds
+        grad = np.zeros(g.M)
+        grad[1:] += f
+        grad[:-1] -= f
+        assert np.array_equal(g.quad.grad_dirich(vals), grad)
+        mu = g.omega * g.h * w * g.nodes ** g.N
+        assert g.quad.dual_norm(grad) == math.sqrt(float(np.sum(grad[1:-1] ** 2 / mu[1:-1])))
+
+
+def test_dirichlet_matches_reference_sum():
+    # omega h is folded into the cell weights, a regrouping of the sum
+    g = il.make_grid(1e-4, 1e4, 1025, 3)
+    smid = np.sqrt(g.nodes[:-1] * g.nodes[1:])
+    for vals in _random_profiles(g, 7):
+        slopes = (vals[1:] - vals[:-1]) / (g.nodes[1:] - g.nodes[:-1])
+        ref = g.omega * g.h * float(np.sum(slopes * slopes * smid ** g.N))
+        assert il.dirichlet_energy(il.RadialProfile(g, vals)) == pytest.approx(ref, rel=1e-14, abs=0)
+
+
 # ---------------------------------------------------------------- dirichlet
 
 

@@ -2,6 +2,7 @@
 in the acceptance suite."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ def test_coercive_deeper_well_for_larger_coefficient(ref_params):
     assert v2 < v1 < 0
 
 
+def test_coercive_reported_residual_is_the_public_one(ref_params):
+    # the solver and el_residual evaluate the same discrete Phi
+    grid = il.make_grid(2e-5, 1e4, 513, 3)
+    for terms, lam in (([il.TermSpec(1.0, 1.8, 2.2)], 0.0),
+                       ([il.TermSpec(1.0, 1.8, 2.2), il.TermSpec(-0.5, 1.0, 3.8)], 0.2)):
+        rep = il.minimize_coercive(grid, ref_params, terms, lam)
+        assert rep.converged
+        assert rep.el_res == il.el_residual(rep.profile, ref_params, lam, terms)
+        assert rep.value == il.phi(rep.profile, ref_params, lam, terms)
+
+
 # --------------------------------------------------------------- newton
 
 
@@ -138,6 +150,15 @@ def test_newton_refines_crude_state(ref_params, small_grid):
     assert ref.converged
     assert ref.el_res <= 1e-10
     assert crude.el_res / ref.el_res >= 1e3
+
+
+def test_newton_reported_residual_is_the_public_one(ref_params, small_grid):
+    init = il.sample_function(small_grid, "Gaussian", sigma=1.0)
+    crude = il.minimize_rayleigh(
+        small_grid, ref_params, init, il.SolveOptions(max_iters=120, grad_tol=1e-12)
+    )
+    rep = il.newton_refine(crude.profile, ref_params, crude.value, [])
+    assert rep.el_res == il.el_residual(rep.profile, ref_params, crude.value, [])
 
 
 def test_newton_zero_is_critical(ref_params, small_grid):
@@ -165,6 +186,17 @@ def test_probe_positive_and_near_aubin_talenti(small_grid):
     quotient = il.dirichlet_energy(at) / il.weighted_integral(at, c, 0.0) ** (2.0 / c)
     assert val <= quotient * (1 + 1e-12)  # minimization can only improve
     assert val == pytest.approx(quotient, rel=0.05)
+
+
+def test_probe_warns_when_it_stops_short():
+    g = il.make_grid(1e-4, 1e4, 1025, 3)
+    with pytest.warns(RuntimeWarning, match="residual"):
+        il.probe_best_constant(g, 3, 0.0, il.SolveOptions(max_iters=5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the README probe and a small window converge well inside the cap
+        il.probe_best_constant(g, 3, 0.0)
+        il.probe_best_constant(il.make_grid(1e-3, 1e3, 257, 3), 3, 0.0)
 
 
 def test_probe_weighted_case_against_closed_form():
@@ -219,7 +251,7 @@ def test_factored_preconditioner_matches_solve_banded():
 
     g = il.make_grid(1e-4, 1e4, 1025, 3)
     ws = _Workspace(g)
-    mass_diag = 0.5 * ws.mass(1.0)
+    mass_diag = 0.5 * g.quad.mass(1.0)
     ws.factor_preconditioner(mass_diag)
     ab = ws.stiff_tri.copy()
     ab[1, :] += mass_diag[ws.free]
@@ -251,7 +283,7 @@ def test_tridiag_matches_solve_banded_with_pivoting():
 def test_tridiag_keeps_solve_banded_checks():
     g = il.make_grid(1e-2, 1e2, 64, 3)
     ws = _Workspace(g)
-    ws.factor_preconditioner(ws.mass(1.0))
+    ws.factor_preconditioner(g.quad.mass(1.0))
     bad = np.ones(g.M)
     bad[10] = np.nan
     with pytest.raises(ValueError):
@@ -264,14 +296,14 @@ def test_tridiag_keeps_solve_banded_checks():
 
 def test_cached_wint_matches_weighted_integral():
     g = il.make_grid(1e-4, 1e4, 1025, 3)
-    ws = _Workspace(g)
+    quad = g.quad
     rng = np.random.default_rng(3)
     for _ in range(10):
         u = il.RadialProfile(g, rng.standard_normal(g.M) * 10.0 ** rng.uniform(-3, 3))
         for eta in (0.0, 0.5, 1.0, 1.8, 2.5):
             for r in (1.5, 2.0, 3.0, 6.0):
                 for _repeat in range(2):  # first call fills the cache, second reads it
-                    assert ws.wint(u.values, r, eta) == il.weighted_integral(u, r, eta)
+                    assert quad.wint(u.values, r, eta) == il.weighted_integral(u, r, eta)
 
 
 # ---------------------------------------------------------------- options
