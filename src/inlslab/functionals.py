@@ -92,11 +92,14 @@ class Energy:
     """Discrete Phi = 1/2 dirichlet + sum_k coeff_k wint(r_k, eta_k) on nodal values.
 
     terms is a (coeff, eta, r) list as built by energy_terms. The
-    descent driver reads it through evaluate(vals) = (value, slope
-    scale) and grad(vals, value, scale); an energy's slope scale is 1.
-    hess_diag is the diagonal part of the Hessian, whose tridiagonal
-    part is half the stiffness matrix.
+    solvers read it through evaluate(vals) = (value, slope scale),
+    grad(vals, value, scale) and hess_diag(vals, value, scale); an
+    energy's slope scale is 1. hess_diag is the diagonal part of the
+    Hessian, whose tridiagonal part is stiff_weight times the stiffness
+    band quad.stiff.
     """
+
+    stiff_weight = 0.5
 
     def __init__(self, grid: RadialGrid, terms: list[tuple[float, float, float]]):
         self.quad = grid.quad
@@ -118,7 +121,7 @@ class Energy:
             out += c * r * mass * _pow(vals, r - 1.0) * np.sign(vals)
         return out
 
-    def hess_diag(self, vals: np.ndarray) -> np.ndarray:
+    def hess_diag(self, vals: np.ndarray, value: float | None = None, scale: float | None = None) -> np.ndarray:
         out = np.zeros(len(vals))
         for (c, _, r), mass in zip(self.terms, self.masses):
             out += c * r * (r - 1.0) * mass * _pow(vals, r - 2.0)

@@ -9,9 +9,10 @@ integral becomes a smooth integral with weight s^(N-eta):
 evaluated by the trapezoid rule. The gradient term uses cell slopes
 (two-point differences) against geometric-midpoint weights; this keeps
 the quadratic form positive definite on every mesh mode and makes its
-Hessian tridiagonal. Both sums, their nodal gradients and the dual norm
-are written once, in the Quadrature each grid builds on first use
-(RadialGrid.quad); every energy and solver evaluates through it.
+Hessian tridiagonal. Both sums, their nodal gradients, the stiffness
+band and the dual norm are written once, in the Quadrature each grid
+builds on first use (RadialGrid.quad); every energy and solver
+evaluates through it.
 
 The scaling u_t(x) = t^delta u(tx) acts on the log grid as a pure index
 shift when ln t is a multiple of h (exact up to window truncation) and
@@ -135,6 +136,18 @@ class Quadrature:
         out[1:] += f
         out[:-1] -= f
         return out
+
+    @cached_property
+    def stiff(self) -> np.ndarray:
+        """Hessian of dirich on the interior nodes, a read-only tridiagonal
+        band in scipy.linalg.solve_banded's (1, 1) layout."""
+        k = 2.0 * self.cw / self.ds ** 2
+        ab = np.zeros((3, len(self.w) - 2))
+        ab[1, :] = k[:-1] + k[1:]
+        ab[0, 1:] = -k[1:-1]
+        ab[2, :-1] = -k[1:-1]
+        ab.flags.writeable = False
+        return ab
 
     def dual_norm(self, g: np.ndarray) -> float:
         """sqrt(sum g_i^2 / mu_i) over the interior nodes, mu = mass(0): the

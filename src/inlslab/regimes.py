@@ -335,14 +335,29 @@ def ps_threshold(N: int, eta1: float, S: float) -> float:
     return (2.0 - eta1) / (2.0 * (N - eta1)) * S ** ((N - eta1) / (2.0 - eta1))
 
 
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f in a bracket [lo, hi] where f changes sign, by bisection
+    down to adjacent floats; returns the end with the smaller |f|."""
+    flo, fhi = f(lo), f(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo if abs(flo) <= abs(fhi) else hi
+        fm = f(mid)
+        if (fm < 0) == (flo < 0):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+
+
 def tilde_s_root(mu: float, S1: float, S2: float, N: int, eta1: float, eta2: float) -> float:
     """Unique S~ > 0 solving
 
         mu S2^(-c2/2) S~^((2-eta2)/(N-2)) + S1^(-c1/2) S~^((2-eta1)/(N-2)) = 1
 
     with c_i = 2(N-eta_i)/(N-2). The left side increases strictly from 0,
-    so a bracketed root find applies; the result is polished until the
-    equation residual is below 1e-12.
+    so bisection of a bracket applies; the result is polished by Newton
+    steps until the equation residual is below 1e-13.
     """
     if N < 3:
         raise DomainError(f"N >= 3 required, got {N}")
@@ -367,8 +382,6 @@ def tilde_s_root(mu: float, S1: float, S2: float, N: int, eta1: float, eta2: flo
     if mu == 0.0:
         return S1 ** ((N - eta1) / (2.0 - eta1))
 
-    from scipy.optimize import brentq  # deferred: `import inlslab` loads no scipy
-
     lo, hi = 1.0, 1.0
     for _ in range(2000):
         if f(lo) < 0:
@@ -378,7 +391,9 @@ def tilde_s_root(mu: float, S1: float, S2: float, N: int, eta1: float, eta2: flo
         if f(hi) > 0:
             break
         hi *= 2.0
-    x = brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=300)
+    x = _bisect(f, lo, hi)
+    if x == 0.0:
+        raise DomainError("S~ lies below the smallest positive float for these inputs")
     # Newton polish against residual
     for _ in range(8):
         res = f(x)
@@ -420,8 +435,6 @@ def gamma_mu_roots(mu: float, C: float, C1: float, exp_low: float, exp_high: flo
     if _close(gmin, 1.0):
         return tstar, tstar
 
-    from scipy.optimize import brentq  # deferred: `import inlslab` loads no scipy
-
     def f(t: float) -> float:
         return g(t) - 1.0
 
@@ -430,13 +443,13 @@ def gamma_mu_roots(mu: float, C: float, C1: float, exp_low: float, exp_high: flo
         if f(lo) > 0:
             break
         lo *= 0.5
-    r1 = brentq(f, lo, tstar, xtol=1e-300, rtol=8.9e-16, maxiter=300)
+    r1 = _bisect(f, lo, tstar)
     hi = tstar
     for _ in range(2000):
         if f(hi) > 0:
             break
         hi *= 2.0
-    r2 = brentq(f, tstar, hi, xtol=1e-300, rtol=8.9e-16, maxiter=300)
+    r2 = _bisect(f, tstar, hi)
     return r1, r2
 
 

@@ -13,18 +13,24 @@ All solvers share one strategy, validated on the reference problems:
   values are upper bounds of the continuum infimum. (With the inner
   node free, the truncated-window quotient is minimized by profiles
   escaping through s_min, which undershoots the true value.)
-* descent (_armijo_descent, shared by the Rayleigh, coercive and probe
-  drivers): gradient steps preconditioned by a fixed symmetric
-  tridiagonal operator (gradient stiffness + weighted mass diagonal),
-  i.e. steepest descent in a discrete energy inner product, with Armijo
-  backtracking. The operator is factored once per solve (LAPACK dgttrf)
-  and each step is one dgttrs back-substitution; each iterate's value
-  is computed once and serves the line search, the gradient and the
-  next step.
-* endgame: Levenberg-Marquardt iterations on the stationarity residual,
-  using the exact tridiagonal-plus-diagonal Hessian of the objective.
-  The near-neutral scaling-orbit direction makes the plain Newton system
-  nearly singular; the adaptive diagonal shift handles it.
+* one engine (_newton, shared by the Rayleigh, coercive and probe
+  drivers): shifted Newton steps on the objective's value. Each step
+  solves (H + nu P) d = -g with one LAPACK tridiagonal factorization,
+  where H is the objective's tridiagonal-plus-diagonal Hessian and P a
+  fixed positive definite band (gradient stiffness + weighted mass
+  diagonal). A large shift nu gives a short preconditioned gradient
+  step, and nu -> 0 Newton's step, which crosses the near-neutral
+  scaling-orbit direction that stalls plain descent. The value is the
+  merit (Armijo); only at its roundoff floor does a smaller residual
+  decide. Every objective depends on u through |u| and the cell slopes,
+  which |u| does not steepen, so each trial is replaced by its absolute
+  value: the value cannot rise, and a full Newton step that overshoots
+  through zero cannot carry the iterate to a sign-changing critical
+  point (without it, the acceptance suite's subscaled minimization ends
+  at the energy -3.934 instead of -9.654).
+* newton_refine sharpens a critical point of Phi with lambda fixed,
+  which need not be a minimum, so it runs Levenberg-Marquardt on the
+  stationarity residual (_lm_polish) with the same exact Hessian.
 
 The quotient drivers do not renormalize iterates: both quotients are
 scale-free, and for the Rayleigh quotient interpolated rescaling onto
@@ -55,7 +61,7 @@ from .regimes import Params, Regime, WeightedPair, classify_pair, critical_expon
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Iteration budget, stationarity tolerance, and line-search constants.
+    """Iteration budget, stationarity tolerance, and the Armijo constant.
 
     seed is carried for randomized-init workflows; the built-in inits
     are deterministic, so identical options give identical runs.
@@ -63,9 +69,7 @@ class SolveOptions:
 
     max_iters: int = 50_000
     grad_tol: float = 1e-8
-    step_init: float = 1.0
     armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -73,8 +77,8 @@ class SolveOptions:
             raise DomainError("max_iters must be >= 1")
         if self.grad_tol <= 0:
             raise DomainError("grad_tol must be positive")
-        if not 0 < self.armijo_c < 1 or not 0 < self.armijo_shrink < 1:
-            raise DomainError("armijo constants must lie in (0, 1)")
+        if not 0 < self.armijo_c < 1:
+            raise DomainError("armijo_c must lie in (0, 1)")
 
 
 @dataclass
@@ -100,6 +104,10 @@ class SolveReport:
         }
 
 
+#: a value change below this multiple of |value| is roundoff (_newton)
+_FLOOR = 64.0 * np.finfo(float).eps
+
+
 def _check_finite(a: np.ndarray) -> None:
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
@@ -110,9 +118,8 @@ class _Tridiag:
 
     LAPACK dgttrf/dgttrs perform the partial-pivoting elimination of the
     dgtsv call behind scipy.linalg.solve_banded, operation for operation,
-    so solve() returns the same bits while a fixed matrix is factored
-    only once. Non-finite input raises ValueError and an exactly zero
-    pivot raises SingularHessian.
+    so solve() returns the same bits. Non-finite input raises ValueError
+    and an exactly zero pivot raises SingularHessian.
     """
 
     def __init__(self, ab: np.ndarray):
@@ -135,39 +142,6 @@ class _Tridiag:
         return x
 
 
-class _Workspace:
-    """The descent preconditioner and the Levenberg-Marquardt shifted solve
-    of one grid, on the free (interior) nodes of its quadrature."""
-
-    def __init__(self, grid: RadialGrid):
-        self.quad = q = grid.quad
-        self.free = q.free
-        # tridiagonal of the full gradient quadratic form on free nodes
-        k = 2.0 * q.cw / q.ds ** 2
-        ab = np.zeros((3, grid.M - 2))
-        ab[1, :] = k[:-1] + k[1:]
-        ab[0, 1:] = -k[1:-1]
-        ab[2, :-1] = -k[1:-1]
-        self.stiff_tri = ab
-        self._pre = None
-
-    def factor_preconditioner(self, mass_diag: np.ndarray) -> None:
-        """Factor stiffness + diag(mass_diag) on the free nodes for precondition()."""
-        ab = self.stiff_tri.copy()
-        ab[1, :] += mass_diag[self.free]
-        self._pre = _Tridiag(ab)
-
-    def precondition(self, g: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(g))
-        out[self.free] = self._pre.solve(g[self.free])
-        return out
-
-    def solve_shifted(self, hess_diag: np.ndarray, nu: float, dref: np.ndarray, g: np.ndarray):
-        ab = 0.5 * self.stiff_tri
-        ab[1, :] += hess_diag[self.free] + nu * dref
-        return _Tridiag(ab).solve(g[self.free])
-
-
 def _pin(vals: np.ndarray) -> np.ndarray:
     out = np.array(vals, dtype=float)
     out[0] = 0.0
@@ -175,14 +149,25 @@ def _pin(vals: np.ndarray) -> np.ndarray:
     return out
 
 
+def _with_diag(band: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """band + diag(diag) as a new (1, 1) band."""
+    out = band.copy()
+    out[1, :] += diag
+    return out
+
+
 class _Quotient:
     """Rayleigh quotient lambda = I/J, I = 1/2 dirichlet + 1/q wint(q, b),
-    J = 1/p wint(p, a), in the descent interface of Energy.
+    J = 1/p wint(p, a), in the solver interface of Energy.
 
     grad is the stationarity gradient gI - lambda gJ, which is J times
     the quotient's gradient; evaluate returns J as the slope scale so
-    the Armijo test is a sufficient-decrease test for the quotient.
+    the Armijo test is a sufficient-decrease test for the quotient. The
+    eigen term is written as Energy writes it, so grad is the gradient
+    of Phi(.; lambda) bit for bit and el_res is the public el_residual.
     """
+
+    stiff_weight = 0.5
 
     def __init__(self, grid: RadialGrid, params: Params):
         self.quad = grid.quad
@@ -191,42 +176,36 @@ class _Quotient:
         self.massb = self.quad.mass(params.b)
         self.den_mass = self.quad.mass(params.a)
 
-    def _I_J(self, vals: np.ndarray) -> tuple[float, float]:
-        p = self.params
-        return self.num.value(vals), self.quad.wint(vals, p.p, p.a) / p.p
-
-    def lam(self, vals: np.ndarray) -> float:
-        I, J = self._I_J(vals)
-        return I / J
-
     def evaluate(self, vals: np.ndarray) -> tuple[float, float]:
-        I, J = self._I_J(vals)
+        p = self.params
+        I, J = self.num.value(vals), self.quad.wint(vals, p.p, p.a) / p.p
         if J <= 0 or not math.isfinite(J):
             return math.inf, J
         return I / J, J
 
-    def grad(self, vals: np.ndarray, lam: float | None = None, scale: float | None = None) -> np.ndarray:
-        if lam is None:
-            lam = self.lam(vals)
-        gJ = self.den_mass * _pow(vals, self.params.p - 1.0) * np.sign(vals)
-        return self.num.grad(vals) - lam * gJ
+    def grad(self, vals: np.ndarray, lam: float, scale: float) -> np.ndarray:
+        p = self.params.p
+        out = self.num.grad(vals)
+        out += (-lam / p) * p * self.den_mass * _pow(vals, p - 1.0) * np.sign(vals)
+        return out
 
-    def hess_diag(self, vals: np.ndarray) -> np.ndarray:
+    def hess_diag(self, vals: np.ndarray, lam: float, scale: float) -> np.ndarray:
         p = self.params
-        lam = self.lam(vals)
         return ((p.q - 1.0) * self.massb * _pow(vals, p.q - 2.0)
                 - lam * (p.p - 1.0) * self.den_mass * _pow(vals, p.p - 2.0))
 
 
 class _ProbeQuotient:
     """S = A / D, A = dirichlet, D = B^(2/c), B = wint(c, eta), in the
-    descent interface of Energy.
+    solver interface of Energy.
 
     As for _Quotient, evaluate returns the denominator D as the slope
     scale and grad is D times the quotient's gradient, gA - S gD with
-    gD = (2/c) D/B gB. S is 0-homogeneous and this descent commutes
-    with amplitude scaling, so iterates need no renormalization.
+    gD = (2/c) D/B gB. S is 0-homogeneous and each step commutes with
+    amplitude scaling, so iterates need no renormalization.
     """
+
+    stiff_weight = 1.0
 
     def __init__(self, grid: RadialGrid, c: float, eta: float):
         self.quad = grid.quad
@@ -241,77 +220,100 @@ class _ProbeQuotient:
         D = B ** (2.0 / self.c)
         return A / D, D
 
-    def grad(self, vals: np.ndarray, S: float, D: float) -> np.ndarray:
+    def _k(self, S: float, D: float) -> float:
         # gB = c mass |v|^(c-1) sign(v) and B = D^(c/2), so S gD = k mass |v|^(c-1) sign(v)
+        return 2.0 * S * D ** (1.0 - self.c / 2.0)
+
+    def grad(self, vals: np.ndarray, S: float, D: float) -> np.ndarray:
         c = self.c
-        k = 2.0 * S * D ** (1.0 - c / 2.0)
-        return self.quad.grad_dirich(vals) - k * self.mass * _pow(vals, c - 1.0) * np.sign(vals)
+        return self.quad.grad_dirich(vals) - self._k(S, D) * self.mass * _pow(vals, c - 1.0) * np.sign(vals)
+
+    def hess_diag(self, vals: np.ndarray, S: float, D: float) -> np.ndarray:
+        c = self.c
+        return -(c - 1.0) * self._k(S, D) * self.mass * _pow(vals, c - 2.0)
 
 
-def _armijo_descent(ws, obj, vals, tol, budget, opts):
-    """Preconditioned descent with Armijo backtracking.
+def _newton(obj, vals, pre, opts):
+    """Shifted Newton descent on the value of obj, from pinned nodal values.
 
-    obj gives evaluate(vals) = (value, slope scale) and grad(vals, value,
-    scale), the stationarity gradient; the Armijo test divides the slope
-    by the scale. Each iterate is evaluated once: the accepted trial's
-    value becomes the next reference value and feeds the next gradient.
-    Returns (vals, value, res, iters_used, converged).
+    obj gives evaluate(vals) = (value, slope scale), and grad and
+    hess_diag at (vals, value, scale): the stationarity gradient (scale
+    times the value's gradient) and the diagonal of its Hessian, whose
+    tridiagonal part is obj.stiff_weight * stiffness. The Hessian's
+    rank-one terms are left out; they vanish at a critical point.
+    Each step solves (H + nu pre) d = -g with one tridiagonal
+    factorization: nu -> 0 is Newton's step, a large nu a short step
+    along the gradient preconditioned by the positive definite band pre.
+    The trial is |vals + d| (see the module docstring). It is accepted
+    on Armijo decrease of the value and, once the value sits at its
+    roundoff floor, on a smaller dual-norm residual. nu starts at 1 and
+    grows 4x on a rejected step, halves on an accepted one (not below
+    1e-12, so it cannot underflow to a shift that never grows again);
+    the solve stops unconverged when no nu below 1e30 gives an
+    acceptable step.
+    Returns (vals, value, res, iters, converged).
     """
-    dual_norm = ws.quad.dual_norm
+    quad = obj.quad
+    free = quad.free
     f0, scale = obj.evaluate(vals)
+    g = obj.grad(vals, f0, scale)
+    res = quad.dual_norm(g)
+    nu = 1.0
     it = 0
-    while it < budget:
-        g = obj.grad(vals, f0, scale)
-        res = dual_norm(g)
-        if res <= tol:
-            return vals, f0, res, it, True
-        d = -ws.precondition(g)
-        slope = float(np.dot(g[ws.free], d[ws.free])) / scale
-        if not slope < 0:
-            return vals, f0, res, it, False
-        alpha = opts.step_init
+    while res > opts.grad_tol and it < opts.max_iters:
+        hess = _with_diag(obj.stiff_weight * quad.stiff, obj.hess_diag(vals, f0, scale)[free])
+        rhs = -g[free]
         accepted = False
-        while alpha > 1e-18:
-            trial = _pin(vals + alpha * d)
+        while not accepted and nu < 1e30:
+            try:
+                d = _Tridiag(hess + nu * pre).solve(rhs)
+            except (ValueError, SingularHessian):
+                nu *= 4.0
+                continue
+            trial = vals.copy()
+            trial[free] = np.abs(vals[free] + d)
             fv, sv = obj.evaluate(trial)
-            if math.isfinite(fv) and fv <= f0 + opts.armijo_c * alpha * slope:
-                accepted = True
-                break
-            alpha *= opts.armijo_shrink
+            slope = float(np.dot(g[free], d)) / scale
+            # fv - f0, not f0 + c slope: that sum rounds to f0 once slope is tiny
+            armijo = slope < 0 and fv - f0 <= opts.armijo_c * slope
+            if armijo or fv <= f0 + _FLOOR * abs(f0):
+                gv = obj.grad(trial, fv, sv)
+                rv = quad.dual_norm(gv)
+                accepted = armijo or rv < res
+            if not accepted:
+                nu *= 4.0
         if not accepted:
             return vals, f0, res, it, False
-        vals, f0, scale = trial, fv, sv
+        vals, f0, scale, g, res = trial, fv, sv, gv, rv
+        nu = max(0.5 * nu, 1e-12)
         it += 1
-    res = dual_norm(obj.grad(vals, f0, scale))
-    return vals, f0, res, it, res <= tol
+    return vals, f0, res, it, res <= opts.grad_tol
 
 
-def _lm_polish(ws, obj, vals, tol, budget, descend=False):
+def _lm_polish(obj, vals, tol, budget):
     """Levenberg-Marquardt on the stationarity residual norm.
 
     The Hessian used is 0.5*stiffness + diag(obj.hess_diag), the exact
-    second derivative of the discrete objective. When the shifted-Newton
-    step fails to reduce the residual and descend is set, one backtracked
-    preconditioned-gradient step is tried before giving up (escapes
-    shallow local minima of the residual norm).
+    second derivative of the discrete energy obj.
     Returns (vals, res, iters_used, converged).
     """
-    dual_norm = ws.quad.dual_norm
+    quad = obj.quad
+    free = quad.free
     nu = 1e-8
     g = obj.grad(vals)
-    res = dual_norm(g)
+    res = quad.dual_norm(g)
     it = 0
     while it < budget:
         if res <= tol:
             return vals, res, it, True
         hd = obj.hess_diag(vals)
-        dref = np.abs(0.5 * ws.stiff_tri[1, :] + hd[ws.free]) + 1e-300
+        dref = np.abs(0.5 * quad.stiff[1, :] + hd[free]) + 1e-300
         improved = False
         for _ in range(60):
             if nu > 1e30:
                 break
             try:
-                step = ws.solve_shifted(hd, nu, dref, g)
+                step = _Tridiag(_with_diag(0.5 * quad.stiff, hd[free] + nu * dref)).solve(g[free])
             except ValueError:
                 nu *= 10.0
                 continue
@@ -319,78 +321,23 @@ def _lm_polish(ws, obj, vals, tol, budget, descend=False):
                 nu *= 10.0
                 continue
             trial = vals.copy()
-            trial[ws.free] -= step
+            trial[free] -= step
             trial = _pin(trial)
             gv = obj.grad(trial)
             if not np.all(np.isfinite(gv)):
                 nu *= 10.0
                 continue
-            rv = dual_norm(gv)
+            rv = quad.dual_norm(gv)
             if rv < res:
                 vals, g, res = trial, gv, rv
                 nu = max(nu * 0.25, 1e-16)
                 improved = True
                 break
             nu *= 10.0
-        if not improved and descend:
-            d = -ws.precondition(g)
-            alpha = 1.0
-            while alpha > 1e-14:
-                trial = _pin(vals + alpha * d)
-                gv = obj.grad(trial)
-                if np.all(np.isfinite(gv)):
-                    rv = dual_norm(gv)
-                    if rv < res:
-                        vals, g, res = trial, gv, rv
-                        improved = True
-                        break
-                alpha *= 0.25
         it += 1
         if not improved:
             return vals, res, it, False
     return vals, res, it, res <= tol
-
-
-def _hybrid(ws, obj, vals, opts):
-    """Descent chunks alternated with LM polish until grad_tol or budget.
-
-    ws must have its preconditioner factored.
-    """
-    tol = opts.grad_tol
-    budget = opts.max_iters
-    used = 0
-    switch = 1e-4
-    best_vals, best_res = vals, math.inf
-    stagnant = 0
-    while used < budget:
-        round_start = best_res
-        chunk = min(6000, budget - used)
-        vals, _, res, n, _ = _armijo_descent(ws, obj, vals, max(tol, switch), chunk, opts)
-        used += max(n, 1)
-        if res < best_res:
-            best_vals, best_res = vals, res
-        if best_res <= tol:
-            return best_vals, best_res, used, True
-        if used >= budget:
-            break
-        vals2, res2, n2, _ = _lm_polish(
-            ws, obj, vals, tol, min(300, budget - used), descend=True
-        )
-        used += max(n2, 1)
-        if res2 < best_res:
-            best_vals, best_res = vals2, res2
-        if best_res <= tol:
-            return best_vals, best_res, used, True
-        if res2 < res:
-            vals = vals2
-        switch = max(tol, min(switch * 1e-2, best_res * 1e-2))
-        if best_res > round_start * (1.0 - 1e-6):
-            stagnant += 1
-            if stagnant >= 3:
-                break
-        else:
-            stagnant = 0
-    return best_vals, best_res, used, best_res <= tol
 
 
 def _report(grid, params, vals, value, iters, res, converged, lam, terms=()) -> SolveReport:
@@ -406,43 +353,6 @@ def _report(grid, params, vals, value, iters, res, converged, lam, terms=()) -> 
         converged=converged,
         profile=profile,
     )
-
-
-def _align_init(grid: RadialGrid, params: Params, vals: np.ndarray) -> np.ndarray:
-    """Pick the best grid-exact scaling and amplitude of the init profile.
-
-    The quotient along the family A * shift_k(u) has a closed-form
-    optimal amplitude per shift, so the scan is one pass of integrals
-    per candidate shift. Kept deterministic; includes the unshifted
-    profile so an already-good init survives unchanged.
-    """
-    p, q = params.p, params.q
-    quad = grid.quad
-    M = grid.M
-    best = (math.inf, 0, 1.0)
-    for k in range(-(M - 2), M - 1, 4):
-        sv = shift_values(grid, vals, k)
-        sv[0] = 0.0
-        sv[-1] = 0.0
-        if not np.any(sv):
-            continue
-        d = 0.5 * quad.dirich(sv)
-        e = quad.wint(sv, q, params.b) / q
-        f = quad.wint(sv, p, params.a) / p
-        if f <= 0 or d <= 0 or e <= 0:
-            continue
-        try:
-            A = (d * (p - 2.0) / (e * (q - p))) ** (1.0 / (q - 2.0))
-            val = (d * A ** 2 + e * A ** q) / (f * A ** p)
-        except OverflowError:
-            continue
-        if math.isfinite(val) and val < best[0]:
-            best = (val, k, A)
-    if not math.isfinite(best[0]):
-        raise ZeroProfileError("initial profile vanishes on the interior nodes")
-    _, k, A = best
-    out = A * shift_values(grid, vals, k)
-    return _pin(out)
 
 
 def minimize_rayleigh(
@@ -467,18 +377,8 @@ def minimize_rayleigh(
     vals = _pin(init.values)
     if not np.any(vals):
         raise ZeroProfileError("initial profile vanishes on the interior nodes")
-
-    res0 = grid.quad.dual_norm(obj.grad(vals))
-    iters = 0
-    if res0 > opts.grad_tol:
-        vals = _align_init(grid, params, vals)
-        ws = _Workspace(grid)
-        ws.factor_preconditioner(0.5 * obj.massb)
-        vals, res, iters, converged = _hybrid(ws, obj, vals, opts)
-    else:
-        res, converged = res0, True
-
-    lam = obj.lam(vals)
+    pre = _with_diag(grid.quad.stiff, 0.5 * obj.massb[grid.quad.free])
+    vals, lam, res, iters, converged = _newton(obj, vals, pre, opts)
     return _report(grid, params, vals, lam, iters, res, converged, lam)
 
 
@@ -560,10 +460,9 @@ def minimize_coercive(
         raise ZeroProfileError("initialization scan found no usable profile")
     vals = _pin(best[1])
 
-    ws = _Workspace(grid)
-    ws.factor_preconditioner(0.5 * quad.mass(params.b))
-    vals, res, iters, converged = _hybrid(ws, obj, vals, opts)
-    return _report(grid, params, vals, obj.value(vals), iters, res, converged, lam, terms)
+    pre = _with_diag(quad.stiff, 0.5 * quad.mass(params.b)[quad.free])
+    vals, value, res, iters, converged = _newton(obj, vals, pre, opts)
+    return _report(grid, params, vals, value, iters, res, converged, lam, terms)
 
 
 def newton_refine(
@@ -583,13 +482,8 @@ def newton_refine(
     obj = Energy(u.grid, energy_terms(params, lam, terms))
     tol = min(opts.grad_tol, 1e-10)
     vals = _pin(u.values)
-    vals, res, iters, converged = _lm_polish(
-        _Workspace(u.grid), obj, vals, tol, min(opts.max_iters, 500)
-    )
+    vals, res, iters, converged = _lm_polish(obj, vals, tol, min(opts.max_iters, 500))
     return _report(u.grid, params, vals, obj.value(vals), iters, res, converged, lam, terms)
-
-
-_PROBE_MAX_ITERS = 20_000
 
 
 def probe_best_constant(
@@ -602,16 +496,16 @@ def probe_best_constant(
     """Upper bound for the critical embedding constant S_eta.
 
     Minimizes int |grad u|^2 / (int |u|^c |x|^-eta)^(2/c) with
-    c = 2(N-eta)/(N-2) over interior profiles, by the preconditioned
-    Armijo descent of the other drivers with a pure-stiffness
-    preconditioner. The quotient is invariant under amplitude scaling,
-    so the init is normalized to a unit denominator once and iterates
-    are not renormalized. init defaults to the Aubin-Talenti profile.
+    c = 2(N-eta)/(N-2) over interior profiles, by the shifted Newton
+    engine of the other drivers with the stiffness matrix as the shift
+    operator. The quotient is invariant under amplitude scaling, so the
+    init is normalized to a unit denominator once and iterates are not
+    renormalized. init defaults to the Aubin-Talenti profile.
 
-    The descent runs at most min(opts.max_iters, 20_000) iterations.
-    When it stops above opts.grad_tol, at that cap or on a failed line
-    search, a RuntimeWarning gives the final dual-norm residual; the
-    quotient at the last iterate is returned either way.
+    The engine runs at most opts.max_iters steps. When it stops above
+    opts.grad_tol, at that budget or because no shift gives an
+    acceptable step, a RuntimeWarning gives the final dual-norm
+    residual; the quotient at the last iterate is returned either way.
     """
     if N < 3:
         raise DomainError(f"probe requires N >= 3, got {N}")
@@ -628,18 +522,10 @@ def probe_best_constant(
         raise DomainError("probe initialization degenerate on this grid")
     vals = vals / B ** (1.0 / c)
 
-    ws = _Workspace(grid)
-    # pure-stiffness preconditioner; the shift only guards the factorization
-    tiny = np.zeros(grid.M)
-    tiny[ws.free] = 1e-12 * np.abs(ws.stiff_tri[1, :])
-    ws.factor_preconditioner(tiny)
-    budget = min(opts.max_iters, _PROBE_MAX_ITERS)
-    _, S, res, iters, converged = _armijo_descent(
-        ws, _ProbeQuotient(grid, c, eta), vals, opts.grad_tol, budget, opts
-    )
+    _, S, res, iters, converged = _newton(_ProbeQuotient(grid, c, eta), vals, grid.quad.stiff, opts)
     if not converged:
         warnings.warn(
-            f"probe_best_constant stopped after {iters} of at most {budget} iterations "
+            f"probe_best_constant stopped after {iters} of at most {opts.max_iters} iterations "
             f"at dual-norm residual {res:.3e} > grad_tol {opts.grad_tol:.3e}",
             RuntimeWarning,
             stacklevel=2,

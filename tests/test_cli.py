@@ -157,13 +157,16 @@ def test_floats_have_17_significant_digits(capsys):
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported where a solve or a root search first needs it, so
-    # the scalar commands start without it
+    # scipy is imported where a solve first needs it, so the scalar
+    # commands, root searches included, start without it
     src = str(Path(il.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, inlslab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "import sys, inlslab; "
+         "inlslab.tilde_s_root(0.7, 1.9, 0.6, 5, 0.3, 1.7); "
+         "inlslab.gamma_mu_roots(0.2, 1.0, 1.0, 0.5, 2.0); "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, env=env, check=True,
     )
     assert proc.stdout.strip() == "[]"

@@ -359,6 +359,13 @@ def test_tilde_s_residual():
     assert abs(res) <= 1e-10
 
 
+def test_tilde_s_below_float_range():
+    # mu S2^(-c2/2) = 24.85 with exponent 0.0026 puts the root near 1e-542
+    with pytest.raises(il.DomainError):
+        il.tilde_s_root(4.4062446981743655, 3.6284876373629196, 0.1780804114700412,
+                        6, 0.9938053327681786, 1.98971304724382)
+
+
 def test_gamma_roots():
     r1, r2 = il.gamma_mu_roots(0.2, 1.0, 1.0, 0.5, 2.0)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import inlslab as il
-from inlslab.solver import _Tridiag, _Workspace
+from inlslab.solver import _Tridiag
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +35,7 @@ def test_rayleigh_converges(eigen_run):
 
 
 def test_rayleigh_descent_monotone_value(ref_params, small_grid, eigen_run):
-    # the converged value never exceeds the quotient of the aligned init
+    # the converged value never exceeds the quotient of the init
     init = il.sample_function(small_grid, "Gaussian", sigma=1.0)
     assert eigen_run.value <= il.rayleigh(init, ref_params) + 1e-12
 
@@ -68,15 +68,27 @@ def test_rayleigh_solution_satisfies_el_equation(ref_params, small_grid, eigen_r
     res_term = il.el_residual(u, ref_params, 0.0, [il.TermSpec(lam, ref_params.a, ref_params.p)])
     assert res_lambda == pytest.approx(res_term, rel=1e-12)
     assert res_lambda <= 1e-8
+    assert eigen_run.el_res == res_lambda  # the report's residual is the public one
 
 
 def test_rayleigh_small_window_exact(ref_params):
     # the fast small-window solve, pinned to the last bit: a change to the
-    # descent kernels that alters any iterate moves the count or the value
+    # Newton kernels that alters any iterate moves the count or the value
     g = il.make_grid(1e-3, 1e3, 257, 3)
     rep = il.minimize_rayleigh(g, ref_params, il.sample_function(g, "Gaussian", sigma=1.0))
-    assert rep.iters == 1164
-    assert rep.value == 1.3458659777074762
+    assert rep.iters == 14
+    assert rep.value == 1.3458659777074775
+
+
+def test_rayleigh_converges_on_finer_and_wider_grids(ref_params):
+    # the reference window refined, and widened by a decade at each end at
+    # the same node count; a window upper bound can only drop as it widens
+    lam_ref = 1.3226630373126538  # [1e-4, 1e4] x 1025, acceptance criterion 6
+    for window in ((1e-4, 1e4, 2049), (1e-5, 1e5, 1025)):
+        g = il.make_grid(*window, 3)
+        rep = il.minimize_rayleigh(g, ref_params, il.sample_function(g, "Gaussian", sigma=1.0))
+        assert rep.converged and rep.el_res <= 1e-8
+    assert rep.value <= lam_ref
 
 
 # ------------------------------------------------------------- coercive
@@ -93,6 +105,8 @@ def test_coercive_negative_level(ref_params):
     assert rep.converged
     assert rep.value < 0
     assert rep.el_res <= 1e-8
+    # the global minimum, not another local one (-3.934 sits on a sign-changing profile)
+    assert rep.value == pytest.approx(-9.653662119594074, rel=1e-9)
 
 
 def test_coercive_rejects_scaled_borderline(ref_params, small_grid):
@@ -143,7 +157,7 @@ def test_coercive_reported_residual_is_the_public_one(ref_params):
 def test_newton_refines_crude_state(ref_params, small_grid):
     init = il.sample_function(small_grid, "Gaussian", sigma=1.0)
     crude = il.minimize_rayleigh(
-        small_grid, ref_params, init, il.SolveOptions(max_iters=120, grad_tol=1e-12)
+        small_grid, ref_params, init, il.SolveOptions(max_iters=10, grad_tol=1e-12)
     )
     assert not crude.converged  # on purpose: an unfinished state
     ref = il.newton_refine(crude.profile, ref_params, crude.value, [])
@@ -155,7 +169,7 @@ def test_newton_refines_crude_state(ref_params, small_grid):
 def test_newton_reported_residual_is_the_public_one(ref_params, small_grid):
     init = il.sample_function(small_grid, "Gaussian", sigma=1.0)
     crude = il.minimize_rayleigh(
-        small_grid, ref_params, init, il.SolveOptions(max_iters=120, grad_tol=1e-12)
+        small_grid, ref_params, init, il.SolveOptions(max_iters=10, grad_tol=1e-12)
     )
     rep = il.newton_refine(crude.profile, ref_params, crude.value, [])
     assert rep.el_res == il.el_residual(rep.profile, ref_params, crude.value, [])
@@ -194,8 +208,10 @@ def test_probe_warns_when_it_stops_short():
         il.probe_best_constant(g, 3, 0.0, il.SolveOptions(max_iters=5))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # the README probe and a small window converge well inside the cap
+        # the README probe, a shifted init and a small window converge
         il.probe_best_constant(g, 3, 0.0)
+        at = il.sample_function(g, "AubinTalenti", scale=1.0)
+        il.probe_best_constant(g, 3, 0.0, init=il.scale(at, math.exp(16 * g.h), 0.5))
         il.probe_best_constant(il.make_grid(1e-3, 1e3, 257, 3), 3, 0.0)
 
 
@@ -246,27 +262,11 @@ def test_eigenvalue_refinement_trend(ref_params, capsys):
 # --------------------------------------------------------------- kernels
 
 
-def test_factored_preconditioner_matches_solve_banded():
-    from scipy.linalg import solve_banded
-
-    g = il.make_grid(1e-4, 1e4, 1025, 3)
-    ws = _Workspace(g)
-    mass_diag = 0.5 * g.quad.mass(1.0)
-    ws.factor_preconditioner(mass_diag)
-    ab = ws.stiff_tri.copy()
-    ab[1, :] += mass_diag[ws.free]
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        rhs = rng.standard_normal(g.M) * 10.0 ** rng.uniform(-12, 12, g.M)
-        want = solve_banded((1, 1), ab, rhs[ws.free])
-        got = ws.precondition(rhs)
-        assert got[0] == 0.0 and got[-1] == 0.0
-        np.testing.assert_allclose(got[ws.free], want, rtol=1e-13, atol=0.0)
-
-
 def test_tridiag_matches_solve_banded_with_pivoting():
-    # the Levenberg-Marquardt matrices are not diagonally dominant, so row
-    # interchanges happen; the factored solve must still match
+    # the shifted Newton and Levenberg-Marquardt matrices need not be
+    # diagonally dominant, so row interchanges happen; the factored solve
+    # must still match. One more input is the reference grid's shift band
+    # against right-hand sides spread over 24 decades.
     from scipy.linalg import solve_banded
 
     rng = np.random.default_rng(11)
@@ -278,18 +278,26 @@ def test_tridiag_matches_solve_banded_with_pivoting():
         np.testing.assert_allclose(
             _Tridiag(ab).solve(rhs), solve_banded((1, 1), ab, rhs), rtol=1e-13, atol=0.0
         )
+    q = il.make_grid(1e-4, 1e4, 1025, 3).quad
+    ab = q.stiff.copy()
+    ab[1, :] += 0.5 * q.mass(1.0)[q.free]
+    lu = _Tridiag(ab)
+    for _ in range(50):
+        rhs = rng.standard_normal(len(ab[1])) * 10.0 ** rng.uniform(-12, 12, len(ab[1]))
+        np.testing.assert_allclose(lu.solve(rhs), solve_banded((1, 1), ab, rhs), rtol=1e-13, atol=0.0)
 
 
 def test_tridiag_keeps_solve_banded_checks():
-    g = il.make_grid(1e-2, 1e2, 64, 3)
-    ws = _Workspace(g)
-    ws.factor_preconditioner(g.quad.mass(1.0))
-    bad = np.ones(g.M)
+    q = il.make_grid(1e-2, 1e2, 64, 3).quad
+    ab = q.stiff.copy()
+    ab[1, :] += q.mass(1.0)[q.free]
+    bad = np.ones(len(ab[1]))
     bad[10] = np.nan
     with pytest.raises(ValueError):
-        ws.precondition(bad)
+        _Tridiag(ab).solve(bad)
+    ab[1, :] = bad
     with pytest.raises(ValueError):
-        ws.factor_preconditioner(bad)
+        _Tridiag(ab)
     with pytest.raises(il.SingularHessian):
         _Tridiag(np.zeros((3, 8)))
 
