@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import inlslab as il
-from inlslab.solver import _Tridiag
+from inlslab.solver import _Tridiag, _with_diag
 
 
 @pytest.fixture(scope="module")
@@ -262,11 +262,29 @@ def test_eigenvalue_refinement_trend(ref_params, capsys):
 # --------------------------------------------------------------- kernels
 
 
+def test_factored_preconditioner_matches_solve_banded():
+    # the descent preconditioner, stiffness + 1/2 mass on the free nodes,
+    # built and factored as minimize_rayleigh does, on the reference grid
+    # against right-hand sides spread over 24 decades
+    from scipy.linalg import solve_banded
+
+    q = il.make_grid(1e-4, 1e4, 1025, 3).quad
+    mass_diag = 0.5 * q.mass(1.0)
+    pre = _with_diag(q.stiff, mass_diag[q.free])
+    ab = q.stiff.copy()
+    ab[1, :] += mass_diag[q.free]
+    np.testing.assert_array_equal(pre, ab)
+    lu = _Tridiag(pre)
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        rhs = rng.standard_normal(len(ab[1])) * 10.0 ** rng.uniform(-12, 12, len(ab[1]))
+        np.testing.assert_allclose(lu.solve(rhs), solve_banded((1, 1), ab, rhs), rtol=1e-13, atol=0.0)
+
+
 def test_tridiag_matches_solve_banded_with_pivoting():
     # the shifted Newton and Levenberg-Marquardt matrices need not be
     # diagonally dominant, so row interchanges happen; the factored solve
-    # must still match. One more input is the reference grid's shift band
-    # against right-hand sides spread over 24 decades.
+    # must still match
     from scipy.linalg import solve_banded
 
     rng = np.random.default_rng(11)
@@ -278,13 +296,6 @@ def test_tridiag_matches_solve_banded_with_pivoting():
         np.testing.assert_allclose(
             _Tridiag(ab).solve(rhs), solve_banded((1, 1), ab, rhs), rtol=1e-13, atol=0.0
         )
-    q = il.make_grid(1e-4, 1e4, 1025, 3).quad
-    ab = q.stiff.copy()
-    ab[1, :] += 0.5 * q.mass(1.0)[q.free]
-    lu = _Tridiag(ab)
-    for _ in range(50):
-        rhs = rng.standard_normal(len(ab[1])) * 10.0 ** rng.uniform(-12, 12, len(ab[1]))
-        np.testing.assert_allclose(lu.solve(rhs), solve_banded((1, 1), ab, rhs), rtol=1e-13, atol=0.0)
 
 
 def test_tridiag_keeps_solve_banded_checks():
