@@ -2,9 +2,10 @@
 
 Subcommands: classify, region-map, eigen, minimize, verify, thresholds,
 probe. Primary results go to stdout as JSON with 17-significant-digit
-floats; profile/report files land under --out. Errors print a single
-JSON line on stderr; exit codes: 0 success, 2 validation error, 3 solver
-divergence.
+floats; profile/report files land under --out. Errors print one JSON
+document on stderr; exit codes: 0 success, 2 validation error (bad
+arguments, unreadable or malformed profile, unwritable output), 3
+solver divergence.
 """
 
 from __future__ import annotations
@@ -13,11 +14,7 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from .errors import Diverged, InlsError, SingularHessian
-from .functionals import TermSpec, eigen_relation_residual, el_residual, pohozaev_residual
-from .grid import load_profile, make_grid, sample_function, save_profile
+from .errors import Diverged, DomainError, InlsError, SingularHessian
 from .regimes import (
     WeightedPair,
     classify_pair,
@@ -31,7 +28,10 @@ from .regimes import (
     critical_exponent,
 )
 from .reports import to_json
-from .solver import SolveOptions, minimize_coercive, minimize_rayleigh, probe_best_constant
+
+# grid, functionals and solver (numpy, and LAPACK for the solvers) are
+# imported in the branches of _run that use them, so classify,
+# region-map and thresholds start without numpy
 
 
 def _add_params(ap: argparse.ArgumentParser) -> None:
@@ -53,16 +53,42 @@ def _add_opts(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--seed", type=int, default=0)
 
 
-def _opts(args) -> SolveOptions:
+def _opts(args):
+    from .solver import SolveOptions
+
     return SolveOptions(max_iters=args.max_iters, grad_tol=args.grad_tol, seed=args.seed)
 
 
-def _parse_term(text: str) -> TermSpec:
+def _parse_term(text: str):
+    from .functionals import TermSpec
+
     try:
         c, eta, r = (float(x) for x in text.split(","))
     except ValueError as exc:
         raise InlsError(f"term must be 'c,eta,r', got {text!r}") from exc
     return TermSpec(c=c, eta=eta, r=r)
+
+
+def _linspace(start: float, stop: float, n: int) -> list:
+    """np.linspace(start, stop, n) as a list of floats, bit for bit.
+
+    The same operations in the same order as numpy's: i*step + start
+    with step = (stop - start)/(n - 1), i/(n - 1)*(stop - start) + start
+    when step underflows to zero, and the last value set to stop.
+    """
+    if n < 0:
+        raise DomainError(f"step count must be >= 0, got {n}")
+    div = n - 1
+    delta = stop - start
+    if div <= 0:
+        return [i * delta + start for i in range(n)]
+    step = delta / div
+    if step == 0:
+        vals = [i / div * delta + start for i in range(n)]
+    else:
+        vals = [i * step + start for i in range(n)]
+    vals[-1] = stop
+    return vals
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,6 +169,8 @@ def _finish_solve(report) -> int:
 
 
 def _write_outputs(args, params, report):
+    from .grid import save_profile
+
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         ppath = os.path.join(args.out, "profile.csv")
@@ -180,8 +208,8 @@ def _run(args) -> int:
 
     if args.command == "region-map":
         params = derive_params(args.N, args.b, args.q, args.p)
-        etas = list(np.linspace(args.eta_min, args.eta_max, args.eta_steps))
-        rs = list(np.linspace(args.r_min, args.r_max, args.r_steps))
+        etas = _linspace(args.eta_min, args.eta_max, args.eta_steps)
+        rs = _linspace(args.r_min, args.r_max, args.r_steps)
         rows = region_map(params, etas, rs, radial=args.radial)
         with open(args.out, "w") as fh:
             fh.write(region_map_csv(rows))
@@ -189,6 +217,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "eigen":
+        from .grid import make_grid, sample_function
+        from .solver import minimize_rayleigh
+
         params = derive_params(args.N, args.b, args.q, args.p)
         grid = make_grid(args.s_min, args.s_max, args.M, args.N)
         if args.init == "gaussian":
@@ -200,6 +231,9 @@ def _run(args) -> int:
         return _finish_solve(report)
 
     if args.command == "minimize":
+        from .grid import make_grid
+        from .solver import minimize_coercive
+
         params = derive_params(args.N, args.b, args.q, args.p)
         grid = make_grid(args.s_min, args.s_max, args.M, args.N)
         terms = [_parse_term(t) for t in args.term]
@@ -208,6 +242,9 @@ def _run(args) -> int:
         return _finish_solve(report)
 
     if args.command == "verify":
+        from .functionals import TermSpec, eigen_relation_residual, el_residual, pohozaev_residual
+        from .grid import load_profile
+
         params = derive_params(args.N, args.b, args.q, args.p)
         u = load_profile(args.profile)
         terms = [_parse_term(t) for t in args.term]
@@ -241,6 +278,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "probe":
+        from .grid import make_grid
+        from .solver import probe_best_constant
+
         grid = make_grid(args.s_min, args.s_max, args.M, args.N)
         value = probe_best_constant(grid, args.N, args.eta, _opts(args))
         _emit({"S": value})
@@ -249,16 +289,21 @@ def _run(args) -> int:
     raise InlsError(f"unknown command {args.command!r}")  # pragma: no cover
 
 
+def _fail(exc: InlsError, code: int) -> int:
+    sys.stderr.write(to_json({"error": exc.code, "message": exc.message}) + "\n")
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
     except (Diverged, SingularHessian) as exc:
-        sys.stderr.write(to_json({"error": exc.code, "message": exc.message}) + "\n")
-        return 3
+        return _fail(exc, 3)
     except InlsError as exc:
-        sys.stderr.write(to_json({"error": exc.code, "message": exc.message}) + "\n")
-        return 2
+        return _fail(exc, 2)
+    except OSError as exc:  # an output file or directory that cannot be written
+        return _fail(DomainError(f"cannot write output: {exc}"), 2)
 
 
 if __name__ == "__main__":

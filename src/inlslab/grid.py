@@ -310,21 +310,30 @@ def save_profile(u: RadialProfile, path, family: str = "custom", params: dict | 
 
 
 def load_profile(path) -> RadialProfile:
-    """Read a profile written by save_profile."""
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("#"):
-            raise DomainError(f"{path}: missing metadata comment line")
-        meta = json.loads(header[1:].strip())
-        cols = fh.readline().strip()
-        if cols != "s,u":
-            raise DomainError(f"{path}: expected 's,u' header, got {cols!r}")
-        vals = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                vals.append(float(line.split(",")[1]))
-    grid = make_grid(meta["s_min"], meta["s_max"], meta["M"], meta["N"])
+    """Read a profile written by save_profile.
+
+    A file that cannot be read or is not in save_profile's format raises
+    DomainError.
+    """
+    try:
+        with open(path) as fh:
+            header = fh.readline()
+            if not header.startswith("#"):
+                raise DomainError(f"{path}: missing metadata comment line")
+            meta = json.loads(header[1:].strip())
+            grid = make_grid(meta["s_min"], meta["s_max"], meta["M"], meta["N"])
+            cols = fh.readline().strip()
+            if cols != "s,u":
+                raise DomainError(f"{path}: expected 's,u' header, got {cols!r}")
+            vals = []
+            for line in fh:
+                line = line.strip()
+                if line:
+                    vals.append(float(line.split(",")[1]))
+    except OSError as exc:
+        raise DomainError(f"{path}: cannot read profile: {exc.strerror}") from exc
+    except (ValueError, LookupError, TypeError) as exc:  # bad JSON, missing keys, bad rows
+        raise DomainError(f"{path}: malformed profile: {exc}") from exc
     if len(vals) != grid.M:
         raise DomainError(f"{path}: expected {grid.M} rows, got {len(vals)}")
     return RadialProfile(grid, np.asarray(vals))

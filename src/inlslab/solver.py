@@ -31,6 +31,14 @@ All solvers share one strategy, validated on the reference problems:
 * newton_refine sharpens a critical point of Phi with lambda fixed,
   which need not be a minimum, so it runs Levenberg-Marquardt on the
   stationarity residual (_lm_polish) with the same exact Hessian.
+* the tridiagonal factorizations are LAPACK dgttrf/dgttrs from scipy's
+  compiled wrapper module scipy/linalg/_flapack, loaded from its file on
+  the first solve (_lapack). Importing the scipy.linalg package instead
+  would run its array-API set-up, which pulls in numpy.testing,
+  numpy.f2py, numpy.ma and numpy.random and costs more start-up time
+  than numpy and this package together. The wrapper functions are the
+  objects scipy.linalg.lapack re-exports, so every solve has the same
+  bits either way.
 
 The quotient drivers do not renormalize iterates: both quotients are
 scale-free, and for the Rayleigh quotient interpolated rescaling onto
@@ -40,7 +48,11 @@ keep their natural window scale and reports quote lambda = I/J directly.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -113,18 +125,40 @@ def _check_finite(a: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
+def _lapack():
+    """scipy's f2py LAPACK module, scipy.linalg._flapack.
+
+    On first use the extension is loaded from its file, without running
+    scipy/linalg/__init__.py, and entered in sys.modules under its own
+    name, where a later `import scipy.linalg` finds and keeps it.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        (root,) = importlib.util.find_spec("scipy").submodule_search_locations
+        stem = os.path.join(root, "linalg", "_flapack")
+        path = next(stem + sfx for sfx in importlib.machinery.EXTENSION_SUFFIXES if os.path.exists(stem + sfx))
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
 class _Tridiag:
     """LU factors of a tridiagonal matrix given in solve_banded's (1, 1) layout.
 
     LAPACK dgttrf/dgttrs perform the partial-pivoting elimination of the
     dgtsv call behind scipy.linalg.solve_banded, operation for operation,
-    so solve() returns the same bits. Non-finite input raises ValueError
-    and an exactly zero pivot raises SingularHessian.
+    so solve() returns the same bits. Both routines come from scipy's
+    compiled LAPACK wrappers, loaded by _lapack without the scipy.linalg
+    package, which would add hundreds of milliseconds to every CLI solve.
+    Non-finite input raises ValueError and an exactly zero pivot raises
+    SingularHessian.
     """
 
     def __init__(self, ab: np.ndarray):
-        from scipy.linalg import lapack  # deferred: `import inlslab` loads no scipy
-
+        lapack = _lapack()
         _check_finite(ab)
         *factors, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
         if info > 0:

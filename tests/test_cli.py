@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import inlslab as il
-from inlslab.cli import main
+from inlslab.cli import _linspace, main
 
 
 def run_cli(capsys, *argv):
@@ -156,17 +158,149 @@ def test_floats_have_17_significant_digits(capsys):
     assert len(mantissa) == 17
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported where a solve first needs it, so the scalar
-    # commands, root searches included, start without it
+def _fresh_env():
     src = str(Path(il.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _loaded(modules, *packages):
+    return sorted(m for m in modules if m.split(".")[0] in packages)
+
+
+def test_import_loads_no_scipy():
+    # the package resolves its names lazily and the exponent calculus is
+    # pure Python, so importing it and running the scalar root searches
+    # loads neither numpy nor scipy
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, inlslab; "
          "inlslab.tilde_s_root(0.7, 1.9, 0.6, 5, 0.3, 1.7); "
          "inlslab.gamma_mu_roots(0.2, 1.0, 1.0, 0.5, 2.0); "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, env=env, check=True,
+         "print(' '.join(sys.modules))"],
+        capture_output=True, text=True, env=_fresh_env(), check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    assert _loaded(proc.stdout.split(), "numpy", "scipy") == []
+
+
+PARAMS = ["--N", "3", "--b", "1", "--q", "3.5", "--p", "3"]
+
+README_COMMANDS = [
+    ["classify", *PARAMS, "--eta", "1.3333333333333333", "--r", "3"],
+    ["region-map", *PARAMS,
+     "--eta-min", "0", "--eta-max", "2.4", "--eta-steps", "60",
+     "--r-min", "1.1", "--r-max", "7", "--r-steps", "60", "--out", "atlas.csv"],
+    ["eigen", *PARAMS,
+     "--s-min", "1e-4", "--s-max", "1e4", "--M", "1025", "--out", "run/"],
+    ["minimize", *PARAMS,
+     "--s-min", "2e-5", "--s-max", "1e4", "--M", "1025", "--term", "1.0,1.8,2.2"],
+    ["verify", *PARAMS,
+     "--profile", "run/profile.csv", "--lambda", "1.32266303731265"],
+    ["thresholds", "--N", "3", "--eta1", "0.5", "--S1", "1.0", "--eta2", "1.0", "--S2", "1.0",
+     "--mu", "0.3", "--C", "1", "--C1", "1", "--b", "1", "--q", "3.5", "--p", "3",
+     "--eta", "1.8", "--r", "2.2"],
+    ["probe", "--N", "3", "--eta", "0", "--s-min", "1e-4", "--s-max", "1e4", "--M", "1025"],
+]
+
+#: runs one command in a fresh interpreter; the last stderr line lists sys.modules
+_FRESH_MAIN = (
+    "import sys\n"
+    "from inlslab.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stderr.write('\\n' + ' '.join(sys.modules) + '\\n')\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_readme_commands_in_a_fresh_interpreter(tmp_path, monkeypatch, capsys):
+    # in-process calls cannot see a per-command import that went missing,
+    # since pytest has imported every module already
+    monkeypatch.chdir(tmp_path)
+    for argv in README_COMMANDS:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv[0]
+        proc = subprocess.run(
+            [sys.executable, "-c", _FRESH_MAIN, *argv],
+            capture_output=True, text=True, env=_fresh_env(), cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out, argv[0]
+        modules = proc.stderr.splitlines()[-1].split()
+        if argv[0] in ("classify", "region-map", "thresholds"):
+            assert _loaded(modules, "numpy", "scipy") == [], argv[0]
+        elif argv[0] == "verify":
+            assert _loaded(modules, "scipy") == []
+        else:  # the solvers load LAPACK from its file, not the scipy.linalg package
+            assert "scipy.linalg" not in modules, argv[0]
+            assert "scipy.linalg._flapack" in modules, argv[0]
+
+
+def _malformed_profile(tmp_path, first_line=None, bad_row=False):
+    path = tmp_path / "profile.csv"
+    il.save_profile(il.RadialProfile(il.make_grid(1e-2, 1e2, 64, 3), np.ones(64)), path)
+    lines = path.read_text().split("\n")
+    if first_line is not None:
+        lines[0] = first_line
+    if bad_row:
+        lines[5] = lines[5].split(",")[0] + ",abc"
+    path.write_text("\n".join(lines))
+    return str(path)
+
+
+def _file(tmp_path):
+    path = tmp_path / "plain-file"
+    path.write_text("")
+    return path
+
+
+def _region_map(out, eta_steps="5"):
+    return ["region-map", *PARAMS, "--eta-min", "0", "--eta-max", "2", "--eta-steps", eta_steps,
+            "--r-min", "1.5", "--r-max", "6", "--r-steps", "4", "--out", str(out)]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        lambda d: ["verify", *PARAMS, "--profile", str(d / "missing.csv")],
+        lambda d: ["verify", *PARAMS, "--profile", str(d)],
+        lambda d: ["verify", *PARAMS, "--profile", _malformed_profile(d, first_line="# {not json")],
+        lambda d: ["verify", *PARAMS, "--profile", _malformed_profile(d, first_line='# {"N": 3}')],
+        lambda d: ["verify", *PARAMS, "--profile", _malformed_profile(d, bad_row=True)],
+        lambda d: _region_map(d / "atlas.csv", eta_steps="-1"),
+        lambda d: _region_map(_file(d) / "atlas.csv"),
+        lambda d: ["eigen", *PARAMS, "--s-min", "1e-3", "--s-max", "1e3", "--M", "257",
+                   "--out", str(_file(d))],
+    ],
+    ids=["missing-profile", "directory-profile", "header-not-json", "header-missing-keys",
+         "row-not-numeric", "negative-steps", "unwritable-csv", "unwritable-out-dir"],
+)
+def test_bad_input_is_a_json_error(tmp_path, capsys, make_argv):
+    # bad files and arguments are validation errors: one JSON document on
+    # stderr and exit 2, never a traceback
+    code, out, err = run_cli(capsys, *make_argv(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "DOMAIN"
+
+
+_finite = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_finite, b=_finite, n=st.integers(0, 500))
+def test_linspace_matches_numpy_bit_for_bit(a, b, n):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [float(x).hex() for x in np.linspace(a, b, n)]
+    assert [x.hex() for x in _linspace(a, b, n)] == want
+
+
+def test_linspace_rejects_negative_count():
+    with pytest.raises(il.DomainError):
+        _linspace(0.0, 1.0, -1)
+
+
+def test_lazy_namespace():
+    for name in il.__all__:
+        assert getattr(il, name) is not None
+        assert name in dir(il)
+    with pytest.raises(AttributeError):
+        il.no_such_name

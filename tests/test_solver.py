@@ -262,6 +262,19 @@ def test_eigenvalue_refinement_trend(ref_params, capsys):
 # --------------------------------------------------------------- kernels
 
 
+def _assert_same_lapack(lu, ab, rhs):
+    # _Tridiag loads LAPACK from scipy's extension file, without the
+    # scipy.linalg package; its factors, pivots and solution must be
+    # scipy.linalg.lapack's, bit for bit
+    from scipy.linalg import lapack
+
+    *factors, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    assert info == 0
+    for ours, theirs in zip(lu._factors, factors, strict=True):
+        np.testing.assert_array_equal(ours, theirs)
+    np.testing.assert_array_equal(lu.solve(rhs), lapack.dgttrs(*factors, rhs)[0])
+
+
 def test_factored_preconditioner_matches_solve_banded():
     # the descent preconditioner, stiffness + 1/2 mass on the free nodes,
     # built and factored as minimize_rayleigh does, on the reference grid
@@ -279,6 +292,7 @@ def test_factored_preconditioner_matches_solve_banded():
     for _ in range(50):
         rhs = rng.standard_normal(len(ab[1])) * 10.0 ** rng.uniform(-12, 12, len(ab[1]))
         np.testing.assert_allclose(lu.solve(rhs), solve_banded((1, 1), ab, rhs), rtol=1e-13, atol=0.0)
+        _assert_same_lapack(lu, pre, rhs)
 
 
 def test_tridiag_matches_solve_banded_with_pivoting():
@@ -293,9 +307,9 @@ def test_tridiag_matches_solve_banded_with_pivoting():
         ab = rng.standard_normal((3, n))
         ab[1, :] *= 0.1
         rhs = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
-        np.testing.assert_allclose(
-            _Tridiag(ab).solve(rhs), solve_banded((1, 1), ab, rhs), rtol=1e-13, atol=0.0
-        )
+        lu = _Tridiag(ab)
+        np.testing.assert_allclose(lu.solve(rhs), solve_banded((1, 1), ab, rhs), rtol=1e-13, atol=0.0)
+        _assert_same_lapack(lu, ab, rhs)
 
 
 def test_tridiag_keeps_solve_banded_checks():
