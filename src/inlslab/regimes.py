@@ -13,6 +13,15 @@ Comparisons against interval endpoints and the scaled threshold use a
 uniform tolerance EQ_TOL: values within EQ_TOL (relative) of a boundary
 are treated as sitting exactly on it, so grid sweeps give deterministic
 verdicts.
+
+A verdict is computed in two steps. Everything that depends on eta alone
+(the eta-cap and N = 2 rejections, the embedding interval, the scaled
+threshold r_s, each boundary's tolerance, and the verdict objects that
+carry the interval) forms the row of (params, eta, radial). Rows are
+built once and kept in a bounded LRU cache of _ROW_CACHE_SIZE rows. The
+verdict of a pair then only compares r with its row. classify_pair,
+interpolation_pair and region_map all take this path; region_map also
+computes the Pohozaev bounds once per eta.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import DomainError, EmptyGridError, HypothesisViolation, SearchFailed
 
@@ -66,10 +76,10 @@ class WeightedPair:
     r: float
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise DomainError(f"eta must be >= 0, got {self.eta}")
-        if self.r <= 0:
-            raise DomainError(f"r must be > 0, got {self.r}")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise DomainError(f"eta must be finite and >= 0, got {self.eta}")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise DomainError(f"r must be finite and > 0, got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -170,12 +180,61 @@ def lower_endpoint(params: Params, eta: float, radial: bool = False) -> float:
     return (eta * q * (N - 2) + 2 * N * (b - eta)) / (b * (N - 2))
 
 
-def _interval(params: Params, eta: float, radial: bool) -> EmbeddingInterval | None:
-    """Embedding interval with endpoint-inclusion rules, or None if undefined."""
+def _tol(c: float) -> float:
+    """The part of _close(x, c)'s tolerance that depends on c alone.
+
+    EQ_TOL * max(1, |x|, |c|) is the larger of _tol(c) and EQ_TOL * |x|,
+    because rounding EQ_TOL * m is monotone in m. So for a fixed c,
+    _close(x, c) is ``d <= _tol(c) or d <= EQ_TOL * abs(x)`` with
+    d = abs(x - c), and needs no call. An infinite c gets -1: no finite x
+    passes the test against it, where _close(x, inf) is True.
+    """
+    return EQ_TOL * max(1.0, abs(c)) if math.isfinite(c) else -1.0
+
+
+class _Row:
+    """What classify_pair knows about (params, eta, radial) before it sees r.
+
+    ``early`` is the verdict of every r when eta alone rules the pair out;
+    the other fields are then unset. Otherwise r is compared with the
+    interval ends and the scaled threshold r_s, each with its _tol, and the
+    answer is one of the six prebuilt verdicts.
+    """
+
+    __slots__ = ("early", "lower", "lower_tol", "lower_included", "upper", "upper_tol",
+                 "upper_included", "r_s", "r_s_tol", "r_le_one", "below", "above",
+                 "subscaled", "scaled", "superscaled")
+
+
+_ETA_TOO_LARGE = RegimeVerdict(False, Regime.NOT_APPLICABLE, None, "ETA_TOO_LARGE")
+_N2_ETA_LT_B = RegimeVerdict(False, Regime.NOT_APPLICABLE, None, "N2_ETA_LT_B")
+_DOMAIN = RegimeVerdict(False, Regime.NOT_APPLICABLE, None, "DOMAIN")
+
+# Rows kept by _row: a 200x200 atlas uses 200, and classify_pair callers
+# sweep r inside eta, so a few hundred rows per parameter set are reused.
+_ROW_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_ROW_CACHE_SIZE)
+def _row(params: Params, eta: float, radial: bool) -> _Row:
+    """The row of eta >= 0: the eta-cap and N = 2 verdicts, or the
+    embedding interval (with its endpoint-inclusion rules), r_s and the
+    verdicts that share them. Callers pass float(eta) and bool(radial), so
+    equal keys build equal rows."""
     N, b = params.N, params.b
+
+    row = _Row()
+    row.early = None
+    eta_cap = (N + 2) / 2.0
+    if eta > eta_cap or _close(eta, eta_cap):
+        row.early = _ETA_TOO_LARGE
+        return row
+
     radial_eff = radial and eta < b and not _close(eta, b)
     if N == 2 and eta < b and not radial_eff and not _close(eta, b):
-        return None
+        row.early = _N2_ETA_LT_B
+        return row
+
     lower = lower_endpoint(params, eta, radial=radial_eff)
     upper = critical_exponent(N, eta)
     if radial_eff:
@@ -188,7 +247,7 @@ def _interval(params: Params, eta: float, radial: bool) -> EmbeddingInterval | N
         compact = True
     else:
         compact = radial_eff or (eta > b and not _close(eta, b))
-    return EmbeddingInterval(
+    iv = EmbeddingInterval(
         lower=lower,
         upper=upper,
         lower_included=lower_inc,
@@ -196,6 +255,45 @@ def _interval(params: Params, eta: float, radial: bool) -> EmbeddingInterval | N
         radial=radial_eff,
         compact_interior=compact,
     )
+    r_s = scaled_threshold(params, eta)
+    row.lower, row.lower_tol, row.lower_included = lower, _tol(lower), lower_inc
+    row.upper, row.upper_tol, row.upper_included = upper, _tol(upper), upper_inc
+    row.r_s, row.r_s_tol = r_s, _tol(r_s)
+    na = Regime.NOT_APPLICABLE
+    row.r_le_one = RegimeVerdict(False, na, iv, "R_LE_ONE")
+    row.below = RegimeVerdict(False, na, iv, "R_BELOW_LOWER")
+    row.above = RegimeVerdict(False, na, iv, "R_ABOVE_UPPER")
+    row.subscaled = RegimeVerdict(True, Regime.SUBSCALED, iv, "OK")
+    row.scaled = RegimeVerdict(True, Regime.SCALED, iv, "OK")
+    row.superscaled = RegimeVerdict(True, Regime.SUPERSCALED, iv, "OK")
+    return row
+
+
+def _verdict(row: _Row, r: float) -> RegimeVerdict:
+    """Verdict of a finite r > 0 against its eta's row. Every test is the
+    _close test of classify_pair's rules, written out with _tol."""
+    if row.early is not None:
+        return row.early
+    r_tol = EQ_TOL * abs(r)
+    d = abs(r - 1.0)
+    if r < 1.0 or d <= EQ_TOL or d <= r_tol:
+        return row.r_le_one
+    d = abs(r - row.lower)
+    if d <= row.lower_tol or d <= r_tol:
+        if not row.lower_included:
+            return row.below
+    elif r < row.lower:
+        return row.below
+    d = abs(r - row.upper)  # N = 2: upper is inf, its _tol -1, and no test passes
+    if d <= row.upper_tol or d <= r_tol:
+        if not row.upper_included:
+            return row.above
+    elif r > row.upper:
+        return row.above
+    d = abs(r - row.r_s)
+    if d <= row.r_s_tol or d <= r_tol:
+        return row.scaled
+    return row.subscaled if r < row.r_s else row.superscaled
 
 
 def classify_pair(params: Params, pair: WeightedPair, radial: bool = False) -> RegimeVerdict:
@@ -207,62 +305,35 @@ def classify_pair(params: Params, pair: WeightedPair, radial: bool = False) -> R
     The regime compares r against the scaled threshold with tolerance
     EQ_TOL; inadmissible pairs get regime NotApplicable.
     """
-    eta, r = pair.eta, pair.r
-    N, b = params.N, params.b
+    return _verdict(_row(params, float(pair.eta), bool(radial)), pair.r)
 
-    eta_cap = (N + 2) / 2.0
-    if eta > eta_cap or _close(eta, eta_cap):
-        return RegimeVerdict(False, Regime.NOT_APPLICABLE, None, "ETA_TOO_LARGE")
 
-    radial_eff = radial and eta < b and not _close(eta, b)
-    if N == 2 and eta < b and not radial_eff and not _close(eta, b):
-        return RegimeVerdict(False, Regime.NOT_APPLICABLE, None, "N2_ETA_LT_B")
+def _pohozaev_bounds(params: Params, eta: float):
+    """The Pohozaev test's bounds at eta, each with its _tol: the lower
+    q(N-eta)/(N-b) and the critical 2*_eta (inf for N = 2, no test)."""
+    N, b, q = params.N, params.b, params.q
+    low = q * (N - eta) / (N - b)
+    crit = critical_exponent(N, eta)
+    return low, _tol(low), crit, _tol(crit)
 
-    interval = _interval(params, eta, radial)
-    assert interval is not None
 
-    if r < 1.0 or _close(r, 1.0):
-        return RegimeVerdict(False, Regime.NOT_APPLICABLE, interval, "R_LE_ONE")
-
-    lo, hi = interval.lower, interval.upper
-    on_lower = _close(r, lo)
-    if r < lo and not on_lower:
-        return RegimeVerdict(False, Regime.NOT_APPLICABLE, interval, "R_BELOW_LOWER")
-    if on_lower and not interval.lower_included:
-        return RegimeVerdict(False, Regime.NOT_APPLICABLE, interval, "R_BELOW_LOWER")
-    if math.isfinite(hi):
-        on_upper = _close(r, hi)
-        if r > hi and not on_upper:
-            return RegimeVerdict(False, Regime.NOT_APPLICABLE, interval, "R_ABOVE_UPPER")
-        if on_upper and not interval.upper_included:
-            return RegimeVerdict(False, Regime.NOT_APPLICABLE, interval, "R_ABOVE_UPPER")
-
-    r_s = scaled_threshold(params, eta)
-    if _close(r, r_s):
-        regime = Regime.SCALED
-    elif r < r_s:
-        regime = Regime.SUBSCALED
-    else:
-        regime = Regime.SUPERSCALED
-    return RegimeVerdict(True, regime, interval, "OK")
+def _only_trivial(bounds, r: float) -> bool:
+    """r <= low or r >= crit, up to EQ_TOL, for bounds from _pohozaev_bounds."""
+    low, low_tol, crit, crit_tol = bounds
+    r_tol = EQ_TOL * abs(r)
+    d_low, d_crit = abs(r - low), abs(r - crit)
+    return (r < low or d_low <= low_tol or d_low <= r_tol
+            or r > crit or d_crit <= crit_tol or d_crit <= r_tol)
 
 
 def nonexistence(params: Params, eta: float, r: float) -> bool:
     """Pohozaev nonexistence test: only the trivial solution exists when
     r >= 2*_eta (N >= 3) or r <= q(N-eta)/(N-b)."""
-    N, b, q = params.N, params.b, params.q
     if not 0 <= eta < 2:
         raise DomainError(f"eta must lie in [0, 2), got {eta}")
     if r <= 1:
         raise DomainError(f"r must be > 1, got {r}")
-    low = q * (N - eta) / (N - b)
-    if r < low or _close(r, low):
-        return True
-    if N >= 3:
-        crit = critical_exponent(N, eta)
-        if r > crit or _close(r, crit):
-            return True
-    return False
+    return _only_trivial(_pohozaev_bounds(params, eta), r)
 
 
 def interpolation_pair(params: Params, pair: WeightedPair, radial: bool = False):
@@ -457,27 +528,28 @@ def region_map(params: Params, eta_grid, r_grid, radial: bool = False):
     """Tabulate classify_pair and nonexistence over a rectangular grid.
 
     Returns a list of row dicts in eta-major order. Grids must be
-    nonempty and strictly increasing.
+    nonempty, finite and strictly increasing. A cell that WeightedPair
+    rejects (eta < 0 or r <= 0) gets the verdict DOMAIN. Each eta's row
+    and Pohozaev bounds are fetched once, then every r is compared with
+    them.
     """
     eta_grid = list(eta_grid)
     r_grid = list(r_grid)
     if not eta_grid or not r_grid:
         raise EmptyGridError("eta and r grids must be nonempty")
     for g, name in ((eta_grid, "eta_grid"), (r_grid, "r_grid")):
+        if not all(math.isfinite(x) for x in g):
+            raise DomainError(f"{name} must be finite")
         if any(y <= x for x, y in zip(g, g[1:])):
             raise DomainError(f"{name} must be strictly increasing")
 
+    radial = bool(radial)
     rows = []
     for eta in eta_grid:
+        row = _row(params, float(eta), radial) if eta >= 0 else None
+        bounds = _pohozaev_bounds(params, eta) if 0 <= eta < 2 else None
         for r in r_grid:
-            try:
-                verdict = classify_pair(params, WeightedPair(eta, r), radial=radial)
-            except DomainError:
-                verdict = RegimeVerdict(False, Regime.NOT_APPLICABLE, None, "DOMAIN")
-            if 0 <= eta < 2 and r > 1:
-                nonex = nonexistence(params, eta, r)
-            else:
-                nonex = False
+            verdict = _verdict(row, r) if row is not None and r > 0 else _DOMAIN
             iv = verdict.interval
             rows.append(
                 {
@@ -485,7 +557,7 @@ def region_map(params: Params, eta_grid, r_grid, radial: bool = False):
                     "r": r,
                     "admissible": verdict.admissible,
                     "regime": verdict.regime.value,
-                    "nonexistence": nonex,
+                    "nonexistence": bounds is not None and r > 1 and _only_trivial(bounds, r),
                     "lower": iv.lower if iv else math.nan,
                     "lower_included": iv.lower_included if iv else False,
                     "upper": iv.upper if iv else math.nan,

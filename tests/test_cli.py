@@ -252,9 +252,13 @@ def _file(tmp_path):
     return path
 
 
-def _region_map(out, eta_steps="5"):
-    return ["region-map", *PARAMS, "--eta-min", "0", "--eta-max", "2", "--eta-steps", eta_steps,
+def _region_map(out, eta_steps="5", eta_max="2"):
+    return ["region-map", *PARAMS, "--eta-min", "0", "--eta-max", eta_max, "--eta-steps", eta_steps,
             "--r-min", "1.5", "--r-max", "6", "--r-steps", "4", "--out", str(out)]
+
+
+def _classify(eta, r):
+    return ["classify", *PARAMS, "--eta", eta, "--r", r]
 
 
 @pytest.mark.parametrize(
@@ -269,9 +273,14 @@ def _region_map(out, eta_steps="5"):
         lambda d: _region_map(_file(d) / "atlas.csv"),
         lambda d: ["eigen", *PARAMS, "--s-min", "1e-3", "--s-max", "1e3", "--M", "257",
                    "--out", str(_file(d))],
+        lambda d: _classify("1", "nan"),
+        lambda d: _classify("1", "inf"),
+        lambda d: _classify("nan", "3"),
+        lambda d: _region_map(d / "atlas.csv", eta_steps="3", eta_max="nan"),
     ],
     ids=["missing-profile", "directory-profile", "header-not-json", "header-missing-keys",
-         "row-not-numeric", "negative-steps", "unwritable-csv", "unwritable-out-dir"],
+         "row-not-numeric", "negative-steps", "unwritable-csv", "unwritable-out-dir",
+         "classify-r-nan", "classify-r-inf", "classify-eta-nan", "region-map-eta-nan"],
 )
 def test_bad_input_is_a_json_error(tmp_path, capsys, make_argv):
     # bad files and arguments are validation errors: one JSON document on

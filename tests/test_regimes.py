@@ -427,3 +427,154 @@ def test_region_map_upper_is_inf_marker():
     rows = il.region_map(P, [1.2], [4.0])
     csv = il.region_map_csv(rows)
     assert ",inf," in csv.strip().split("\n")[1]
+
+
+@pytest.mark.parametrize("eta, r", [(math.nan, 3.0), (1.0, math.nan), (math.inf, 3.0),
+                                    (1.0, math.inf), (-math.inf, 3.0)])
+def test_weighted_pair_rejects_non_finite(eta, r):
+    # every comparison with NaN is False, and _close(inf, c) is True, so a
+    # non-finite pair would otherwise get a verdict
+    with pytest.raises(il.DomainError):
+        il.WeightedPair(eta, r)
+
+
+@pytest.mark.parametrize("etas, rs", [([0.0, math.nan, 2.0], [2.0, 3.0]),
+                                      ([0.0, 1.0], [2.0, math.inf]),
+                                      ([math.nan], [2.0])])
+def test_region_map_rejects_non_finite_grid(ref_params, etas, rs):
+    with pytest.raises(il.DomainError):
+        il.region_map(ref_params, etas, rs)
+
+
+# Reference for the per-eta rows: each pair classified on its own, every
+# rule tested with _close, and the interval built for each pair.
+
+def _close(x, y):
+    return abs(x - y) <= il.regimes.EQ_TOL * max(1.0, abs(x), abs(y))
+
+
+def _classify_reference(P, eta, r, radial):
+    N, b = P.N, P.b
+    na = Regime.NOT_APPLICABLE
+    eta_cap = (N + 2) / 2.0
+    if eta > eta_cap or _close(eta, eta_cap):
+        return il.RegimeVerdict(False, na, None, "ETA_TOO_LARGE")
+    radial_eff = radial and eta < b and not _close(eta, b)
+    if N == 2 and eta < b and not radial_eff and not _close(eta, b):
+        return il.RegimeVerdict(False, na, None, "N2_ETA_LT_B")
+    if radial_eff:
+        lower_inc, upper_inc = True, N >= 3
+    else:
+        lower_inc = eta <= b or _close(eta, b)
+        upper_inc = N >= 3 and (eta <= 2 or _close(eta, 2.0))
+    compact = N >= 3 or radial_eff or (eta > b and not _close(eta, b))
+    iv = il.EmbeddingInterval(il.lower_endpoint(P, eta, radial=radial_eff),
+                              il.critical_exponent(N, eta), lower_inc, upper_inc,
+                              radial_eff, compact)
+    if r < 1.0 or _close(r, 1.0):
+        return il.RegimeVerdict(False, na, iv, "R_LE_ONE")
+    lo, hi = iv.lower, iv.upper
+    on_lower = _close(r, lo)
+    if (r < lo and not on_lower) or (on_lower and not lower_inc):
+        return il.RegimeVerdict(False, na, iv, "R_BELOW_LOWER")
+    if math.isfinite(hi):
+        on_upper = _close(r, hi)
+        if (r > hi and not on_upper) or (on_upper and not upper_inc):
+            return il.RegimeVerdict(False, na, iv, "R_ABOVE_UPPER")
+    r_s = il.scaled_threshold(P, eta)
+    if _close(r, r_s):
+        return il.RegimeVerdict(True, Regime.SCALED, iv, "OK")
+    return il.RegimeVerdict(True, Regime.SUBSCALED if r < r_s else Regime.SUPERSCALED, iv, "OK")
+
+
+def _nonexistence_reference(P, eta, r):
+    N, b, q = P.N, P.b, P.q
+    low = q * (N - eta) / (N - b)
+    if r < low or _close(r, low):
+        return True
+    crit = il.critical_exponent(N, eta)
+    return N >= 3 and (r > crit or _close(r, crit))
+
+
+def _region_map_reference(P, etas, rs, radial):
+    rows = []
+    for eta in etas:
+        for r in rs:
+            try:
+                il.WeightedPair(eta, r)
+                verdict = _classify_reference(P, eta, r, radial)
+            except il.DomainError:
+                verdict = il.RegimeVerdict(False, Regime.NOT_APPLICABLE, None, "DOMAIN")
+            nonex = _nonexistence_reference(P, eta, r) if 0 <= eta < 2 and r > 1 else False
+            iv = verdict.interval
+            rows.append({
+                "eta": eta, "r": r, "admissible": verdict.admissible,
+                "regime": verdict.regime.value, "nonexistence": nonex,
+                "lower": iv.lower if iv else math.nan,
+                "lower_included": iv.lower_included if iv else False,
+                "upper": iv.upper if iv else math.nan,
+                "upper_included": iv.upper_included if iv else False,
+            })
+    return rows
+
+
+def _nudged(x):
+    # x, neighbours inside and outside its EQ_TOL band, and the band's upper
+    # edge: the last float that _close puts on x and the first one past it
+    y = x + il.regimes.EQ_TOL * max(1.0, abs(x))
+    while _close(y, x):
+        y = math.nextafter(y, math.inf)
+    while not _close(y, x):
+        y = math.nextafter(y, -math.inf)
+    return [x, x * (1 + 4e-13), x * (1 - 3e-12), y, math.nextafter(y, math.inf)]
+
+
+@st.composite
+def atlas_case(draw):
+    N, b, q, p = draw(valid_params())
+    P = il.derive_params(N, b, q, p)
+    radial = draw(st.booleans())
+    eta_pool = [0.0, -0.25, b, P.a, 2.0, (N + 2) / 2, 1.0, q, p]
+    etas = draw(st.lists(st.sampled_from(eta_pool) | st.floats(-0.5, N + 0.5), min_size=1,
+                         max_size=5))
+    etas = sorted({e for x in etas for e in (_nudged(x) if draw(st.booleans()) else [x])})
+    r_pool = [0.0, -1.0, 1.0, b, P.a, 2.0, (N + 2) / 2, q, p]
+    for eta in etas:
+        if 0 <= eta < N:
+            r_pool += [il.critical_exponent(N, eta), il.scaled_threshold(P, eta),
+                       q * (N - eta) / (N - b)]
+            for rad in (False, True):
+                try:
+                    r_pool.append(il.lower_endpoint(P, eta, radial=rad))
+                except il.DomainError:
+                    pass
+    r_pool = [x for x in r_pool if math.isfinite(x)]
+    rs = draw(st.lists(st.sampled_from(r_pool) | st.floats(-1.0, 12.0), min_size=1,
+                       max_size=10))
+    rs = sorted({e for x in rs for e in (_nudged(x) if draw(st.booleans()) else [x])})
+    return P, etas, rs, radial
+
+
+def _same(x, y):
+    return x == y or (isinstance(x, float) and math.isnan(x) and math.isnan(y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(atlas_case())
+def test_region_map_matches_per_pair_reference(case):
+    P, etas, rs, radial = case
+    rows = il.region_map(P, etas, rs, radial=radial)
+    want = _region_map_reference(P, etas, rs, radial)
+    assert len(rows) == len(want)
+    for got, ref in zip(rows, want):
+        assert list(got) == list(ref)
+        assert all(_same(got[k], ref[k]) for k in ref), (got, ref)
+    for eta in etas:
+        for r in rs:
+            if not (eta >= 0 and r > 0):
+                continue
+            pair = il.WeightedPair(eta, r)
+            warm = il.classify_pair(P, pair, radial=radial)
+            il.regimes._row.cache_clear()
+            cold = il.classify_pair(P, pair, radial=radial)
+            assert cold == warm == _classify_reference(P, eta, r, radial)
