@@ -16,12 +16,15 @@ verdicts.
 
 A verdict is computed in two steps. Everything that depends on eta alone
 (the eta-cap and N = 2 rejections, the embedding interval, the scaled
-threshold r_s, each boundary's tolerance, and the verdict objects that
-carry the interval) forms the row of (params, eta, radial). Rows are
-built once and kept in a bounded LRU cache of _ROW_CACHE_SIZE rows. The
-verdict of a pair then only compares r with its row. classify_pair,
-interpolation_pair and region_map all take this path; region_map also
-computes the Pohozaev bounds once per eta.
+threshold r_s and each boundary's tolerance) forms the row of (params,
+eta, radial). The verdict of a pair then only compares r with its row;
+the row builds each of its verdict objects once, when a pair first
+needs it. classify_pair and region_map keep rows in a bounded LRU cache
+of _ROW_CACHE_SIZE rows, so an eta seen before costs one lookup; a new
+eta costs one interval and one verdict, as a pair classified on its own
+does. interpolation_pair's companion search, which tries a new eta at
+every step, builds its rows outside the cache. region_map takes each
+eta's row and Pohozaev bounds once, then compares every r with them.
 """
 
 from __future__ import annotations
@@ -198,29 +201,37 @@ class _Row:
     ``early`` is the verdict of every r when eta alone rules the pair out;
     the other fields are then unset. Otherwise r is compared with the
     interval ends and the scaled threshold r_s, each with its _tol, and the
-    answer is one of the six prebuilt verdicts.
+    answer is one of the row's six verdicts. ``verdicts`` holds them in the
+    order of _VERDICTS, each built the first time a pair needs it: a row
+    that serves one pair builds one.
     """
 
-    __slots__ = ("early", "lower", "lower_tol", "lower_included", "upper", "upper_tol",
-                 "upper_included", "r_s", "r_s_tol", "r_le_one", "below", "above",
-                 "subscaled", "scaled", "superscaled")
+    __slots__ = ("early", "interval", "lower", "lower_tol", "lower_included", "upper",
+                 "upper_tol", "upper_included", "r_s", "r_s_tol", "verdicts")
 
 
 _ETA_TOO_LARGE = RegimeVerdict(False, Regime.NOT_APPLICABLE, None, "ETA_TOO_LARGE")
 _N2_ETA_LT_B = RegimeVerdict(False, Regime.NOT_APPLICABLE, None, "N2_ETA_LT_B")
 _DOMAIN = RegimeVerdict(False, Regime.NOT_APPLICABLE, None, "DOMAIN")
 
-# Rows kept by _row: a 200x200 atlas uses 200, and classify_pair callers
-# sweep r inside eta, so a few hundred rows per parameter set are reused.
-_ROW_CACHE_SIZE = 1024
+# (admissible, regime, reason) of the verdicts of a row with an interval,
+# in the order of the indices _kind returns
+_VERDICTS = (
+    (False, Regime.NOT_APPLICABLE, "R_LE_ONE"),
+    (False, Regime.NOT_APPLICABLE, "R_BELOW_LOWER"),
+    (False, Regime.NOT_APPLICABLE, "R_ABOVE_UPPER"),
+    (True, Regime.SUBSCALED, "OK"),
+    (True, Regime.SCALED, "OK"),
+    (True, Regime.SUPERSCALED, "OK"),
+)
+_R_LE_ONE, _BELOW, _ABOVE, _SUBSCALED, _SCALED, _SUPERSCALED = range(len(_VERDICTS))
 
 
-@lru_cache(maxsize=_ROW_CACHE_SIZE)
-def _row(params: Params, eta: float, radial: bool) -> _Row:
+def _build_row(params: Params, eta: float, radial: bool) -> _Row:
     """The row of eta >= 0: the eta-cap and N = 2 verdicts, or the
     embedding interval (with its endpoint-inclusion rules), r_s and the
-    verdicts that share them. Callers pass float(eta) and bool(radial), so
-    equal keys build equal rows."""
+    tolerances of the three. Callers pass float(eta) and bool(radial), so
+    equal keys of _row build equal rows."""
     N, b = params.N, params.b
 
     row = _Row()
@@ -247,7 +258,7 @@ def _row(params: Params, eta: float, radial: bool) -> _Row:
         compact = True
     else:
         compact = radial_eff or (eta > b and not _close(eta, b))
-    iv = EmbeddingInterval(
+    row.interval = EmbeddingInterval(
         lower=lower,
         upper=upper,
         lower_included=lower_inc,
@@ -259,41 +270,57 @@ def _row(params: Params, eta: float, radial: bool) -> _Row:
     row.lower, row.lower_tol, row.lower_included = lower, _tol(lower), lower_inc
     row.upper, row.upper_tol, row.upper_included = upper, _tol(upper), upper_inc
     row.r_s, row.r_s_tol = r_s, _tol(r_s)
-    na = Regime.NOT_APPLICABLE
-    row.r_le_one = RegimeVerdict(False, na, iv, "R_LE_ONE")
-    row.below = RegimeVerdict(False, na, iv, "R_BELOW_LOWER")
-    row.above = RegimeVerdict(False, na, iv, "R_ABOVE_UPPER")
-    row.subscaled = RegimeVerdict(True, Regime.SUBSCALED, iv, "OK")
-    row.scaled = RegimeVerdict(True, Regime.SCALED, iv, "OK")
-    row.superscaled = RegimeVerdict(True, Regime.SUPERSCALED, iv, "OK")
+    row.verdicts = [None] * len(_VERDICTS)
     return row
 
 
-def _verdict(row: _Row, r: float) -> RegimeVerdict:
-    """Verdict of a finite r > 0 against its eta's row. Every test is the
-    _close test of classify_pair's rules, written out with _tol."""
-    if row.early is not None:
-        return row.early
+# Rows kept by _row. Calls that meet an eta again reuse its row: region_map
+# on the same parameters again (one row per eta of its grid, 200 for a
+# 200x200 atlas) and classify_pair on an eta seen before. A new eta builds
+# its row, one interval and one verdict, which is what classifying the pair
+# alone costs. interpolation_pair's companion search, which tries a new eta
+# at every step, builds those rows with _build_row, outside the cache.
+_ROW_CACHE_SIZE = 1024
+
+_row = lru_cache(maxsize=_ROW_CACHE_SIZE)(_build_row)
+
+
+def _kind(row: _Row, r: float) -> int:
+    """Index in _VERDICTS of the verdict of a finite r > 0 against a row
+    with an interval. Every test is the _close test of classify_pair's
+    rules, written out with _tol."""
     r_tol = EQ_TOL * abs(r)
     d = abs(r - 1.0)
     if r < 1.0 or d <= EQ_TOL or d <= r_tol:
-        return row.r_le_one
+        return _R_LE_ONE
     d = abs(r - row.lower)
     if d <= row.lower_tol or d <= r_tol:
         if not row.lower_included:
-            return row.below
+            return _BELOW
     elif r < row.lower:
-        return row.below
+        return _BELOW
     d = abs(r - row.upper)  # N = 2: upper is inf, its _tol -1, and no test passes
     if d <= row.upper_tol or d <= r_tol:
         if not row.upper_included:
-            return row.above
+            return _ABOVE
     elif r > row.upper:
-        return row.above
+        return _ABOVE
     d = abs(r - row.r_s)
     if d <= row.r_s_tol or d <= r_tol:
-        return row.scaled
-    return row.subscaled if r < row.r_s else row.superscaled
+        return _SCALED
+    return _SUBSCALED if r < row.r_s else _SUPERSCALED
+
+
+def _verdict(row: _Row, r: float) -> RegimeVerdict:
+    """Verdict of a finite r > 0 against its eta's row."""
+    if row.early is not None:
+        return row.early
+    k = _kind(row, r)
+    v = row.verdicts[k]
+    if v is None:
+        admissible, regime, reason = _VERDICTS[k]
+        v = row.verdicts[k] = RegimeVerdict(admissible, regime, row.interval, reason)
+    return v
 
 
 def classify_pair(params: Params, pair: WeightedPair, radial: bool = False) -> RegimeVerdict:
@@ -381,10 +408,11 @@ def interpolation_pair(params: Params, pair: WeightedPair, radial: bool = False)
         theta = (a - eta_t) / p * r / (eta - eta_t)
         if 0.0 < theta < 1.0:
             inv_rt = 1.0 / p + theta / (1.0 - theta) * (1.0 / p - 1.0 / r)
-            if inv_rt > 0:
-                r_t = 1.0 / inv_rt
-                v = classify_pair(params, WeightedPair(eta_t, r_t))
-                if v.admissible and v.regime == want and r_t > 1.0:
+            r_t = 1.0 / inv_rt if inv_rt > 0 else INF
+            if 1.0 < r_t < INF:
+                # every step tries a new eta~: its row is built outside the cache
+                v = _verdict(_build_row(params, eta_t, False), r_t)
+                if v.admissible and v.regime == want:
                     return eta_t, r_t, theta
         d *= 0.5
     raise SearchFailed(

@@ -305,6 +305,15 @@ def test_interpolation_pair_superscaled_swaps(ref_params):
     assert il.classify_pair(P, il.WeightedPair(eta_t, r_t)).regime is Regime.SUBSCALED
 
 
+def test_interpolation_pair_caches_only_the_input_row(ref_params):
+    # the companion search tries a new eta~ at every step: those rows stay
+    # out of the row cache, and only each input's own row is kept
+    il.regimes._row.cache_clear()
+    for eta, r in [(1.8, 2.2), (0.5, 5.0), (1.8, 2.3)]:
+        il.interpolation_pair(ref_params, il.WeightedPair(eta, r))
+    assert il.regimes._row.cache_info().currsize == 2
+
+
 def test_interpolation_pair_rejects_inadmissible(ref_params):
     with pytest.raises(il.DomainError):
         il.interpolation_pair(ref_params, il.WeightedPair(2.5, 3.0))
