@@ -24,7 +24,13 @@ of _ROW_CACHE_SIZE rows, so an eta seen before costs one lookup; a new
 eta costs one interval and one verdict, as a pair classified on its own
 does. interpolation_pair's companion search, which tries a new eta at
 every step, builds its rows outside the cache. region_map takes each
-eta's row and Pohozaev bounds once, then compares every r with them.
+eta's row and Pohozaev bounds once, then compares every r with them; the
+columns a verdict fills (admissible, regime and the interval ends with
+their flags) are built into a cell once per verdict of the eta row, and
+each r gets a copy of it. region_map_csv formats each distinct float of
+the atlas once per call (a 200x200 atlas has 778 in its 160,000 float
+fields) and reuses the text of a line's eta and interval ends when they
+are the previous line's.
 """
 
 from __future__ import annotations
@@ -358,8 +364,8 @@ def nonexistence(params: Params, eta: float, r: float) -> bool:
     r >= 2*_eta (N >= 3) or r <= q(N-eta)/(N-b)."""
     if not 0 <= eta < 2:
         raise DomainError(f"eta must lie in [0, 2), got {eta}")
-    if r <= 1:
-        raise DomainError(f"r must be > 1, got {r}")
+    if not (math.isfinite(r) and r > 1):
+        raise DomainError(f"r must be finite and > 1, got {r}")
     return _only_trivial(_pohozaev_bounds(params, eta), r)
 
 
@@ -421,14 +427,18 @@ def interpolation_pair(params: Params, pair: WeightedPair, radial: bool = False)
     )
 
 
+def _finite(*xs: float) -> bool:
+    return all(math.isfinite(x) for x in xs)
+
+
 def ps_threshold(N: int, eta1: float, S: float) -> float:
     """Compactness level c* = (2-eta1)/(2(N-eta1)) * S^((N-eta1)/(2-eta1))."""
     if N < 3:
         raise DomainError(f"N >= 3 required, got {N}")
     if not 0 <= eta1 < 2:
         raise DomainError(f"eta1 must lie in [0, 2), got {eta1}")
-    if S < 0:
-        raise DomainError(f"S must be >= 0, got {S}")
+    if not (math.isfinite(S) and S >= 0):
+        raise DomainError(f"S must be finite and >= 0, got {S}")
     if S == 0:
         return 0.0
     return (2.0 - eta1) / (2.0 * (N - eta1)) * S ** ((N - eta1) / (2.0 - eta1))
@@ -463,10 +473,10 @@ def tilde_s_root(mu: float, S1: float, S2: float, N: int, eta1: float, eta2: flo
     for name, eta in (("eta1", eta1), ("eta2", eta2)):
         if not 0 <= eta < 2:
             raise DomainError(f"{name} must lie in [0, 2), got {eta}")
-    if S1 <= 0 or S2 <= 0:
-        raise DomainError("S1 and S2 must be positive")
-    if mu < 0:
-        raise DomainError(f"mu must be >= 0, got {mu}")
+    if not (_finite(S1, S2) and S1 > 0 and S2 > 0):
+        raise DomainError("S1 and S2 must be finite and positive")
+    if not (math.isfinite(mu) and mu >= 0):
+        raise DomainError(f"mu must be finite and >= 0, got {mu}")
 
     c1 = critical_exponent(N, eta1)
     c2 = critical_exponent(N, eta2)
@@ -513,10 +523,10 @@ def gamma_mu_roots(mu: float, C: float, C1: float, exp_low: float, exp_high: flo
     """
     if not 0 < exp_low < 1:
         raise DomainError(f"exp_low must lie in (0, 1), got {exp_low}")
-    if not exp_high > 1:
-        raise DomainError(f"exp_high must be > 1, got {exp_high}")
-    if C < 0 or C1 <= 0 or mu < 0:
-        raise DomainError("require C >= 0, C1 > 0, mu >= 0")
+    if not (math.isfinite(exp_high) and exp_high > 1):
+        raise DomainError(f"exp_high must be finite and > 1, got {exp_high}")
+    if not (_finite(mu, C, C1) and C >= 0 and C1 > 0 and mu >= 0):
+        raise DomainError("require finite C >= 0, C1 > 0, mu >= 0")
 
     # gamma(t)/t = 1 - g(t), g(t) = C mu t^(exp_low-1) + C1 t^(exp_high-1)
     def g(t: float) -> float:
@@ -576,22 +586,27 @@ def region_map(params: Params, eta_grid, r_grid, radial: bool = False):
     for eta in eta_grid:
         row = _row(params, float(eta), radial) if eta >= 0 else None
         bounds = _pohozaev_bounds(params, eta) if 0 <= eta < 2 else None
+        cells = {}  # id of a verdict of this eta -> its cell, r and nonexistence unset
         for r in r_grid:
             verdict = _verdict(row, r) if row is not None and r > 0 else _DOMAIN
-            iv = verdict.interval
-            rows.append(
-                {
+            cell = cells.get(id(verdict))
+            if cell is None:
+                iv = verdict.interval
+                cell = cells[id(verdict)] = {
                     "eta": eta,
-                    "r": r,
+                    "r": None,
                     "admissible": verdict.admissible,
                     "regime": verdict.regime.value,
-                    "nonexistence": bounds is not None and r > 1 and _only_trivial(bounds, r),
+                    "nonexistence": None,
                     "lower": iv.lower if iv else math.nan,
                     "lower_included": iv.lower_included if iv else False,
                     "upper": iv.upper if iv else math.nan,
                     "upper_included": iv.upper_included if iv else False,
                 }
-            )
+            cell = cell.copy()
+            cell["r"] = r
+            cell["nonexistence"] = bounds is not None and r > 1 and _only_trivial(bounds, r)
+            rows.append(cell)
     return rows
 
 
@@ -599,24 +614,46 @@ REGION_MAP_HEADER = "eta,r,admissible,regime,nonexistence,lower,lower_included,u
 
 
 def region_map_csv(rows) -> str:
-    """Render region_map rows as the documented CSV atlas."""
+    """Render region_map rows as the documented CSV atlas.
+
+    Every float prints as fmt_float prints it, but each distinct float is
+    formatted once per call: an atlas has a few hundred distinct values in
+    tens of thousands of cells. A line's eta, lower and upper that are the
+    previous line's objects reuse its text; other floats are looked up by
+    value. Zeros are not kept, since 0.0 == -0.0, and values of any type
+    but float are formatted every time.
+    """
     from .reports import fmt_float
 
+    memo = {}
+
+    def fmt(x) -> str:
+        if type(x) is not float:
+            return fmt_float(x)
+        s = memo.get(x)
+        if s is None:
+            s = fmt_float(x)
+            if x:
+                memo[x] = s
+        return s
+
     lines = [REGION_MAP_HEADER]
+    eta = lower = upper = object()  # the previous line's; no value is this
     for row in rows:
+        if row["eta"] is not eta:
+            eta = row["eta"]
+            eta_s = fmt(eta)
+        if row["lower"] is not lower:
+            lower = row["lower"]
+            lower_s = fmt(lower)
+        if row["upper"] is not upper:
+            upper = row["upper"]
+            upper_s = fmt(upper)
         lines.append(
-            ",".join(
-                [
-                    fmt_float(row["eta"]),
-                    fmt_float(row["r"]),
-                    "true" if row["admissible"] else "false",
-                    row["regime"],
-                    "true" if row["nonexistence"] else "false",
-                    fmt_float(row["lower"]),
-                    "true" if row["lower_included"] else "false",
-                    fmt_float(row["upper"]),
-                    "true" if row["upper_included"] else "false",
-                ]
-            )
+            f'{eta_s},{fmt(row["r"])},{"true" if row["admissible"] else "false"},'
+            + row["regime"]  # added as join did: a str subclass adds its characters
+            + f',{"true" if row["nonexistence"] else "false"},'
+            f'{lower_s},{"true" if row["lower_included"] else "false"},'
+            f'{upper_s},{"true" if row["upper_included"] else "false"}'
         )
     return "\n".join(lines) + "\n"

@@ -11,11 +11,8 @@ import math
 
 
 def fmt_float(x: float) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
+    """17 significant digits; NaN of either sign prints nan, infinities
+    inf and -inf, and -0.0 prints -0."""
     return f"{x:.17g}"
 
 

@@ -261,6 +261,13 @@ def _classify(eta, r):
     return ["classify", *PARAMS, "--eta", eta, "--r", r]
 
 
+def _thresholds(*args):
+    return ["thresholds", "--N", "3", "--eta1", "0.5", *args]
+
+
+_WINDOW = ("--b", "1", "--q", "3.5", "--p", "3", "--eta", "1.8", "--r", "2.2")
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
@@ -277,10 +284,18 @@ def _classify(eta, r):
         lambda d: _classify("1", "inf"),
         lambda d: _classify("nan", "3"),
         lambda d: _region_map(d / "atlas.csv", eta_steps="3", eta_max="nan"),
+        lambda d: _thresholds("--S1", "nan"),
+        lambda d: _thresholds("--S1", "inf", "--eta2", "1.0", "--S2", "1.0", "--mu", "0.3"),
+        lambda d: _thresholds("--S1", "1.0", "--eta2", "1.0", "--S2", "nan", "--mu", "0.3"),
+        lambda d: _thresholds("--S1", "1.0", "--eta2", "1.0", "--S2", "1.0", "--mu", "inf"),
+        lambda d: _thresholds("--S1", "1.0", "--mu", "0.3", "--C", "nan", "--C1", "1", *_WINDOW),
+        lambda d: _thresholds("--S1", "1.0", "--mu", "0.3", "--C", "1", "--C1", "inf", *_WINDOW),
     ],
     ids=["missing-profile", "directory-profile", "header-not-json", "header-missing-keys",
          "row-not-numeric", "negative-steps", "unwritable-csv", "unwritable-out-dir",
-         "classify-r-nan", "classify-r-inf", "classify-eta-nan", "region-map-eta-nan"],
+         "classify-r-nan", "classify-r-inf", "classify-eta-nan", "region-map-eta-nan",
+         "thresholds-S1-nan", "thresholds-S1-inf", "thresholds-S2-nan", "thresholds-mu-inf",
+         "thresholds-C-nan", "thresholds-C1-inf"],
 )
 def test_bad_input_is_a_json_error(tmp_path, capsys, make_argv):
     # bad files and arguments are validation errors: one JSON document on

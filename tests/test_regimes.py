@@ -3,11 +3,13 @@ nonexistence, interpolation pairs, and threshold constants."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import inlslab as il
 from inlslab import Regime
+from inlslab.reports import fmt_float
 
 
 def valid_params(n_choices=(2, 3, 4, 5)):
@@ -263,6 +265,13 @@ def test_nonexistence_between_thresholds(ref_params):
         il.nonexistence(P, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_nonexistence_rejects_non_finite_r(ref_params, r):
+    # r <= 1 is False for nan and inf, so the range test alone let them through
+    with pytest.raises(il.DomainError):
+        il.nonexistence(ref_params, 1.0, r)
+
+
 # ---------------------------------------------------- interpolation pairs
 
 
@@ -397,6 +406,28 @@ def test_gamma_roots_mu_too_large():
         il.gamma_mu_roots(100.0, 1.0, 1.0, 0.5, 2.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: il.ps_threshold(3, 0.5, x),
+        lambda x: il.tilde_s_root(0.3, x, 1.0, 3, 0.5, 1.0),
+        lambda x: il.tilde_s_root(0.3, 1.0, x, 3, 0.5, 1.0),
+        lambda x: il.tilde_s_root(x, 1.0, 1.0, 3, 0.5, 1.0),
+        lambda x: il.gamma_mu_roots(x, 1.0, 1.0, 0.5, 2.0),
+        lambda x: il.gamma_mu_roots(0.2, x, 1.0, 0.5, 2.0),
+        lambda x: il.gamma_mu_roots(0.2, 1.0, x, 0.5, 2.0),
+        lambda x: il.gamma_mu_roots(0.2, 1.0, 1.0, 0.5, x),
+    ],
+    ids=["ps-S", "tilde-S1", "tilde-S2", "tilde-mu", "gamma-mu", "gamma-C", "gamma-C1",
+         "gamma-exp_high"],
+)
+def test_threshold_constants_reject_non_finite(call, x):
+    # sign tests alone pass nan and inf, which then print as constants
+    with pytest.raises(il.DomainError):
+        call(x)
+
+
 # ----------------------------------------------------------------- atlas
 
 
@@ -436,6 +467,89 @@ def test_region_map_upper_is_inf_marker():
     rows = il.region_map(P, [1.2], [4.0])
     csv = il.region_map_csv(rows)
     assert ",inf," in csv.strip().split("\n")[1]
+
+
+_NEG_NAN = math.copysign(math.nan, -1.0)
+
+
+@pytest.mark.parametrize("x, want", [(math.nan, "nan"), (_NEG_NAN, "nan"), (math.inf, "inf"),
+                                     (-math.inf, "-inf"), (-0.0, "-0"), (0.0, "0")])
+def test_fmt_float_special_values(x, want):
+    # fmt_float is the 17g format alone: this pins that the format itself
+    # prints NaN of either sign, the infinities and -0.0 as the CSV and JSON
+    # outputs document
+    assert f"{x:.17g}" == want
+    assert fmt_float(x) == want
+
+
+def _fmt_reference(x):
+    # fmt_float as it was, with the special values spelled out
+    if isinstance(x, float):
+        if math.isnan(x):
+            return "nan"
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+    return f"{x:.17g}"
+
+
+def _csv_reference(rows):
+    # the renderer region_map_csv replaced: each field on its own, then joined
+    def word(x):
+        return "true" if x else "false"
+
+    lines = [il.regimes.REGION_MAP_HEADER]
+    for row in rows:
+        lines.append(",".join([
+            _fmt_reference(row["eta"]), _fmt_reference(row["r"]), word(row["admissible"]),
+            row["regime"], word(row["nonexistence"]), _fmt_reference(row["lower"]),
+            word(row["lower_included"]), _fmt_reference(row["upper"]),
+            word(row["upper_included"]),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+_csv_float = st.floats(allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, math.nan, _NEG_NAN, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308])
+_csv_value = st.one_of(
+    _csv_float,
+    st.integers(-10**20, 10**20),
+    st.booleans(),
+    _csv_float.map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+
+
+@st.composite
+def csv_rows(draw):
+    # a small pool of value objects makes values repeat within a row, across
+    # rows and on consecutive lines, as in an atlas; fresh draws make them
+    # differ, and equal values of different types or zero signs meet
+    pool = draw(st.lists(_csv_value, min_size=1, max_size=6))
+    value = st.sampled_from(pool) | _csv_value
+    flag = st.booleans() | st.sampled_from([0, 1, 0.0, None])
+    regime = st.sampled_from([g.value for g in Regime])
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        rows.append({
+            "eta": draw(value), "r": draw(value), "admissible": draw(flag),
+            "regime": draw(regime), "nonexistence": draw(flag), "lower": draw(value),
+            "lower_included": draw(flag), "upper": draw(value), "upper_included": draw(flag),
+        })
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_rows())
+def test_region_map_csv_matches_per_field_renderer(rows):
+    assert il.region_map_csv(rows) == _csv_reference(rows)
+
+
+@pytest.mark.parametrize("radial", [False, True])
+def test_benchmark_atlas_csv_matches_per_field_renderer(ref_params, radial):
+    etas = [float(x) for x in np.linspace(0.0, 2.4, 200)]
+    rs = [float(x) for x in np.linspace(1.1, 7.0, 200)]
+    rows = il.region_map(ref_params, etas, rs, radial=radial)
+    assert il.region_map_csv(rows) == _csv_reference(rows)
 
 
 @pytest.mark.parametrize("eta, r", [(math.nan, 3.0), (1.0, math.nan), (math.inf, 3.0),
