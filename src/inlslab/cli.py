@@ -65,7 +65,7 @@ def _parse_term(text: str):
     try:
         c, eta, r = (float(x) for x in text.split(","))
     except ValueError as exc:
-        raise InlsError(f"term must be 'c,eta,r', got {text!r}") from exc
+        raise DomainError(f"term must be 'c,eta,r', got {text!r}") from exc
     return TermSpec(c=c, eta=eta, r=r)
 
 
@@ -91,17 +91,14 @@ def _linspace(start: float, stop: float, n: int) -> list:
     return vals
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="inlslab", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("classify", help="admissibility and regime of one (eta, r) pair")
+def _classify_args(c: argparse.ArgumentParser) -> None:
     _add_params(c)
     c.add_argument("--eta", type=float, required=True)
     c.add_argument("--r", type=float, required=True)
     c.add_argument("--radial", action="store_true")
 
-    rm = sub.add_parser("region-map", help="CSV atlas of verdicts over an (eta, r) grid")
+
+def _region_map_args(rm: argparse.ArgumentParser) -> None:
     _add_params(rm)
     rm.add_argument("--eta-min", type=float, required=True)
     rm.add_argument("--eta-max", type=float, required=True)
@@ -112,14 +109,16 @@ def build_parser() -> argparse.ArgumentParser:
     rm.add_argument("--radial", action="store_true")
     rm.add_argument("--out", required=True, help="CSV output path")
 
-    e = sub.add_parser("eigen", help="first eigenvalue by Rayleigh minimization")
+
+def _eigen_args(e: argparse.ArgumentParser) -> None:
     _add_params(e)
     _add_grid(e)
     _add_opts(e)
     e.add_argument("--init", choices=["gaussian", "bump"], default="gaussian")
     e.add_argument("--out", help="directory for report.json and profile.csv")
 
-    m = sub.add_parser("minimize", help="negative-level minimizer of the coercive energy")
+
+def _minimize_args(m: argparse.ArgumentParser) -> None:
     _add_params(m)
     _add_grid(m)
     _add_opts(m)
@@ -127,13 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--term", action="append", default=[], help="c,eta,r (repeatable)")
     m.add_argument("--out", help="directory for report.json and profile.csv")
 
-    v = sub.add_parser("verify", help="recompute residuals for a stored profile")
+
+def _verify_args(v: argparse.ArgumentParser) -> None:
     _add_params(v)
     v.add_argument("--profile", required=True, help="profile CSV path")
     v.add_argument("--lambda", dest="lam", type=float, default=0.0)
     v.add_argument("--term", action="append", default=[], help="c,eta,r (repeatable)")
 
-    t = sub.add_parser("thresholds", help="compactness levels c*, S-tilde, truncation radii")
+
+def _thresholds_args(t: argparse.ArgumentParser) -> None:
     t.add_argument("--N", type=int, required=True)
     t.add_argument("--eta1", type=float, required=True)
     t.add_argument("--eta2", type=float)
@@ -148,12 +149,43 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--eta", type=float, help="subscaled term weight for the truncation window")
     t.add_argument("--r", type=float, help="subscaled term power for the truncation window")
 
-    pr = sub.add_parser("probe", help="upper bound for the embedding constant S_eta")
+
+def _probe_args(pr: argparse.ArgumentParser) -> None:
     pr.add_argument("--N", type=int, required=True)
     pr.add_argument("--eta", type=float, required=True)
     _add_grid(pr)
     _add_opts(pr)
 
+
+#: subcommand -> (its help line, the function that adds its arguments)
+_COMMANDS = {
+    "classify": ("admissibility and regime of one (eta, r) pair", _classify_args),
+    "region-map": ("CSV atlas of verdicts over an (eta, r) grid", _region_map_args),
+    "eigen": ("first eigenvalue by Rayleigh minimization", _eigen_args),
+    "minimize": ("negative-level minimizer of the coercive energy", _minimize_args),
+    "verify": ("recompute residuals for a stored profile", _verify_args),
+    "thresholds": ("compactness levels c*, S-tilde, truncation radii", _thresholds_args),
+    "probe": ("upper bound for the embedding constant S_eta", _probe_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The inlslab argument parser.
+
+    With a known subcommand name, only that subcommand's parser is added:
+    building all seven costs a few milliseconds of every command's start.
+    Its metavar keeps the usage line listing every subcommand, so usage
+    and error texts are the full parser's. With None or any other name
+    (no arguments, -h, an unknown command) the parser has every
+    subcommand, and its help and choice errors list them all.
+    """
+    ap = argparse.ArgumentParser(prog="inlslab", description=__doc__)
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_line, add_args = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_line))
     return ap
 
 
@@ -267,7 +299,7 @@ def _run(args) -> int:
         if args.C is not None and args.C1 is not None:
             for name in ("b", "q", "p", "eta", "r"):
                 if getattr(args, name) is None:
-                    raise InlsError(f"--{name} is required for truncation radii")
+                    raise DomainError(f"--{name} is required for truncation radii")
             params = derive_params(args.N, args.b, args.q, args.p)
             e_low = ell_of(params, args.eta, args.r) / params.ell
             e_high = ell_of(params, args.eta1, critical_exponent(args.N, args.eta1)) / params.ell
@@ -295,7 +327,8 @@ def _fail(exc: InlsError, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return _run(args)
     except (Diverged, SingularHessian) as exc:

@@ -24,39 +24,40 @@ relation I = lambda J.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SearchFailed, ZeroProfileError
+from .errors import DomainError, SearchFailed, ZeroProfileError, _set, _Value
 from .grid import RadialGrid, RadialProfile, dirichlet_energy, scale, weighted_integral
 from .regimes import Params
 
 EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class TermSpec:
+class TermSpec(_Value):
     """One power-type nonlinearity term c |u|^(r-2) u / |x|^eta."""
 
-    c: float
-    eta: float
-    r: float
+    __slots__ = _fields = ("c", "eta", "r")
 
-    def __post_init__(self):
-        if self.r <= 1:
-            raise DomainError(f"term power r must be > 1, got {self.r}")
-        if not 0 <= self.eta < 2:
-            raise DomainError(f"term weight eta must lie in [0, 2), got {self.eta}")
+    def __init__(self, c: float, eta: float, r: float):
+        if r <= 1:
+            raise DomainError(f"term power r must be > 1, got {r}")
+        if not 0 <= eta < 2:
+            raise DomainError(f"term weight eta must lie in [0, 2), got {eta}")
+        _set(self, "c", c)
+        _set(self, "eta", eta)
+        _set(self, "r", r)
 
 
-@dataclass(frozen=True)
-class FunctionalReport:
-    I: float
-    J: float
-    rayleigh: float
-    phi: float
-    grad_norm: float
+class FunctionalReport(_Value):
+    __slots__ = _fields = ("I", "J", "rayleigh", "phi", "grad_norm")
+
+    def __init__(self, I: float, J: float, rayleigh: float, phi: float, grad_norm: float):
+        _set(self, "I", I)
+        _set(self, "J", J)
+        _set(self, "rayleigh", rayleigh)
+        _set(self, "phi", phi)
+        _set(self, "grad_norm", grad_norm)
 
     def to_dict(self) -> dict:
         return {

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _set, _Value
 from .reports import fmt_float
 
 #: outer node is pinned to zero after every construction
@@ -60,25 +59,28 @@ def sphere_area(N: int) -> float:
     return 2.0 * math.pi ** (N / 2.0) / gamma
 
 
-@dataclass(frozen=True)
-class RadialGrid:
-    """Log-uniform radial mesh on [s_min, s_max] with M nodes."""
+class RadialGrid(_Value):
+    """Log-uniform radial mesh on [s_min, s_max] with M nodes.
 
-    s_min: float
-    s_max: float
-    M: int
-    N: int
-    h: float = field(init=False)
-    nodes: np.ndarray = field(init=False, repr=False)
-    omega: float = field(init=False, repr=False)
+    h, the read-only nodes and the sphere area omega are derived from the
+    four arguments; the repr shows h but not nodes or omega.
+    """
 
-    def __post_init__(self):
-        h = math.log(self.s_max / self.s_min) / (self.M - 1)
-        nodes = self.s_min * np.exp(h * np.arange(self.M))
+    # __dict__ holds the cached quad
+    __slots__ = ("s_min", "s_max", "M", "N", "h", "nodes", "omega", "__dict__")
+    _fields = ("s_min", "s_max", "M", "N", "h")
+
+    def __init__(self, s_min: float, s_max: float, M: int, N: int):
+        h = math.log(s_max / s_min) / (M - 1)
+        nodes = s_min * np.exp(h * np.arange(M))
         nodes.flags.writeable = False
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "omega", sphere_area(self.N))
+        _set(self, "s_min", s_min)
+        _set(self, "s_max", s_max)
+        _set(self, "M", M)
+        _set(self, "N", N)
+        _set(self, "h", h)
+        _set(self, "nodes", nodes)
+        _set(self, "omega", sphere_area(N))
 
     @cached_property
     def quad(self) -> "Quadrature":
@@ -166,24 +168,32 @@ def make_grid(s_min: float, s_max: float, M: int, N: int) -> RadialGrid:
     return RadialGrid(s_min=float(s_min), s_max=float(s_max), M=int(M), N=int(N))
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Nodal values of a radial function; the outer node is always zero."""
+class RadialProfile(_Value):
+    """Nodal values of a radial function; the outer node is always zero.
 
-    grid: RadialGrid
-    values: np.ndarray = field(repr=False)
+    values is a read-only float copy of the argument. Two profiles are
+    equal when their grids are and their values agree bit for bit; the
+    repr shows the grid only.
+    """
 
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.grid.M,):
+    __slots__ = ("grid", "values")
+    _fields = ("grid",)
+
+    def __init__(self, grid: RadialGrid, values: np.ndarray):
+        vals = np.array(values, dtype=float)
+        if vals.shape != (grid.M,):
             raise DomainError(
-                f"profile needs {self.grid.M} nodal values, got shape {vals.shape}"
+                f"profile needs {grid.M} nodal values, got shape {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
             raise DomainError("profile values must be finite")
         vals[-1] = 0.0
         vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        _set(self, "grid", grid)
+        _set(self, "values", vals)
+
+    def _key(self) -> tuple:
+        return self.grid, self.values.tobytes()
 
     def is_zero(self) -> bool:
         return not np.any(self.values)

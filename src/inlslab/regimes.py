@@ -36,11 +36,10 @@ are the previous line's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import DomainError, EmptyGridError, HypothesisViolation, SearchFailed
+from .errors import DomainError, EmptyGridError, HypothesisViolation, SearchFailed, _set, _Value
 
 EQ_TOL = 1e-12
 
@@ -58,8 +57,7 @@ class Regime(str, Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(_Value):
     """Validated problem parameters plus derived exponents.
 
     delta is the scaling rate of u_t(x) = t^delta u(tx); a is the unique
@@ -68,47 +66,74 @@ class Params:
     the scaling orbit.
     """
 
-    N: int
-    b: float
-    q: float
-    p: float
-    delta: float
-    a: float
-    ell: float
+    __slots__ = ("N", "b", "q", "p", "delta", "a", "ell", "_values")
+    _fields = __slots__[:-1]
+
+    def __init__(self, N: int, b: float, q: float, p: float, delta: float, a: float, ell: float):
+        _set(self, "N", N)
+        _set(self, "b", b)
+        _set(self, "q", q)
+        _set(self, "p", p)
+        _set(self, "delta", delta)
+        _set(self, "a", a)
+        _set(self, "ell", ell)
+        _set(self, "_values", (N, b, q, p, delta, a, ell))
+
+    # Params keys the _row cache: every lookup hashes it, and compares it
+    # with the cached key when it is an equal Params built apart from it.
+    # The field tuple kept in _values makes each one call, as fast as the
+    # generated dataclass methods were.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
 
 
-@dataclass(frozen=True)
-class WeightedPair:
+class WeightedPair(_Value):
     """A candidate weight/power pair (eta, r) for one nonlinearity term."""
 
-    eta: float
-    r: float
+    __slots__ = _fields = ("eta", "r")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta >= 0):
-            raise DomainError(f"eta must be finite and >= 0, got {self.eta}")
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise DomainError(f"r must be finite and > 0, got {self.r}")
-
-
-@dataclass(frozen=True)
-class EmbeddingInterval:
-    """Range of powers r for which the energy space embeds into L^r_eta."""
-
-    lower: float
-    upper: float  # math.inf marks the open upper range in dimension 2
-    lower_included: bool
-    upper_included: bool
-    radial: bool
-    compact_interior: bool
+    def __init__(self, eta: float, r: float):
+        if not (math.isfinite(eta) and eta >= 0):
+            raise DomainError(f"eta must be finite and >= 0, got {eta}")
+        if not (math.isfinite(r) and r > 0):
+            raise DomainError(f"r must be finite and > 0, got {r}")
+        _set(self, "eta", eta)
+        _set(self, "r", r)
 
 
-@dataclass(frozen=True)
-class RegimeVerdict:
-    admissible: bool
-    regime: Regime
-    interval: EmbeddingInterval | None
-    reason: str
+class EmbeddingInterval(_Value):
+    """Range of powers r for which the energy space embeds into L^r_eta.
+
+    upper is math.inf for the open upper range in dimension 2.
+    """
+
+    __slots__ = _fields = ("lower", "upper", "lower_included", "upper_included", "radial",
+                           "compact_interior")
+
+    def __init__(self, lower: float, upper: float, lower_included: bool, upper_included: bool,
+                 radial: bool, compact_interior: bool):
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "lower_included", lower_included)
+        _set(self, "upper_included", upper_included)
+        _set(self, "radial", radial)
+        _set(self, "compact_interior", compact_interior)
+
+
+class RegimeVerdict(_Value):
+    __slots__ = _fields = ("admissible", "regime", "interval", "reason")
+
+    def __init__(self, admissible: bool, regime: Regime, interval: EmbeddingInterval | None,
+                 reason: str):
+        _set(self, "admissible", admissible)
+        _set(self, "regime", regime)
+        _set(self, "interval", interval)
+        _set(self, "reason", reason)
 
 
 def derive_params(N: int, b: float, q: float, p: float) -> Params:
@@ -431,8 +456,15 @@ def _finite(*xs: float) -> bool:
     return all(math.isfinite(x) for x in xs)
 
 
+def _out_of_range(what: str) -> DomainError:
+    return DomainError(f"{what} lies outside the float range for these inputs")
+
+
 def ps_threshold(N: int, eta1: float, S: float) -> float:
-    """Compactness level c* = (2-eta1)/(2(N-eta1)) * S^((N-eta1)/(2-eta1))."""
+    """Compactness level c* = (2-eta1)/(2(N-eta1)) * S^((N-eta1)/(2-eta1)).
+
+    Raises DomainError when c* overflows a float.
+    """
     if N < 3:
         raise DomainError(f"N >= 3 required, got {N}")
     if not 0 <= eta1 < 2:
@@ -441,7 +473,11 @@ def ps_threshold(N: int, eta1: float, S: float) -> float:
         raise DomainError(f"S must be finite and >= 0, got {S}")
     if S == 0:
         return 0.0
-    return (2.0 - eta1) / (2.0 * (N - eta1)) * S ** ((N - eta1) / (2.0 - eta1))
+    try:
+        power = S ** ((N - eta1) / (2.0 - eta1))
+    except OverflowError:
+        raise _out_of_range("c*") from None
+    return (2.0 - eta1) / (2.0 * (N - eta1)) * power
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -466,7 +502,9 @@ def tilde_s_root(mu: float, S1: float, S2: float, N: int, eta1: float, eta2: flo
 
     with c_i = 2(N-eta_i)/(N-2). The left side increases strictly from 0,
     so bisection of a bracket applies; the result is polished by Newton
-    steps until the equation residual is below 1e-13.
+    steps until the equation residual is below 1e-13. Raises DomainError
+    when S~, or a coefficient of the equation, lies outside the float
+    range.
     """
     if N < 3:
         raise DomainError(f"N >= 3 required, got {N}")
@@ -477,19 +515,22 @@ def tilde_s_root(mu: float, S1: float, S2: float, N: int, eta1: float, eta2: flo
         raise DomainError("S1 and S2 must be finite and positive")
     if not (math.isfinite(mu) and mu >= 0):
         raise DomainError(f"mu must be finite and >= 0, got {mu}")
+    try:
+        return _tilde_s(mu, S1, S2, N, eta1, eta2)
+    except (OverflowError, ZeroDivisionError):  # a power or quotient left the float range
+        raise _out_of_range("S~") from None
 
-    c1 = critical_exponent(N, eta1)
-    c2 = critical_exponent(N, eta2)
-    k1 = S1 ** (-c1 / 2.0)
-    k2 = mu * S2 ** (-c2 / 2.0)
+
+def _tilde_s(mu: float, S1: float, S2: float, N: int, eta1: float, eta2: float) -> float:
+    if mu == 0.0:
+        return S1 ** ((N - eta1) / (2.0 - eta1))
+    k1 = S1 ** (-critical_exponent(N, eta1) / 2.0)
+    k2 = mu * S2 ** (-critical_exponent(N, eta2) / 2.0)
     e1 = (2.0 - eta1) / (N - 2.0)
     e2 = (2.0 - eta2) / (N - 2.0)
 
     def f(x: float) -> float:
         return k2 * x ** e2 + k1 * x ** e1 - 1.0
-
-    if mu == 0.0:
-        return S1 ** ((N - eta1) / (2.0 - eta1))
 
     lo, hi = 1.0, 1.0
     for _ in range(2000):
@@ -500,6 +541,8 @@ def tilde_s_root(mu: float, S1: float, S2: float, N: int, eta1: float, eta2: flo
         if f(hi) > 0:
             break
         hi *= 2.0
+    if not (f(lo) < 0 < f(hi) and hi < INF):
+        raise _out_of_range("S~")
     x = _bisect(f, lo, hi)
     if x == 0.0:
         raise DomainError("S~ lies below the smallest positive float for these inputs")
@@ -519,7 +562,8 @@ def gamma_mu_roots(mu: float, C: float, C1: float, exp_low: float, exp_high: flo
     exp_low must lie in (0, 1) and exp_high in (1, inf); gamma is then
     negative on [0, R1) and (R2, inf) and nonnegative between. For
     mu = 0 the inner radius degenerates to 0. Raises DomainError when mu
-    is too large for a sign change to exist.
+    is too large for a sign change to exist, or when a radius lies
+    outside the float range.
     """
     if not 0 < exp_low < 1:
         raise DomainError(f"exp_low must lie in (0, 1), got {exp_low}")
@@ -527,7 +571,13 @@ def gamma_mu_roots(mu: float, C: float, C1: float, exp_low: float, exp_high: flo
         raise DomainError(f"exp_high must be finite and > 1, got {exp_high}")
     if not (_finite(mu, C, C1) and C >= 0 and C1 > 0 and mu >= 0):
         raise DomainError("require finite C >= 0, C1 > 0, mu >= 0")
+    try:
+        return _gamma_roots(mu, C, C1, exp_low, exp_high)
+    except (OverflowError, ZeroDivisionError):  # a power or quotient left the float range
+        raise _out_of_range("a truncation radius") from None
 
+
+def _gamma_roots(mu: float, C: float, C1: float, exp_low: float, exp_high: float):
     # gamma(t)/t = 1 - g(t), g(t) = C mu t^(exp_low-1) + C1 t^(exp_high-1)
     def g(t: float) -> float:
         return C * mu * t ** (exp_low - 1.0) + C1 * t ** (exp_high - 1.0)
@@ -535,6 +585,8 @@ def gamma_mu_roots(mu: float, C: float, C1: float, exp_low: float, exp_high: flo
     if mu == 0.0 or C == 0.0:
         return 0.0, C1 ** (-1.0 / (exp_high - 1.0))
     tstar = (C * mu * (1.0 - exp_low) / (C1 * (exp_high - 1.0))) ** (1.0 / (exp_high - exp_low))
+    if not 0.0 < tstar < INF:
+        raise _out_of_range("a truncation radius")
     gmin = g(tstar)
     if gmin > 1.0:
         raise DomainError(
@@ -558,6 +610,8 @@ def gamma_mu_roots(mu: float, C: float, C1: float, exp_low: float, exp_high: flo
         if f(hi) > 0:
             break
         hi *= 2.0
+    if not hi < INF:
+        raise _out_of_range("a truncation radius")
     r2 = _bisect(f, tstar, hi)
     return r1, r2
 

@@ -54,11 +54,10 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NotCoerciveConfig, SingularHessian, ZeroProfileError
+from .errors import DomainError, NotCoerciveConfig, SingularHessian, ZeroProfileError, _set, _Value
 from .functionals import (
     Energy,
     TermSpec,
@@ -71,38 +70,55 @@ from .grid import RadialGrid, RadialProfile, sample_function, shift_values
 from .regimes import Params, Regime, WeightedPair, classify_pair, critical_exponent, ell_of
 
 
-@dataclass(frozen=True)
-class SolveOptions:
+class SolveOptions(_Value):
     """Iteration budget, stationarity tolerance, and the Armijo constant.
 
     seed is carried for randomized-init workflows; the built-in inits
     are deterministic, so identical options give identical runs.
     """
 
-    max_iters: int = 50_000
-    grad_tol: float = 1e-8
-    armijo_c: float = 1e-4
-    seed: int = 0
+    __slots__ = _fields = ("max_iters", "grad_tol", "armijo_c", "seed")
 
-    def __post_init__(self):
-        if self.max_iters < 1:
+    def __init__(self, max_iters: int = 50_000, grad_tol: float = 1e-8, armijo_c: float = 1e-4,
+                 seed: int = 0):
+        if max_iters < 1:
             raise DomainError("max_iters must be >= 1")
-        if self.grad_tol <= 0:
+        if grad_tol <= 0:
             raise DomainError("grad_tol must be positive")
-        if not 0 < self.armijo_c < 1:
+        if not 0 < armijo_c < 1:
             raise DomainError("armijo_c must lie in (0, 1)")
+        _set(self, "max_iters", max_iters)
+        _set(self, "grad_tol", grad_tol)
+        _set(self, "armijo_c", armijo_c)
+        _set(self, "seed", seed)
 
 
-@dataclass
-class SolveReport:
-    value: float
-    iters: int
-    el_res: float
-    pohozaev_res: float
-    eigen_rel_res: float
-    converged: bool
-    profile_path: str | None = None
-    profile: RadialProfile | None = field(default=None, repr=False)
+class SolveReport(_Value):
+    """What a solve returns. Unlike the other records it is mutable (the
+    CLI sets profile_path after writing the profile) and so unhashable;
+    equality also compares profile, which the repr leaves out."""
+
+    __slots__ = ("value", "iters", "el_res", "pohozaev_res", "eigen_rel_res", "converged",
+                 "profile_path", "profile")
+    _fields = __slots__[:-1]  # all but profile
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, value: float, iters: int, el_res: float, pohozaev_res: float,
+                 eigen_rel_res: float, converged: bool, profile_path: str | None = None,
+                 profile: RadialProfile | None = None):
+        self.value = value
+        self.iters = iters
+        self.el_res = el_res
+        self.pohozaev_res = pohozaev_res
+        self.eigen_rel_res = eigen_rel_res
+        self.converged = converged
+        self.profile_path = profile_path
+        self.profile = profile
+
+    def _key(self) -> tuple:
+        return (*_Value._key(self), self.profile)
 
     def to_dict(self) -> dict:
         return {

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import inlslab as il
-from inlslab.cli import _linspace, main
+from inlslab.cli import _linspace, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -225,13 +225,33 @@ def test_readme_commands_in_a_fresh_interpreter(tmp_path, monkeypatch, capsys):
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == out, argv[0]
         modules = proc.stderr.splitlines()[-1].split()
+        # generated dataclass code costs every command about 1 ms per class
+        assert "dataclasses" not in modules, argv[0]
         if argv[0] in ("classify", "region-map", "thresholds"):
-            assert _loaded(modules, "numpy", "scipy") == [], argv[0]
+            assert _loaded(modules, "numpy", "scipy", "inspect") == [], argv[0]
         elif argv[0] == "verify":
             assert _loaded(modules, "scipy") == []
         else:  # the solvers load LAPACK from its file, not the scipy.linalg package
             assert "scipy.linalg" not in modules, argv[0]
             assert "scipy.linalg._flapack" in modules, argv[0]
+
+
+def _parser_output(parser, argv, capsys):
+    # help and usage errors print, then end in SystemExit
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
+def test_one_command_parser_matches_the_full_parser(argv, capsys):
+    # main builds only the subparser of the command it runs; what it parses
+    # and every text it prints must be the full parser's
+    command = argv[0]
+    assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
+    for probe in ([command, "--help"], [command], [*argv, "extra"], [*argv, "--N", "x"]):
+        assert (_parser_output(build_parser(command), probe, capsys)
+                == _parser_output(build_parser(), probe, capsys)), probe
 
 
 def _malformed_profile(tmp_path, first_line=None, bad_row=False):
@@ -290,12 +310,18 @@ _WINDOW = ("--b", "1", "--q", "3.5", "--p", "3", "--eta", "1.8", "--r", "2.2")
         lambda d: _thresholds("--S1", "1.0", "--eta2", "1.0", "--S2", "1.0", "--mu", "inf"),
         lambda d: _thresholds("--S1", "1.0", "--mu", "0.3", "--C", "nan", "--C1", "1", *_WINDOW),
         lambda d: _thresholds("--S1", "1.0", "--mu", "0.3", "--C", "1", "--C1", "inf", *_WINDOW),
+        lambda d: _thresholds("--S1", "1e300"),
+        lambda d: _thresholds("--S1", "1e-300", "--eta2", "1.0", "--S2", "1.0", "--mu", "0.3"),
+        lambda d: _thresholds("--S1", "1.0", "--C", "1", "--C1", "1"),
+        lambda d: ["minimize", *PARAMS, "--s-min", "1e-2", "--s-max", "1e2", "--M", "64",
+                   "--term", "1.0,1.8"],
     ],
     ids=["missing-profile", "directory-profile", "header-not-json", "header-missing-keys",
          "row-not-numeric", "negative-steps", "unwritable-csv", "unwritable-out-dir",
          "classify-r-nan", "classify-r-inf", "classify-eta-nan", "region-map-eta-nan",
          "thresholds-S1-nan", "thresholds-S1-inf", "thresholds-S2-nan", "thresholds-mu-inf",
-         "thresholds-C-nan", "thresholds-C1-inf"],
+         "thresholds-C-nan", "thresholds-C1-inf", "thresholds-cstar-overflow",
+         "thresholds-tilde-s-overflow", "thresholds-window-without-exponents", "minimize-term-malformed"],
 )
 def test_bad_input_is_a_json_error(tmp_path, capsys, make_argv):
     # bad files and arguments are validation errors: one JSON document on
