@@ -29,6 +29,7 @@ _EXPORTS = {
 }
 #: public name -> the submodule that defines it
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name):
@@ -45,63 +46,3 @@ def __dir__():
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Diverged",
-    "DomainError",
-    "EmptyGridError",
-    "EmbeddingInterval",
-    "FunctionalReport",
-    "HypothesisViolation",
-    "InlsError",
-    "NotCoerciveConfig",
-    "Params",
-    "ProfileFamily",
-    "RadialGrid",
-    "RadialProfile",
-    "Regime",
-    "RegimeVerdict",
-    "SearchFailed",
-    "SingularHessian",
-    "SolveOptions",
-    "SolveReport",
-    "TermSpec",
-    "WeightedPair",
-    "ZeroProfileError",
-    "I_energy",
-    "J_energy",
-    "classify_pair",
-    "critical_exponent",
-    "derive_params",
-    "dirichlet_energy",
-    "eigen_relation_residual",
-    "el_residual",
-    "ell_of",
-    "functional_report",
-    "gamma_mu_roots",
-    "grad_phi",
-    "interpolation_pair",
-    "load_profile",
-    "lower_endpoint",
-    "make_grid",
-    "minimize_coercive",
-    "minimize_rayleigh",
-    "newton_refine",
-    "nonexistence",
-    "phi",
-    "pohozaev_residual",
-    "probe_best_constant",
-    "project_to_M",
-    "ps_threshold",
-    "rayleigh",
-    "region_map",
-    "region_map_csv",
-    "sample_function",
-    "save_profile",
-    "scale",
-    "scale_profile",
-    "scaled_threshold",
-    "sphere_area",
-    "tilde_s_root",
-    "weighted_integral",
-]

@@ -50,13 +50,14 @@ def _add_grid(ap: argparse.ArgumentParser) -> None:
 def _add_opts(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--max-iters", type=int, default=50_000)
     ap.add_argument("--grad-tol", type=float, default=1e-8)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0,
+                    help="unused: every init is deterministic (kept for old command lines)")
 
 
 def _opts(args):
     from .solver import SolveOptions
 
-    return SolveOptions(max_iters=args.max_iters, grad_tol=args.grad_tol, seed=args.seed)
+    return SolveOptions(max_iters=args.max_iters, grad_tol=args.grad_tol)
 
 
 def _parse_term(text: str):
@@ -224,16 +225,7 @@ def _run(args) -> int:
                 "admissible": verdict.admissible,
                 "regime": verdict.regime.value,
                 "reason": verdict.reason,
-                "interval": None
-                if iv is None
-                else {
-                    "lower": iv.lower,
-                    "upper": iv.upper,
-                    "lower_included": iv.lower_included,
-                    "upper_included": iv.upper_included,
-                    "radial": iv.radial,
-                    "compact_interior": iv.compact_interior,
-                },
+                "interval": None if iv is None else iv.to_dict(),
             }
         )
         return 0

@@ -6,7 +6,7 @@ emit stable one-line JSON diagnostics and map failures to exit codes.
 _Value is the base of the package's small record classes (Params,
 WeightedPair, RadialGrid, SolveReport, ...). Each is a __slots__ class
 with an explicit __init__ that validates its arguments; _Value supplies
-value equality, hashing, the repr and frozen attributes. Generated
+value equality, hashing, the repr, to_dict and frozen attributes. Generated
 dataclass code would do the same, but building it costs every CLI
 command about a millisecond per class at start-up.
 """
@@ -25,7 +25,8 @@ class _Value:
     _set. Instances compare equal only to instances of the same class
     with equal ``_key()``, which is the ``_fields`` values unless the
     subclass overrides it, and hash by ``_key()``. The repr reads
-    ``Class(field=value, ...)``. Assigning or deleting an attribute
+    ``Class(field=value, ...)`` and to_dict() gives ``{field: value}``,
+    both in ``_fields`` order. Assigning or deleting an attribute
     raises AttributeError. copy and pickle restore the slots through
     __setstate__.
     """
@@ -35,6 +36,9 @@ class _Value:
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

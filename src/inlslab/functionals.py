@@ -59,15 +59,6 @@ class FunctionalReport(_Value):
         _set(self, "phi", phi)
         _set(self, "grad_norm", grad_norm)
 
-    def to_dict(self) -> dict:
-        return {
-            "I": self.I,
-            "J": self.J,
-            "rayleigh": self.rayleigh,
-            "phi": self.phi,
-            "grad_norm": self.grad_norm,
-        }
-
 
 def energy_terms(params: Params, lam: float, terms: list[TermSpec]) -> list[tuple[float, float, float]]:
     """The (coeff, eta, r) list of Phi, each meaning coeff * int |u|^r |x|^-eta:

@@ -23,7 +23,6 @@ origin); above s_max by zero.
 
 from __future__ import annotations
 
-import json
 import math
 from functools import cached_property
 from enum import Enum
@@ -303,6 +302,8 @@ def save_profile(u: RadialProfile, path, family: str = "custom", params: dict | 
 
     The format round-trips bit-exactly: floats carry 17 significant digits.
     """
+    import json  # here, not at module level: the solver commands without --out never load it
+
     g = u.grid
     meta = {
         "N": g.N,
@@ -325,6 +326,8 @@ def load_profile(path) -> RadialProfile:
     A file that cannot be read or is not in save_profile's format raises
     DomainError.
     """
+    import json
+
     try:
         with open(path) as fh:
             header = fh.readline()

@@ -480,6 +480,17 @@ def ps_threshold(N: int, eta1: float, S: float) -> float:
     return (2.0 - eta1) / (2.0 * (N - eta1)) * power
 
 
+def _scan(f, x: float, factor: float, below: bool = False) -> float:
+    """The first x*factor^k, k = 0 ... 1999, where f is positive (negative
+    when below is set), by repeated multiplication; x*factor^2000 if none."""
+    for _ in range(2000):
+        fx = f(x)
+        if (fx < 0) if below else (fx > 0):
+            break
+        x *= factor
+    return x
+
+
 def _bisect(f, lo: float, hi: float) -> float:
     """Root of f in a bracket [lo, hi] where f changes sign, by bisection
     down to adjacent floats; returns the end with the smaller |f|."""
@@ -501,10 +512,11 @@ def tilde_s_root(mu: float, S1: float, S2: float, N: int, eta1: float, eta2: flo
         mu S2^(-c2/2) S~^((2-eta2)/(N-2)) + S1^(-c1/2) S~^((2-eta1)/(N-2)) = 1
 
     with c_i = 2(N-eta_i)/(N-2). The left side increases strictly from 0,
-    so bisection of a bracket applies; the result is polished by Newton
-    steps until the equation residual is below 1e-13. Raises DomainError
+    so bisection of a bracket applies; it runs down to adjacent floats
+    and returns the one with the smaller residual. Raises DomainError
     when S~, or a coefficient of the equation, lies outside the float
-    range.
+    range, or so deep among the subnormal floats that none of them
+    solves the equation to 1e-13.
     """
     if N < 3:
         raise DomainError(f"N >= 3 required, got {N}")
@@ -532,27 +544,17 @@ def _tilde_s(mu: float, S1: float, S2: float, N: int, eta1: float, eta2: float) 
     def f(x: float) -> float:
         return k2 * x ** e2 + k1 * x ** e1 - 1.0
 
-    lo, hi = 1.0, 1.0
-    for _ in range(2000):
-        if f(lo) < 0:
-            break
-        lo *= 0.5
-    for _ in range(2000):
-        if f(hi) > 0:
-            break
-        hi *= 2.0
+    lo = _scan(f, 1.0, 0.5, below=True)
+    hi = _scan(f, 1.0, 2.0)
     if not (f(lo) < 0 < f(hi) and hi < INF):
         raise _out_of_range("S~")
     x = _bisect(f, lo, hi)
     if x == 0.0:
         raise DomainError("S~ lies below the smallest positive float for these inputs")
-    # Newton polish against residual
-    for _ in range(8):
-        res = f(x)
-        if abs(res) <= 1e-13:
-            break
-        dfd = k2 * e2 * x ** (e2 - 1.0) + k1 * e1 * x ** (e1 - 1.0)
-        x -= res / dfd
+    # x f'(x) <= 2 at the root, so a normal float leaves a residual of a few
+    # ulps of 1; a larger one means the subnormal floats are too coarse there
+    if abs(f(x)) > 1e-13:
+        raise _out_of_range("S~")
     return x
 
 
@@ -599,17 +601,8 @@ def _gamma_roots(mu: float, C: float, C1: float, exp_low: float, exp_high: float
     def f(t: float) -> float:
         return g(t) - 1.0
 
-    lo = tstar
-    for _ in range(2000):
-        if f(lo) > 0:
-            break
-        lo *= 0.5
-    r1 = _bisect(f, lo, tstar)
-    hi = tstar
-    for _ in range(2000):
-        if f(hi) > 0:
-            break
-        hi *= 2.0
+    r1 = _bisect(f, _scan(f, tstar, 0.5), tstar)
+    hi = _scan(f, tstar, 2.0)
     if not hi < INF:
         raise _out_of_range("a truncation radius")
     r2 = _bisect(f, tstar, hi)

@@ -71,26 +71,21 @@ from .regimes import Params, Regime, WeightedPair, classify_pair, critical_expon
 
 
 class SolveOptions(_Value):
-    """Iteration budget, stationarity tolerance, and the Armijo constant.
+    """Iteration budget and stationarity (dual-norm residual) tolerance.
 
-    seed is carried for randomized-init workflows; the built-in inits
-    are deterministic, so identical options give identical runs.
+    Every built-in init is deterministic, so identical options give
+    identical runs.
     """
 
-    __slots__ = _fields = ("max_iters", "grad_tol", "armijo_c", "seed")
+    __slots__ = _fields = ("max_iters", "grad_tol")
 
-    def __init__(self, max_iters: int = 50_000, grad_tol: float = 1e-8, armijo_c: float = 1e-4,
-                 seed: int = 0):
+    def __init__(self, max_iters: int = 50_000, grad_tol: float = 1e-8):
         if max_iters < 1:
             raise DomainError("max_iters must be >= 1")
         if grad_tol <= 0:
             raise DomainError("grad_tol must be positive")
-        if not 0 < armijo_c < 1:
-            raise DomainError("armijo_c must lie in (0, 1)")
         _set(self, "max_iters", max_iters)
         _set(self, "grad_tol", grad_tol)
-        _set(self, "armijo_c", armijo_c)
-        _set(self, "seed", seed)
 
 
 class SolveReport(_Value):
@@ -120,20 +115,11 @@ class SolveReport(_Value):
     def _key(self) -> tuple:
         return (*_Value._key(self), self.profile)
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "iters": self.iters,
-            "el_res": self.el_res,
-            "pohozaev_res": self.pohozaev_res,
-            "eigen_rel_res": self.eigen_rel_res,
-            "converged": self.converged,
-            "profile_path": self.profile_path,
-        }
-
 
 #: a value change below this multiple of |value| is roundoff (_newton)
 _FLOOR = 64.0 * np.finfo(float).eps
+#: sufficient-decrease constant of _newton's Armijo test
+_ARMIJO_C = 1e-4
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -325,7 +311,7 @@ def _newton(obj, vals, pre, opts):
             fv, sv = obj.evaluate(trial)
             slope = float(np.dot(g[free], d)) / scale
             # fv - f0, not f0 + c slope: that sum rounds to f0 once slope is tiny
-            armijo = slope < 0 and fv - f0 <= opts.armijo_c * slope
+            armijo = slope < 0 and fv - f0 <= _ARMIJO_C * slope
             if armijo or fv <= f0 + _FLOOR * abs(f0):
                 gv = obj.grad(trial, fv, sv)
                 rv = quad.dual_norm(gv)
@@ -417,8 +403,7 @@ def minimize_rayleigh(
     """
     if init.is_zero():
         raise ZeroProfileError("minimize_rayleigh needs a nonzero initial profile")
-    if init.grid is not grid and (init.grid.M != grid.M or init.grid.s_min != grid.s_min
-                                  or init.grid.s_max != grid.s_max or init.grid.N != grid.N):
+    if init.grid != grid:
         raise DomainError("init profile lives on a different grid")
     if grid.N != params.N:
         raise DomainError("grid dimension does not match params.N")

@@ -20,6 +20,24 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+#: the README classify command's stdout; the interval keys follow EmbeddingInterval._fields
+README_CLASSIFY_STDOUT = """\
+{
+  "admissible": true,
+  "regime": "Scaled",
+  "reason": "OK",
+  "interval": {
+    "lower": 2.916666666666667,
+    "upper": 3.3333333333333335,
+    "lower_included": false,
+    "upper_included": true,
+    "radial": false,
+    "compact_interior": true
+  }
+}
+"""
+
+
 def test_classify_scaled(capsys):
     code, out, _ = run_cli(
         capsys, "classify", "--N", "3", "--b", "1", "--q", "3.5", "--p", "3",
@@ -29,6 +47,7 @@ def test_classify_scaled(capsys):
     doc = json.loads(out)
     assert doc["regime"] == "Scaled" and doc["admissible"] is True
     assert doc["interval"]["lower"] < 3 < doc["interval"]["upper"]
+    assert out == README_CLASSIFY_STDOUT
 
 
 def test_classify_validation_error(capsys):
@@ -227,6 +246,9 @@ def test_readme_commands_in_a_fresh_interpreter(tmp_path, monkeypatch, capsys):
         modules = proc.stderr.splitlines()[-1].split()
         # generated dataclass code costs every command about 1 ms per class
         assert "dataclasses" not in modules, argv[0]
+        if argv[0] in ("probe", "minimize"):
+            # json is imported only to save or load a profile
+            assert "json" not in modules, argv[0]
         if argv[0] in ("classify", "region-map", "thresholds"):
             assert _loaded(modules, "numpy", "scipy", "inspect") == [], argv[0]
         elif argv[0] == "verify":
@@ -348,7 +370,24 @@ def test_linspace_rejects_negative_count():
         _linspace(0.0, 1.0, -1)
 
 
+#: the public names, as __all__ listed them when it was written out by hand
+PUBLIC_NAMES = """
+Diverged DomainError EmptyGridError EmbeddingInterval FunctionalReport HypothesisViolation
+InlsError NotCoerciveConfig Params ProfileFamily RadialGrid RadialProfile Regime RegimeVerdict
+SearchFailed SingularHessian SolveOptions SolveReport TermSpec WeightedPair ZeroProfileError
+I_energy J_energy classify_pair critical_exponent derive_params dirichlet_energy
+eigen_relation_residual el_residual ell_of functional_report gamma_mu_roots grad_phi
+interpolation_pair load_profile lower_endpoint make_grid minimize_coercive minimize_rayleigh
+newton_refine nonexistence phi pohozaev_residual probe_best_constant project_to_M ps_threshold
+rayleigh region_map region_map_csv sample_function save_profile scale scale_profile
+scaled_threshold sphere_area tilde_s_root weighted_integral
+""".split()
+
+
 def test_lazy_namespace():
+    assert len(PUBLIC_NAMES) == 57
+    assert sorted(il.__all__) == sorted(PUBLIC_NAMES)
+    assert len(set(il.__all__)) == len(il.__all__)
     for name in il.__all__:
         assert getattr(il, name) is not None
         assert name in dir(il)

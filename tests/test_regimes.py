@@ -377,11 +377,44 @@ def test_tilde_s_residual():
     assert abs(res) <= 1e-10
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-12.0, 12.0), st.floats(-40.0, 40.0), st.floats(-40.0, 40.0), st.integers(3, 20),
+       st.floats(0.0, 1.999), st.floats(0.0, 1.999))
+def test_tilde_s_root_is_float_exact(log_mu, log_s1, log_s2, N, eta1, eta2):
+    # the bisection runs down to two adjacent floats and returns the one with
+    # the smaller residual, so neither neighbouring float has a smaller one
+    mu, S1, S2 = 10.0 ** log_mu, 10.0 ** log_s1, 10.0 ** log_s2
+    try:
+        x = il.tilde_s_root(mu, S1, S2, N, eta1, eta2)
+    except il.DomainError:  # S~ or a coefficient outside the float range
+        return
+    k1 = S1 ** (-il.critical_exponent(N, eta1) / 2.0)
+    k2 = mu * S2 ** (-il.critical_exponent(N, eta2) / 2.0)
+    e1, e2 = (2.0 - eta1) / (N - 2.0), (2.0 - eta2) / (N - 2.0)
+
+    def residual(t):
+        try:
+            return abs(k2 * t ** e2 + k1 * t ** e1 - 1.0)
+        except OverflowError:
+            return math.inf
+
+    assert residual(x) <= residual(math.nextafter(x, 0.0))
+    assert residual(x) <= residual(math.nextafter(x, math.inf))
+
+
 def test_tilde_s_below_float_range():
     # mu S2^(-c2/2) = 24.85 with exponent 0.0026 puts the root near 1e-542
     with pytest.raises(il.DomainError):
         il.tilde_s_root(4.4062446981743655, 3.6284876373629196, 0.1780804114700412,
                         6, 0.9938053327681786, 1.98971304724382)
+
+
+def test_tilde_s_among_coarse_subnormals():
+    # the float nearest the root, 5e-324, leaves a residual of 0.52: no float
+    # solves the equation
+    with pytest.raises(il.DomainError, match="outside the float range"):
+        il.tilde_s_root(7809.439839124384, 2.7471114229544945e+18, 2.9022390887824655e-26,
+                        7, 0.04992035504305562, 1.5088634863421797)
 
 
 def test_gamma_roots():

@@ -347,8 +347,6 @@ def test_solve_options_validation():
         il.SolveOptions(max_iters=0)
     with pytest.raises(il.DomainError):
         il.SolveOptions(grad_tol=0.0)
-    with pytest.raises(il.DomainError):
-        il.SolveOptions(armijo_c=1.5)
 
 
 def test_solve_report_serialization(eigen_run):

@@ -53,8 +53,8 @@ CASES = {
         "FunctionalReport(I=1.0, J=2.0, rayleigh=0.5, phi=-0.25, grad_norm=1e-09)",
     ),
     "SolveOptions": (
-        lambda x: il.SolveOptions(seed=int(x) - 1),
-        "SolveOptions(max_iters=50000, grad_tol=1e-08, armijo_c=0.0001, seed=0)",
+        lambda x: il.SolveOptions(max_iters=int(50_000 * x)),
+        "SolveOptions(max_iters=50000, grad_tol=1e-08)",
     ),
     "SolveReport": (
         lambda x: il.SolveReport(1.5 * x, 3, 1e-9, 2e-9, 3e-9, True, "run/profile.csv", _profile()),
@@ -86,6 +86,12 @@ def test_equality_by_value_within_one_class(name):
             assert a != CASES[other_name][0](1.0)
     assert a != tuple(getattr(a, f) for f in type(a)._fields)
     assert a.__eq__(object()) is NotImplemented
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_to_dict_maps_the_repr_fields_in_order(name):
+    a = CASES[name][0](1.0)
+    assert list(a.to_dict().items()) == [(f, getattr(a, f)) for f in type(a)._fields]
 
 
 @pytest.mark.parametrize("name", FROZEN)
@@ -141,8 +147,10 @@ def test_profiles_compare_their_values_bit_for_bit():
 
 
 def test_constructors_take_defaults_positions_and_keywords():
-    assert il.SolveOptions() == il.SolveOptions(50_000, 1e-8, 1e-4, 0)
+    assert il.SolveOptions() == il.SolveOptions(50_000, 1e-8)
     assert il.SolveOptions(grad_tol=1e-6).grad_tol == 1e-6
+    with pytest.raises(TypeError):
+        il.SolveOptions(seed=0)  # no solver read it; the built-in inits are deterministic
     assert il.WeightedPair(eta=1.0, r=2.0) == il.WeightedPair(1.0, 2.0)
     report = il.SolveReport(value=1.0, iters=1, el_res=0.0, pohozaev_res=0.0, eigen_rel_res=0.0,
                             converged=False)
