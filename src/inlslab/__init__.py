@@ -7,8 +7,8 @@ energies, and Pohozaev-based verification of computed solutions.
 
 The public names resolve lazily (PEP 562): `import inlslab` loads no
 submodule, and the first use of a name imports the module that defines
-it. The scalar exponent calculus (regimes) runs without numpy, so a
-program that uses only it never loads numpy.
+it. The scalar exponent calculus (exponents and regimes) runs without
+numpy, so a program that uses only it never loads numpy.
 """
 
 from importlib import import_module
@@ -21,9 +21,10 @@ _EXPORTS = {
     "scale_profile",
     "grid": "ProfileFamily RadialGrid RadialProfile dirichlet_energy load_profile make_grid "
     "sample_function save_profile scale sphere_area weighted_integral",
-    "regimes": "EmbeddingInterval Params Regime RegimeVerdict WeightedPair classify_pair "
-    "critical_exponent derive_params ell_of gamma_mu_roots interpolation_pair lower_endpoint "
-    "nonexistence ps_threshold region_map region_map_csv scaled_threshold tilde_s_root",
+    "exponents": "Params critical_exponent derive_params ell_of",
+    "regimes": "EmbeddingInterval Regime RegimeVerdict WeightedPair classify_pair gamma_mu_roots "
+    "interpolation_pair lower_endpoint nonexistence ps_threshold region_map region_map_csv "
+    "scaled_threshold tilde_s_root",
     "solver": "SolveOptions SolveReport minimize_coercive minimize_rayleigh newton_refine "
     "probe_best_constant",
 }

@@ -166,7 +166,7 @@ _COMMANDS = {
     "minimize": ("negative-level minimizer of the coercive energy", _minimize_args),
     "verify": ("recompute residuals for a stored profile", _verify_args),
     "thresholds": ("compactness levels c*, S-tilde, truncation radii", _thresholds_args),
-    "probe": ("upper bound for the embedding constant S_eta", _probe_args),
+    "probe": ("estimate of the embedding constant S_eta on the window", _probe_args),
 }
 
 

@@ -28,8 +28,8 @@ import math
 import numpy as np
 
 from .errors import DomainError, SearchFailed, ZeroProfileError, _set, _Value
+from .exponents import Params
 from .grid import RadialGrid, RadialProfile, dirichlet_energy, scale, weighted_integral
-from .regimes import Params
 
 EPS = np.finfo(float).eps
 

@@ -3,11 +3,12 @@
     -Delta u + |u|^(q-2) u / |x|^b = lambda |u|^(p-2) u / |x|^a   on R^N.
 
 Everything here is scalar arithmetic over the problem exponents: derived
-parameters (delta, a, ell), weighted-embedding intervals for candidate
-nonlinearity pairs (eta, r) in the nonradial and radial settings,
-admissibility and the subscaled/scaled/superscaled trichotomy, the
-Pohozaev-based nonexistence predicate, interpolation-pair construction,
-and the compactness-threshold constants (c*, S-tilde, truncation window).
+parameters (delta, a, ell; defined in exponents and re-exported here),
+weighted-embedding intervals for candidate nonlinearity pairs (eta, r)
+in the nonradial and radial settings, admissibility and the
+subscaled/scaled/superscaled trichotomy, the Pohozaev-based
+nonexistence predicate, interpolation-pair construction, and the
+compactness-threshold constants (c*, S-tilde, truncation window).
 
 Comparisons against interval endpoints and the scaled threshold use a
 uniform tolerance EQ_TOL: values within EQ_TOL (relative) of a boundary
@@ -23,31 +24,40 @@ needs it. classify_pair and region_map keep rows in a bounded LRU cache
 of _ROW_CACHE_SIZE rows, so an eta seen before costs one lookup; a new
 eta costs one interval and one verdict, as a pair classified on its own
 does. interpolation_pair's companion search, which tries a new eta at
-every step, builds its rows outside the cache. region_map takes each
-eta's row and Pohozaev bounds once, then compares every r with them; the
-columns a verdict fills (admissible, regime and the interval ends with
-their flags) are built into a cell once per verdict of the eta row, and
-each r gets a copy of it. region_map_csv formats each distinct float of
-the atlas once per call (a 200x200 atlas has 778 in its 160,000 float
-fields) and reuses the text of a line's eta and interval ends when they
-are the previous line's.
+every step, builds its rows outside the cache.
+
+region_map takes each eta's row and Pohozaev bounds once and fills the
+row by runs. Along an increasing r grid each verdict holds on one
+interval of r, in the order of _VERDICTS, and the nonexistence flag is
+a prefix test (r <= q(N-eta)/(N-b)) or a suffix test (r >= 2*_eta), so an
+eta row has at most ten runs of equal cells however fine the r grid is.
+Their ends are found by bisection with _kind and the two halves of
+_only_trivial as keys, each run's cell is built from its first r, and
+every r of the run gets a copy. region_map_csv formats each distinct
+float of the atlas once per call (a 200x200 atlas has 778 in its
+160,000 float fields) and reuses the text of a line's eta and interval
+ends when they are the previous line's.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .errors import DomainError, EmptyGridError, HypothesisViolation, SearchFailed, _set, _Value
-
-EQ_TOL = 1e-12
-
-INF = math.inf
-
-
-def _close(x: float, y: float) -> bool:
-    return abs(x - y) <= EQ_TOL * max(1.0, abs(x), abs(y))
+from .errors import DomainError, EmptyGridError, SearchFailed, _set, _Value
+# the parameters and derived exponents live in exponents, which the solvers
+# import without this module; they are re-exported here
+from .exponents import (  # noqa: F401
+    EQ_TOL,
+    INF,
+    Params,
+    _close,
+    critical_exponent,
+    derive_params,
+    ell_of,
+)
 
 
 class Regime(str, Enum):
@@ -55,41 +65,6 @@ class Regime(str, Enum):
     SCALED = "Scaled"
     SUPERSCALED = "Superscaled"
     NOT_APPLICABLE = "NotApplicable"
-
-
-class Params(_Value):
-    """Validated problem parameters plus derived exponents.
-
-    delta is the scaling rate of u_t(x) = t^delta u(tx); a is the unique
-    eigen-term weight that makes the equation invariant under that
-    scaling; ell is the common growth rate of both energy terms along
-    the scaling orbit.
-    """
-
-    __slots__ = ("N", "b", "q", "p", "delta", "a", "ell", "_values")
-    _fields = __slots__[:-1]
-
-    def __init__(self, N: int, b: float, q: float, p: float, delta: float, a: float, ell: float):
-        _set(self, "N", N)
-        _set(self, "b", b)
-        _set(self, "q", q)
-        _set(self, "p", p)
-        _set(self, "delta", delta)
-        _set(self, "a", a)
-        _set(self, "ell", ell)
-        _set(self, "_values", (N, b, q, p, delta, a, ell))
-
-    # Params keys the _row cache: every lookup hashes it, and compares it
-    # with the cached key when it is an equal Params built apart from it.
-    # The field tuple kept in _values makes each one call, as fast as the
-    # generated dataclass methods were.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values == other._values
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values)
 
 
 class WeightedPair(_Value):
@@ -134,58 +109,6 @@ class RegimeVerdict(_Value):
         _set(self, "regime", regime)
         _set(self, "interval", interval)
         _set(self, "reason", reason)
-
-
-def derive_params(N: int, b: float, q: float, p: float) -> Params:
-    """Validate (N, b, q, p) and compute delta, a, ell.
-
-    Raises HypothesisViolation naming the first failed inequality of
-    N >= 2, 0 < b < 2 < p < q < 2*_b.
-    """
-    if int(N) != N or N < 2:
-        raise HypothesisViolation(f"N >= 2 required, got N = {N}")
-    N = int(N)
-    if not 0 < b < 2:
-        raise HypothesisViolation(f"0 < b < 2 required, got b = {b}")
-    if not p > 2:
-        raise HypothesisViolation(f"p > 2 required, got p = {p}")
-    if not q > p:
-        raise HypothesisViolation(f"q > p required, got q = {q}, p = {p}")
-    if N >= 3:
-        qcrit = 2.0 * (N - b) / (N - 2)
-        if not q < qcrit:
-            raise HypothesisViolation(
-                f"q < 2(N-b)/(N-2) = {qcrit!r} required, got q = {q}"
-            )
-    delta = (2.0 - b) / (q - 2.0)
-    a1 = 2.0 - delta * (p - 2.0)
-    a2 = b + delta * (q - p)
-    if not _close(a1, a2):
-        raise HypothesisViolation(f"inconsistent derived a: {a1!r} vs {a2!r}")
-    a = a1
-    if not (b < a < 2.0):
-        raise HypothesisViolation(f"derived a = {a!r} outside (b, 2)")
-    ell = q * delta + b - N
-    if not ell > 0:
-        raise HypothesisViolation(f"derived ell = {ell!r} not positive")
-    ell2 = p * delta + a - N
-    if not _close(ell, ell2):
-        raise HypothesisViolation(f"inconsistent derived ell: {ell!r} vs {ell2!r}")
-    return Params(N=N, b=b, q=q, p=p, delta=delta, a=a, ell=ell)
-
-
-def critical_exponent(N: int, eta: float) -> float:
-    """Upper embedding endpoint 2(N-eta)/(N-2); +inf in dimension 2."""
-    if not 0 <= eta < N:
-        raise DomainError(f"eta must lie in [0, N), got {eta}")
-    if N == 2:
-        return INF
-    return 2.0 * (N - eta) / (N - 2.0)
-
-
-def ell_of(params: Params, eta: float, r: float) -> float:
-    """Growth rate r*delta + eta - N of the (eta, r) integral under scaling."""
-    return r * params.delta + eta - params.N
 
 
 def scaled_threshold(params: Params, eta: float) -> float:
@@ -246,16 +169,18 @@ _N2_ETA_LT_B = RegimeVerdict(False, Regime.NOT_APPLICABLE, None, "N2_ETA_LT_B")
 _DOMAIN = RegimeVerdict(False, Regime.NOT_APPLICABLE, None, "DOMAIN")
 
 # (admissible, regime, reason) of the verdicts of a row with an interval,
-# in the order of the indices _kind returns
+# in the order of the indices _kind returns. That order follows r: each
+# verdict holds on an interval of r, and they come in this order along
+# the r axis, so _kind never decreases over an increasing r grid
 _VERDICTS = (
     (False, Regime.NOT_APPLICABLE, "R_LE_ONE"),
     (False, Regime.NOT_APPLICABLE, "R_BELOW_LOWER"),
-    (False, Regime.NOT_APPLICABLE, "R_ABOVE_UPPER"),
     (True, Regime.SUBSCALED, "OK"),
     (True, Regime.SCALED, "OK"),
     (True, Regime.SUPERSCALED, "OK"),
+    (False, Regime.NOT_APPLICABLE, "R_ABOVE_UPPER"),
 )
-_R_LE_ONE, _BELOW, _ABOVE, _SUBSCALED, _SCALED, _SUPERSCALED = range(len(_VERDICTS))
+_R_LE_ONE, _BELOW, _SUBSCALED, _SCALED, _SUPERSCALED, _ABOVE = range(len(_VERDICTS))
 
 
 def _build_row(params: Params, eta: float, radial: bool) -> _Row:
@@ -319,7 +244,14 @@ _row = lru_cache(maxsize=_ROW_CACHE_SIZE)(_build_row)
 def _kind(row: _Row, r: float) -> int:
     """Index in _VERDICTS of the verdict of a finite r > 0 against a row
     with an interval. Every test is the _close test of classify_pair's
-    rules, written out with _tol."""
+    rules, written out with _tol.
+
+    The index never decreases as r grows, which region_map relies on:
+    the r that pass _close(r, c) form an interval around c, since |r - c|
+    grows faster than EQ_TOL * |r| on either side of c, so R_LE_ONE and
+    R_BELOW_LOWER hold on prefixes of the r axis, R_ABOVE_UPPER on a
+    suffix, and SCALED on the band of r_s between SUBSCALED and
+    SUPERSCALED."""
     r_tol = EQ_TOL * abs(r)
     d = abs(r - 1.0)
     if r < 1.0 or d <= EQ_TOL or d <= r_tol:
@@ -376,7 +308,13 @@ def _pohozaev_bounds(params: Params, eta: float):
 
 
 def _only_trivial(bounds, r: float) -> bool:
-    """r <= low or r >= crit, up to EQ_TOL, for bounds from _pohozaev_bounds."""
+    """r <= low or r >= crit, up to EQ_TOL, for bounds from _pohozaev_bounds.
+
+    Either half alone is the test against bounds whose other end is
+    infinite, with the _tol of an infinite end: r <= low, which holds on a
+    prefix of an increasing r grid, with crit = inf, and r >= crit, which
+    holds on a suffix, with low = -inf.
+    """
     low, low_tol, crit, crit_tol = bounds
     r_tol = EQ_TOL * abs(r)
     d_low, d_crit = abs(r - low), abs(r - crit)
@@ -565,7 +503,9 @@ def gamma_mu_roots(mu: float, C: float, C1: float, exp_low: float, exp_high: flo
     negative on [0, R1) and (R2, inf) and nonnegative between. For
     mu = 0 the inner radius degenerates to 0. Raises DomainError when mu
     is too large for a sign change to exist, or when a radius lies
-    outside the float range.
+    outside the float range, or so deep among the subnormal floats that
+    none of them solves gamma = 0 to 1e-13 relative to the slope
+    t g'(t) of g(t) = 1 - gamma(t)/t there.
     """
     if not 0 < exp_low < 1:
         raise DomainError(f"exp_low must lie in (0, 1), got {exp_low}")
@@ -584,29 +524,59 @@ def _gamma_roots(mu: float, C: float, C1: float, exp_low: float, exp_high: float
     def g(t: float) -> float:
         return C * mu * t ** (exp_low - 1.0) + C1 * t ** (exp_high - 1.0)
 
-    if mu == 0.0 or C == 0.0:
-        return 0.0, C1 ** (-1.0 / (exp_high - 1.0))
-    tstar = (C * mu * (1.0 - exp_low) / (C1 * (exp_high - 1.0))) ** (1.0 / (exp_high - exp_low))
-    if not 0.0 < tstar < INF:
-        raise _out_of_range("a truncation radius")
-    gmin = g(tstar)
-    if gmin > 1.0:
-        raise DomainError(
-            f"no truncation window: min of the mu-term envelope is {gmin!r} > 1 "
-            "(mu too large for these constants)"
-        )
-    if _close(gmin, 1.0):
-        return tstar, tstar
-
     def f(t: float) -> float:
         return g(t) - 1.0
 
-    r1 = _bisect(f, _scan(f, tstar, 0.5), tstar)
-    hi = _scan(f, tstar, 2.0)
-    if not hi < INF:
-        raise _out_of_range("a truncation radius")
-    r2 = _bisect(f, tstar, hi)
+    def t_dg(t: float) -> float:
+        return ((exp_low - 1.0) * C * mu * t ** (exp_low - 1.0)
+                + (exp_high - 1.0) * C1 * t ** (exp_high - 1.0))
+
+    if mu == 0.0 or C == 0.0:
+        r1, r2 = 0.0, C1 ** (-1.0 / (exp_high - 1.0))
+    else:
+        tstar = (C * mu * (1.0 - exp_low) / (C1 * (exp_high - 1.0))) ** (1.0 / (exp_high - exp_low))
+        if not 0.0 < tstar < INF:
+            raise _out_of_range("a truncation radius")
+        gmin = g(tstar)
+        if gmin > 1.0:
+            raise DomainError(
+                f"no truncation window: min of the mu-term envelope is {gmin!r} > 1 "
+                "(mu too large for these constants)"
+            )
+        if _close(gmin, 1.0):
+            return tstar, tstar
+        r1 = _bisect(f, _scan(f, tstar, 0.5), tstar)
+        hi = _scan(f, tstar, 2.0)
+        if not hi < INF:
+            raise _out_of_range("a truncation radius")
+        r2 = _bisect(f, tstar, hi)
+    # the float next to a root moves g by about t g'(t) ulps of 1, so a
+    # larger residual means no float solves gamma = 0 here: the root lies
+    # among the subnormal floats, or past the 2000 doublings of the scan.
+    # A closed-form R2 that underflowed to 0 raises ZeroDivisionError here
+    for t in (r1, r2) if r1 else (r2,):
+        if abs(f(t)) > 1e-13 * max(1.0, abs(t_dg(t))):
+            raise _out_of_range("a truncation radius")
     return r1, r2
+
+
+def _cuts(r_grid, key, lo: int, hi: int) -> list:
+    """The ends of the runs of equal key over r_grid[lo:hi].
+
+    key must never decrease over the grid. Each run's end is found by
+    bisection from the run's start; the run that has the last cell's key
+    ends at hi.
+    """
+    if lo >= hi:
+        return []
+    last = key(r_grid[hi - 1])
+    cuts = [hi]
+    k = key(r_grid[lo])
+    while k != last:
+        lo = bisect_right(r_grid, k, lo + 1, hi, key=key)
+        cuts.append(lo)
+        k = key(r_grid[lo])
+    return cuts
 
 
 def region_map(params: Params, eta_grid, r_grid, radial: bool = False):
@@ -614,9 +584,14 @@ def region_map(params: Params, eta_grid, r_grid, radial: bool = False):
 
     Returns a list of row dicts in eta-major order. Grids must be
     nonempty, finite and strictly increasing. A cell that WeightedPair
-    rejects (eta < 0 or r <= 0) gets the verdict DOMAIN. Each eta's row
-    and Pohozaev bounds are fetched once, then every r is compared with
-    them.
+    rejects (eta < 0 or r <= 0) gets the verdict DOMAIN.
+
+    Each eta's row and Pohozaev bounds are fetched once. Along the r grid
+    the verdict changes only where _kind does, which never decreases, and
+    the nonexistence flag only at r <= 1 and where either half of
+    _only_trivial does, so the row falls into at most ten runs of equal
+    cells. Their ends are found by bisection, each run's cell is built
+    once from its first r, and every r of the run gets a copy of it.
     """
     eta_grid = list(eta_grid)
     r_grid = list(r_grid)
@@ -629,31 +604,43 @@ def region_map(params: Params, eta_grid, r_grid, radial: bool = False):
             raise DomainError(f"{name} must be strictly increasing")
 
     radial = bool(radial)
+    n = len(r_grid)
+    above_0 = bisect_right(r_grid, 0)  # the cells before it are DOMAIN
+    above_1 = bisect_right(r_grid, 1, above_0)  # nonexistence is False before it
     rows = []
     for eta in eta_grid:
         row = _row(params, float(eta), radial) if eta >= 0 else None
         bounds = _pohozaev_bounds(params, eta) if 0 <= eta < 2 else None
-        cells = {}  # id of a verdict of this eta -> its cell, r and nonexistence unset
-        for r in r_grid:
+        cuts = {0, above_0, above_1, n}
+        if row is not None and row.early is None:
+            cuts.update(_cuts(r_grid, partial(_kind, row), above_0, n))
+        if bounds is not None:
+            # the halves of _only_trivial: r <= low on a prefix, r >= crit on a suffix
+            low, low_tol, crit, crit_tol = bounds
+            at_or_below = (low, low_tol, INF, _tol(INF))
+            at_or_above = (-INF, _tol(-INF), crit, crit_tol)
+            cuts.update(_cuts(r_grid, lambda r: not _only_trivial(at_or_below, r), above_1, n))
+            cuts.update(_cuts(r_grid, partial(_only_trivial, at_or_above), above_1, n))
+        cuts = sorted(cuts)
+        for start, end in zip(cuts, cuts[1:]):
+            r = r_grid[start]
             verdict = _verdict(row, r) if row is not None and r > 0 else _DOMAIN
-            cell = cells.get(id(verdict))
-            if cell is None:
-                iv = verdict.interval
-                cell = cells[id(verdict)] = {
-                    "eta": eta,
-                    "r": None,
-                    "admissible": verdict.admissible,
-                    "regime": verdict.regime.value,
-                    "nonexistence": None,
-                    "lower": iv.lower if iv else math.nan,
-                    "lower_included": iv.lower_included if iv else False,
-                    "upper": iv.upper if iv else math.nan,
-                    "upper_included": iv.upper_included if iv else False,
-                }
-            cell = cell.copy()
-            cell["r"] = r
-            cell["nonexistence"] = bounds is not None and r > 1 and _only_trivial(bounds, r)
-            rows.append(cell)
+            iv = verdict.interval
+            cell = {
+                "eta": eta,
+                "r": None,
+                "admissible": verdict.admissible,
+                "regime": verdict.regime.value,
+                "nonexistence": bounds is not None and r > 1 and _only_trivial(bounds, r),
+                "lower": iv.lower if iv else math.nan,
+                "lower_included": iv.lower_included if iv else False,
+                "upper": iv.upper if iv else math.nan,
+                "upper_included": iv.upper_included if iv else False,
+            }
+            for r in r_grid[start:end]:
+                copy = cell.copy()
+                copy["r"] = r
+                rows.append(copy)
     return rows
 
 

@@ -9,10 +9,12 @@ All solvers share one strategy, validated on the reference problems:
 
 * search space: nodal values with BOTH boundary nodes pinned to zero.
   The outer pin is the profile invariant; the inner pin makes every
-  iterate zero-extendable to the whole space, so computed quotient
-  values are upper bounds of the continuum infimum. (With the inner
-  node free, the truncated-window quotient is minimized by profiles
-  escaping through s_min, which undershoots the true value.)
+  iterate zero-extendable to the whole space, so the window's quotient
+  infimum lies above the continuum one. (With the inner node free, the
+  truncated-window quotient is minimized by profiles escaping through
+  s_min, which undershoots the true value.) The computed quotient also
+  carries the discretization error, which is O(h^2) and negative, so
+  it is an upper bound only while the window error exceeds it.
 * one engine (_newton, shared by the Rayleigh, coercive and probe
   drivers): shifted Newton steps on the objective's value. Each step
   solves (H + nu P) d = -g with one LAPACK tridiagonal factorization,
@@ -58,6 +60,7 @@ import warnings
 import numpy as np
 
 from .errors import DomainError, NotCoerciveConfig, SingularHessian, ZeroProfileError, _set, _Value
+from .exponents import Params, critical_exponent, ell_of
 from .functionals import (
     Energy,
     TermSpec,
@@ -67,7 +70,6 @@ from .functionals import (
     pohozaev_residual,
 )
 from .grid import RadialGrid, RadialProfile, sample_function, shift_values
-from .regimes import Params, Regime, WeightedPair, classify_pair, critical_exponent, ell_of
 
 
 class SolveOptions(_Value):
@@ -398,8 +400,10 @@ def minimize_rayleigh(
 
     Reports lambda = I/J at the computed critical point together with
     the Euler-Lagrange, Pohozaev, and eigenvalue-relation residuals.
-    The value is the discrete window's upper bound for the continuum
-    radial infimum; it decreases as the window widens.
+    The value falls as the window widens at a fixed step, and converges
+    from below as O(h^2) as the step h shrinks, so it bounds the
+    continuum radial infimum from above only while the window error
+    exceeds the O(h^2) error.
     """
     if init.is_zero():
         raise ZeroProfileError("minimize_rayleigh needs a nonzero initial profile")
@@ -418,6 +422,9 @@ def minimize_rayleigh(
 
 
 def _check_coercive(params: Params, terms: list[TermSpec], lam: float) -> None:
+    # imported here: of the drivers only minimize_coercive needs regimes
+    from .regimes import Regime, WeightedPair, classify_pair
+
     pos = [t for t in terms if t.c > 0]
     neg = [t for t in terms if t.c < 0]
     verdicts = {}
@@ -453,6 +460,34 @@ def _check_coercive(params: Params, terms: list[TermSpec], lam: float) -> None:
                 )
 
 
+def _coercive_init(grid: RadialGrid, terms) -> np.ndarray:
+    """minimize_coercive's init: the most negative energy 1/2 dirichlet +
+    sum_k coeff_k wint(r_k, eta_k) over the Gaussian shifted by every 8th
+    cell, times 25 amplitudes from 1e-3 to 1e3. The first minimum wins,
+    shifts first; an energy that is NaN never does. terms is a (coeff,
+    eta, r) list as Energy takes it."""
+    quad = grid.quad
+    base = sample_function(grid, "Gaussian", sigma=1.0).values
+    best = (math.inf, None)
+    amps = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 25))
+    # A ** r by numpy's scalar power, once per term: the array power may
+    # round differently, and the scan's winner must not move
+    powers = [np.array([A ** r for A in amps]) for (_, _, r) in terms]
+    for k in range(-(grid.M - 2), grid.M - 1, 8):
+        sv = _pin(shift_values(grid, base, k))
+        if not np.any(sv):
+            continue
+        d = 0.5 * quad.dirich(sv)
+        energies = d * amps * amps + sum(c * quad.wint(sv, r, eta) * pw
+                                         for (c, eta, r), pw in zip(terms, powers))
+        i = np.argmin(np.where(np.isnan(energies), math.inf, energies))
+        if energies[i] < best[0]:
+            best = (energies[i], amps[i] * sv)
+    if best[1] is None:
+        raise ZeroProfileError("initialization scan found no usable profile")
+    return _pin(best[1])
+
+
 def minimize_coercive(
     grid: RadialGrid,
     params: Params,
@@ -475,26 +510,8 @@ def minimize_coercive(
     if not any(t.c > 0 for t in terms) and lam <= 0:
         return _report(grid, params, np.zeros(grid.M), 0.0, 0, 0.0, True, lam, terms)
 
-    # init: most negative energy over a shift x amplitude family scan
+    vals = _coercive_init(grid, obj.terms)
     quad = grid.quad
-    base = sample_function(grid, "Gaussian", sigma=1.0).values
-    best = (math.inf, None)
-    amps = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 25))
-    for k in range(-(grid.M - 2), grid.M - 1, 8):
-        sv = _pin(shift_values(grid, base, k))
-        if not np.any(sv):
-            continue
-        d = 0.5 * quad.dirich(sv)
-        ints = [(c, quad.wint(sv, r, eta)) for (c, eta, r) in obj.terms]
-        rs = [r for (_, _, r) in obj.terms]
-        for A in amps:
-            val = d * A * A + sum(c * iv * A ** r for (c, iv), r in zip(ints, rs))
-            if val < best[0]:
-                best = (val, A * sv)
-    if best[1] is None:
-        raise ZeroProfileError("initialization scan found no usable profile")
-    vals = _pin(best[1])
-
     pre = _with_diag(quad.stiff, 0.5 * quad.mass(params.b)[quad.free])
     vals, value, res, iters, converged = _newton(obj, vals, pre, opts)
     return _report(grid, params, vals, value, iters, res, converged, lam, terms)
@@ -528,14 +545,17 @@ def probe_best_constant(
     opts: SolveOptions = SolveOptions(),
     init: RadialProfile | None = None,
 ) -> float:
-    """Upper bound for the critical embedding constant S_eta.
+    """Estimate of the critical embedding constant S_eta on the grid's window.
 
     Minimizes int |grad u|^2 / (int |u|^c |x|^-eta)^(2/c) with
     c = 2(N-eta)/(N-2) over interior profiles, by the shifted Newton
     engine of the other drivers with the stiffness matrix as the shift
     operator. The quotient is invariant under amplitude scaling, so the
     init is normalized to a unit denominator once and iterates are not
-    renormalized. init defaults to the Aubin-Talenti profile.
+    renormalized. init defaults to the Aubin-Talenti profile. As for
+    minimize_rayleigh's value, the estimate is an upper bound for S_eta
+    only while the window error exceeds the O(h^2) discretization error,
+    which is negative: fine windows give values below S_eta.
 
     The engine runs at most opts.max_iters steps. When it stops above
     opts.grad_tol, at that budget or because no shift gives an

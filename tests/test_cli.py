@@ -201,6 +201,24 @@ def test_import_loads_no_scipy():
     assert _loaded(proc.stdout.split(), "numpy", "scipy") == []
 
 
+def test_solvers_load_no_regimes():
+    # the parameters live in the small exponents module; of the solvers only
+    # minimize_coercive imports regimes, to classify its terms
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, warnings, inlslab as il; "
+         "warnings.simplefilter('ignore'); "
+         "P = il.derive_params(3, 1.0, 3.5, 3.0); g = il.make_grid(1e-2, 1e2, 65, 3); "
+         "rep = il.minimize_rayleigh(g, P, il.sample_function(g, 'Gaussian', sigma=1.0)); "
+         "il.el_residual(rep.profile, P, rep.value, []); "
+         "il.probe_best_constant(g, 3, 0.0); "
+         "print(' '.join(sys.modules))"],
+        capture_output=True, text=True, env=_fresh_env(), check=True,
+    )
+    modules = proc.stdout.split()
+    assert "inlslab.solver" in modules and "inlslab.regimes" not in modules
+
+
 PARAMS = ["--N", "3", "--b", "1", "--q", "3.5", "--p", "3"]
 
 README_COMMANDS = [

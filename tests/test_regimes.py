@@ -1,6 +1,7 @@
 """Exponent-calculus unit tests: derived parameters, intervals, regimes,
 nonexistence, interpolation pairs, and threshold constants."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -434,9 +435,65 @@ def test_gamma_roots_mu_zero():
     assert r2 == pytest.approx(2.0 ** (-1.0 / 2.0), rel=1e-12)
 
 
+def test_gamma_roots_mu_zero_below_float_range():
+    # R2 = C1^(-1/(exp_high-1)) = 1e-30000 underflows to 0.0
+    with pytest.raises(il.DomainError, match="outside the float range"):
+        il.gamma_mu_roots(0.0, 1.0, 1e300, 0.5, 1.01)
+
+
 def test_gamma_roots_mu_too_large():
     with pytest.raises(il.DomainError):
         il.gamma_mu_roots(100.0, 1.0, 1.0, 0.5, 2.0)
+
+
+def test_gamma_roots_among_coarse_subnormals():
+    # the bisection ends at R1 = 3e-323, where adjacent subnormal floats are
+    # too coarse to resolve the root: its residual is -1.7e-3
+    with pytest.raises(il.DomainError, match="outside the float range"):
+        il.gamma_mu_roots(1.5235959054217693e-09, 94.46514640515245, 1484.1486559449215,
+                          0.9787891297556277, 1.8707208828817006)
+
+
+def test_gamma_roots_past_the_scan():
+    # g reaches 1 beyond 2000 doublings of t*, so the bracket of R2 holds no
+    # sign change and its bisection would end near 9e307 at a residual of 1.7e-3
+    with pytest.raises(il.DomainError, match="outside the float range"):
+        il.gamma_mu_roots(8.948929833728612e-10, 0.00013573908065695882, 3.7071451712486885e-05,
+                          0.8387099498352824, 1.01438606798385)
+
+
+def test_gamma_roots_steep_high_term():
+    # with exp_high near 1000, one float step at R2 moves g by about 1e3
+    # ulps of 1: a residual above 1e-13 is still the best a float can do
+    r1, r2 = il.gamma_mu_roots(3.132122956152255e-06, 0.0002433334896549645, 0.17526656916416178,
+                               0.6000534298108203, 1035.1220628518654)
+    assert 0 < r1 < r2 == pytest.approx(1.0016854048312112, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-12.0, 3.0), st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), st.floats(0.001, 0.999),
+       st.floats(-3.0, 3.0))
+def test_gamma_roots_are_float_exact(log_mu, log_c, log_c1, exp_low, log_rise):
+    # each radius is the float of least residual among its neighbours, and
+    # that residual is what one float step moves g by, not more
+    mu, C, C1, exp_high = 10.0 ** log_mu, 10.0 ** log_c, 10.0 ** log_c1, 1.0 + 10.0 ** log_rise
+    try:
+        radii = il.gamma_mu_roots(mu, C, C1, exp_low, exp_high)
+    except il.DomainError:  # no window, or a radius outside the float range
+        return
+
+    def residual(t):
+        try:
+            return abs(C * mu * t ** (exp_low - 1.0) + C1 * t ** (exp_high - 1.0) - 1.0)
+        except (OverflowError, ZeroDivisionError):
+            return math.inf
+
+    for t in radii:
+        if t == 0.0 or radii[0] == radii[1]:  # mu = 0, or the tangent window
+            continue
+        assert residual(t) <= residual(math.nextafter(t, 0.0))
+        assert residual(t) <= residual(math.nextafter(t, math.inf))
+        assert residual(t) <= 1e-13 * max(1.0, exp_high - 1.0, 1.0 - exp_low)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
@@ -577,12 +634,22 @@ def test_region_map_csv_matches_per_field_renderer(rows):
     assert il.region_map_csv(rows) == _csv_reference(rows)
 
 
+#: sha256 of region_map_csv of the 200x200 benchmark atlas, as the
+#: cell-by-cell region_map wrote it
+_BENCHMARK_ATLAS_SHA256 = {
+    False: "c7cf9bba2b6bef9173ed3adc956eebaeb7cd4bb76f0fdcc13e8d2f6c926c8159",
+    True: "0ba2687dbf1dbc65d6642dc0ef48543e13edde1963a1fe0985ea6be0298e72ec",
+}
+
+
 @pytest.mark.parametrize("radial", [False, True])
 def test_benchmark_atlas_csv_matches_per_field_renderer(ref_params, radial):
     etas = [float(x) for x in np.linspace(0.0, 2.4, 200)]
     rs = [float(x) for x in np.linspace(1.1, 7.0, 200)]
     rows = il.region_map(ref_params, etas, rs, radial=radial)
-    assert il.region_map_csv(rows) == _csv_reference(rows)
+    text = il.region_map_csv(rows)
+    assert text == _csv_reference(rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == _BENCHMARK_ATLAS_SHA256[radial]
 
 
 @pytest.mark.parametrize("eta, r", [(math.nan, 3.0), (1.0, math.nan), (math.inf, 3.0),
@@ -690,9 +757,10 @@ def atlas_case(draw):
     N, b, q, p = draw(valid_params())
     P = il.derive_params(N, b, q, p)
     radial = draw(st.booleans())
+    long_grid = draw(st.booleans())  # an r grid of 50 values or more, and fewer etas
     eta_pool = [0.0, -0.25, b, P.a, 2.0, (N + 2) / 2, 1.0, q, p]
     etas = draw(st.lists(st.sampled_from(eta_pool) | st.floats(-0.5, N + 0.5), min_size=1,
-                         max_size=5))
+                         max_size=2 if long_grid else 5))
     etas = sorted({e for x in etas for e in (_nudged(x) if draw(st.booleans()) else [x])})
     r_pool = [0.0, -1.0, 1.0, b, P.a, 2.0, (N + 2) / 2, q, p]
     for eta in etas:
@@ -707,8 +775,14 @@ def atlas_case(draw):
     r_pool = [x for x in r_pool if math.isfinite(x)]
     rs = draw(st.lists(st.sampled_from(r_pool) | st.floats(-1.0, 12.0), min_size=1,
                        max_size=10))
-    rs = sorted({e for x in rs for e in (_nudged(x) if draw(st.booleans()) else [x])})
-    return P, etas, rs, radial
+    rs = {e for x in rs for e in (_nudged(x) if draw(st.booleans()) else [x])}
+    if long_grid:
+        # runs of many cells, with their ends packed around the boundaries
+        step = draw(st.sampled_from([1e-13, 1e-12, 1e-9, 1e-4, 0.02]))
+        centres = draw(st.lists(st.sampled_from(r_pool), min_size=1, max_size=3))
+        rs.update(x + k * step * max(1.0, abs(x)) for x in centres for k in range(-4, 5))
+        rs.update(-1.0 + 13.0 * k / 49 for k in range(50))
+    return P, etas, sorted(rs), radial
 
 
 def _same(x, y):
@@ -734,3 +808,48 @@ def test_region_map_matches_per_pair_reference(case):
             il.regimes._row.cache_clear()
             cold = il.classify_pair(P, pair, radial=radial)
             assert cold == warm == _classify_reference(P, eta, r, radial)
+
+
+@st.composite
+def boundary_row(draw):
+    # params, eta, radial, and an increasing r grid packed around the row's
+    # boundaries (1, the interval ends, r_s, the Pohozaev bounds)
+    N, b, q, p = draw(valid_params())
+    P = il.derive_params(N, b, q, p)
+    eta = draw(st.sampled_from([0.0, b, P.a, 1.0, 2.0, (N + 2) / 2]) | st.floats(0.0, N + 0.5))
+    if draw(st.booleans()):
+        eta = draw(st.sampled_from(_nudged(eta)))
+    radial = draw(st.booleans())
+    row = il.regimes._build_row(P, float(eta), radial)
+    edges = [1.0]
+    if row.early is None:
+        edges += [row.lower, row.upper, row.r_s]
+    if 0 <= eta < 2:
+        low, _, crit, _ = il.regimes._pohozaev_bounds(P, eta)
+        edges += [low, crit]
+    rs = draw(st.lists(st.floats(1e-3, 15.0), max_size=20))
+    rs += [y for x in edges if math.isfinite(x) and x > 0 for e in _nudged(x)
+           for y in (e, math.nextafter(e, 0.0), math.nextafter(e, math.inf))]
+    return P, eta, row, sorted(set(rs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(boundary_row())
+def test_kind_and_pohozaev_halves_are_monotone_in_r(case):
+    # region_map fills each eta row by runs found by bisection, which needs
+    # keys that are monotone along an increasing r grid
+    P, eta, row, rs = case
+    if row.early is None:
+        kinds = [il.regimes._kind(row, r) for r in rs]
+        assert kinds == sorted(kinds)
+    if 0 <= eta < 2:
+        bounds = il.regimes._pohozaev_bounds(P, eta)
+        low, low_tol, crit, crit_tol = bounds
+        no_end = il.regimes._tol(math.inf)
+        below = [il.regimes._only_trivial((low, low_tol, math.inf, no_end), r) for r in rs]
+        above = [il.regimes._only_trivial((-math.inf, no_end, crit, crit_tol), r) for r in rs]
+        assert below == sorted(below, reverse=True)  # a prefix
+        assert above == sorted(above)  # a suffix
+        assert [x or y for x, y in zip(below, above)] == [
+            il.regimes._only_trivial(bounds, r) for r in rs]
+

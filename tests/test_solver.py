@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import inlslab as il
-from inlslab.solver import _Tridiag, _with_diag
+from inlslab.solver import _coercive_init, _pin, _Tridiag, _with_diag
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +149,48 @@ def test_coercive_reported_residual_is_the_public_one(ref_params):
         assert rep.converged
         assert rep.el_res == il.el_residual(rep.profile, ref_params, lam, terms)
         assert rep.value == il.phi(rep.profile, ref_params, lam, terms)
+
+
+def _coercive_init_loop(grid, terms):
+    # minimize_coercive's init scan one amplitude at a time, as it was written
+    quad = grid.quad
+    base = il.sample_function(grid, "Gaussian", sigma=1.0).values
+    best = (math.inf, None)
+    amps = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 25))
+    for k in range(-(grid.M - 2), grid.M - 1, 8):
+        sv = _pin(il.grid.shift_values(grid, base, k))
+        if not np.any(sv):
+            continue
+        d = 0.5 * quad.dirich(sv)
+        ints = [(c, quad.wint(sv, r, eta)) for (c, eta, r) in terms]
+        for A in amps:
+            val = d * A * A + sum(c * iv * A ** r for (c, iv), (_, _, r) in zip(ints, terms))
+            if val < best[0]:
+                best = (val, A * sv)
+    return None if best[1] is None else _pin(best[1])
+
+
+@pytest.mark.parametrize("terms", [
+    [(1.0 / 3.5, 1.0, 3.5), (-1.0 / 2.2, 1.8, 2.2)],
+    [(1.0 / 3.5, 1.0, 3.5), (-0.5 / 3.0, 4.0 / 3.0, 3.0), (-1.0 / 2.2, 1.8, 2.2),
+     (0.3 / 2.9, 1.5, 2.9)],
+    # energies that overflow to inf - inf = NaN at the large amplitudes, past
+    # the least energy of the best shifts; below the overflow the first two
+    # terms cancel exactly, so the energy is 1/2 dirichlet + the last two
+    [(1e200, 1.8, 40.0), (-1e200, 1.8, 40.0), (1.0, 1.0, 8.0), (-1.0, 1.8, 3.0)],
+    # NaN at every amplitude: no usable profile
+    [(1.0, 1.0, 3.5), (math.inf, 1.8, 2.2), (-math.inf, 1.8, 2.2)],
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_coercive_init_matches_the_amplitude_loop(terms):
+    grid = il.make_grid(1e-3, 1e3, 257, 3)
+    want = _coercive_init_loop(grid, terms)
+    if want is None:
+        with pytest.raises(il.ZeroProfileError):
+            _coercive_init(grid, terms)
+    else:
+        got = _coercive_init(grid, terms)
+        assert got.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------- newton
