@@ -40,8 +40,10 @@ class TermSpec(_Value):
     __slots__ = _fields = ("c", "eta", "r")
 
     def __init__(self, c: float, eta: float, r: float):
-        if r <= 1:
-            raise DomainError(f"term power r must be > 1, got {r}")
+        if not math.isfinite(c):
+            raise DomainError(f"term coefficient c must be finite, got {c}")
+        if not 1 < r < math.inf:
+            raise DomainError(f"term power r must be finite and > 1, got {r}")
         if not 0 <= eta < 2:
             raise DomainError(f"term weight eta must lie in [0, 2), got {eta}")
         _set(self, "c", c)
@@ -63,6 +65,8 @@ class FunctionalReport(_Value):
 def energy_terms(params: Params, lam: float, terms: list[TermSpec]) -> list[tuple[float, float, float]]:
     """The (coeff, eta, r) list of Phi, each meaning coeff * int |u|^r |x|^-eta:
     the operator term, the eigen term (when lam != 0), then the term list."""
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam}")
     out = [(1.0 / params.q, params.b, params.q)]
     if lam != 0.0:
         out.append((-lam / params.p, params.a, params.p))
@@ -81,9 +85,12 @@ def _pow(vals: np.ndarray, e: float) -> np.ndarray:
 
 
 class Energy:
-    """Discrete Phi = 1/2 dirichlet + sum_k coeff_k wint(r_k, eta_k) on nodal values.
+    """Discrete Phi = stiff_weight dirichlet + sum_k coeff_k wint(r_k, eta_k)
+    on nodal values.
 
     terms is a (coeff, eta, r) list as built by energy_terms. The
+    Dirichlet weight stiff_weight is 1/2 in Phi; the embedding-constant
+    probe's numerator is Energy(grid, [], stiff_weight=1.0). The
     solvers read it through evaluate(vals) = (value, slope scale),
     grad(vals, value, scale) and hess_diag(vals, value, scale); an
     energy's slope scale is 1. hess_diag is the diagonal part of the
@@ -91,15 +98,14 @@ class Energy:
     band quad.stiff.
     """
 
-    stiff_weight = 0.5
-
-    def __init__(self, grid: RadialGrid, terms: list[tuple[float, float, float]]):
+    def __init__(self, grid: RadialGrid, terms: list[tuple[float, float, float]], stiff_weight: float = 0.5):
         self.quad = grid.quad
         self.terms = terms
+        self.stiff_weight = stiff_weight
         self.masses = [self.quad.mass(eta) for _, eta, _ in terms]
 
     def value(self, vals: np.ndarray) -> float:
-        out = 0.5 * self.quad.dirich(vals)
+        out = self.stiff_weight * self.quad.dirich(vals)
         for (c, eta, r) in self.terms:
             out += c * self.quad.wint(vals, r, eta)
         return out
@@ -108,7 +114,7 @@ class Energy:
         return self.value(vals), 1.0
 
     def grad(self, vals: np.ndarray, value: float | None = None, scale: float | None = None) -> np.ndarray:
-        out = 0.5 * self.quad.grad_dirich(vals)
+        out = self.stiff_weight * self.quad.grad_dirich(vals)
         for (c, _, r), mass in zip(self.terms, self.masses):
             out += c * r * mass * _pow(vals, r - 1.0) * np.sign(vals)
         return out

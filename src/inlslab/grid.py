@@ -158,8 +158,8 @@ class Quadrature:
 
 
 def make_grid(s_min: float, s_max: float, M: int, N: int) -> RadialGrid:
-    if not (0 < s_min < s_max):
-        raise DomainError(f"require 0 < s_min < s_max, got [{s_min}, {s_max}]")
+    if not 0 < s_min < s_max < math.inf:
+        raise DomainError(f"require 0 < s_min < s_max < inf, got [{s_min}, {s_max}]")
     if int(M) != M or M < _MIN_NODES:
         raise DomainError(f"require M >= {_MIN_NODES}, got {M}")
     if int(N) != N or N < 2:

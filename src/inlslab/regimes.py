@@ -431,17 +431,37 @@ def _scan(f, x: float, factor: float, below: bool = False) -> float:
 
 def _bisect(f, lo: float, hi: float) -> float:
     """Root of f in a bracket [lo, hi] where f changes sign, by bisection
-    down to adjacent floats; returns the end with the smaller |f|."""
+    down to adjacent floats, then the end with the smaller |f| walked to
+    the float whose |f| neither neighbour beats.
+
+    Rounding makes f flip sign more than once within a few ulps of the
+    root, so the bisection may settle beside the float of least |f|
+    rather than on it; the walk moves there.
+    """
     flo, fhi = f(lo), f(hi)
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            return lo if abs(flo) <= abs(fhi) else hi
+            break
         fm = f(mid)
         if (fm < 0) == (flo < 0):
             lo, flo = mid, fm
         else:
             hi, fhi = mid, fm
+    x, fx = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    for toward in (0.0, INF):
+        while True:
+            y = math.nextafter(x, toward)
+            if not 0.0 < y < INF:
+                break
+            try:
+                fy = f(y)
+            except (OverflowError, ZeroDivisionError):
+                break
+            if not abs(fy) < abs(fx):
+                break
+            x, fx = y, fy
+    return x
 
 
 def tilde_s_root(mu: float, S1: float, S2: float, N: int, eta1: float, eta2: float) -> float:

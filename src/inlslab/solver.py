@@ -2,9 +2,11 @@
 
 The drivers minimize discrete objectives that all evaluate through the
 grid's Quadrature: the coercive energy and Newton's target are
-functionals.Energy (the one discrete Phi), the Rayleigh quotient I/J is
-_Quotient over Energy's operator part, and the embedding-constant probe
-is _ProbeQuotient. Every driver fills its SolveReport through _report.
+functionals.Energy (the one discrete Phi), and the Rayleigh quotient I/J
+and the embedding-constant probe's quotient are the one scale-free
+quotient _Quotient, whose numerator is an Energy (Phi's operator part I,
+or the Dirichlet form alone). Every driver fills its SolveReport through
+_report.
 All solvers share one strategy, validated on the reference problems:
 
 * search space: nodal values with BOTH boundary nodes pinned to zero.
@@ -82,10 +84,10 @@ class SolveOptions(_Value):
     __slots__ = _fields = ("max_iters", "grad_tol")
 
     def __init__(self, max_iters: int = 50_000, grad_tol: float = 1e-8):
-        if max_iters < 1:
-            raise DomainError("max_iters must be >= 1")
-        if grad_tol <= 0:
-            raise DomainError("grad_tol must be positive")
+        if not max_iters >= 1:
+            raise DomainError(f"max_iters must be >= 1, got {max_iters}")
+        if not 0 < grad_tol < math.inf:
+            raise DomainError(f"grad_tol must be positive and finite, got {grad_tol}")
         _set(self, "max_iters", max_iters)
         _set(self, "grad_tol", grad_tol)
 
@@ -195,80 +197,49 @@ def _with_diag(band: np.ndarray, diag: np.ndarray) -> np.ndarray:
 
 
 class _Quotient:
-    """Rayleigh quotient lambda = I/J, I = 1/2 dirichlet + 1/q wint(q, b),
-    J = 1/p wint(p, a), in the solver interface of Energy.
+    """Scale-free quotient R = A / D, D = B^(2/gamma), B = wint(r, eta) / div,
+    whose numerator A is an Energy whose terms have coefficient 1/r_k,
+    in the solver interface of Energy.
 
-    grad is the stationarity gradient gI - lambda gJ, which is J times
-    the quotient's gradient; evaluate returns J as the slope scale so
-    the Armijo test is a sufficient-decrease test for the quotient. The
-    eigen term is written as Energy writes it, so grad is the gradient
+    The Rayleigh quotient lambda = I/J is A = I with (r, eta, div, gamma)
+    = (p, a, p, 2); the embedding-constant probe is A = dirichlet with
+    (c, eta, 1, c). evaluate returns D as the slope scale, so the Armijo
+    test is a sufficient-decrease test for R, and grad is D times R's
+    gradient, gA - R gD = gA - k mass |v|^(r-1) sign(v) with
+    k = (2r/(gamma div)) R D^(1-gamma/2) (B = D^(gamma/2)), which is
+    lambda for the Rayleigh quotient. Its factor is written k/div * div,
+    as Energy writes the eigen term, so the Rayleigh grad is the gradient
     of Phi(.; lambda) bit for bit and el_res is the public el_residual.
     """
 
-    stiff_weight = 0.5
-
-    def __init__(self, grid: RadialGrid, params: Params):
-        self.quad = grid.quad
-        self.params = params
-        self.num = Energy(grid, energy_terms(params, 0.0, []))
-        self.massb = self.quad.mass(params.b)
-        self.den_mass = self.quad.mass(params.a)
-
-    def evaluate(self, vals: np.ndarray) -> tuple[float, float]:
-        p = self.params
-        I, J = self.num.value(vals), self.quad.wint(vals, p.p, p.a) / p.p
-        if J <= 0 or not math.isfinite(J):
-            return math.inf, J
-        return I / J, J
-
-    def grad(self, vals: np.ndarray, lam: float, scale: float) -> np.ndarray:
-        p = self.params.p
-        out = self.num.grad(vals)
-        out += (-lam / p) * p * self.den_mass * _pow(vals, p - 1.0) * np.sign(vals)
-        return out
-
-    def hess_diag(self, vals: np.ndarray, lam: float, scale: float) -> np.ndarray:
-        p = self.params
-        return ((p.q - 1.0) * self.massb * _pow(vals, p.q - 2.0)
-                - lam * (p.p - 1.0) * self.den_mass * _pow(vals, p.p - 2.0))
-
-
-class _ProbeQuotient:
-    """S = A / D, A = dirichlet, D = B^(2/c), B = wint(c, eta), in the
-    solver interface of Energy.
-
-    As for _Quotient, evaluate returns the denominator D as the slope
-    scale and grad is D times the quotient's gradient, gA - S gD with
-    gD = (2/c) D/B gB. S is 0-homogeneous and each step commutes with
-    amplitude scaling, so iterates need no renormalization.
-    """
-
-    stiff_weight = 1.0
-
-    def __init__(self, grid: RadialGrid, c: float, eta: float):
-        self.quad = grid.quad
-        self.c = c
-        self.eta = eta
+    def __init__(self, num: Energy, r: float, eta: float, div: float, gamma: float):
+        self.num = num
+        self.quad = num.quad
+        self.stiff_weight = num.stiff_weight
+        self.r, self.eta, self.div, self.gamma = r, eta, div, gamma
         self.mass = self.quad.mass(eta)
 
     def evaluate(self, vals: np.ndarray) -> tuple[float, float]:
-        A, B = self.quad.dirich(vals), self.quad.wint(vals, self.c, self.eta)
+        A, B = self.num.value(vals), self.quad.wint(vals, self.r, self.eta) / self.div
         if B <= 0 or not math.isfinite(B):
             return math.inf, B
-        D = B ** (2.0 / self.c)
+        D = B ** (2.0 / self.gamma)
         return A / D, D
 
-    def _k(self, S: float, D: float) -> float:
-        # gB = c mass |v|^(c-1) sign(v) and B = D^(c/2), so S gD = k mass |v|^(c-1) sign(v)
-        return 2.0 * S * D ** (1.0 - self.c / 2.0)
+    def _k(self, R: float, D: float) -> float:
+        return 2.0 * self.r / (self.gamma * self.div) * R * D ** (1.0 - self.gamma / 2.0)
 
-    def grad(self, vals: np.ndarray, S: float, D: float) -> np.ndarray:
-        c = self.c
-        return self.quad.grad_dirich(vals) - self._k(S, D) * self.mass * _pow(vals, c - 1.0) * np.sign(vals)
+    def grad(self, vals: np.ndarray, R: float, D: float) -> np.ndarray:
+        k = self._k(R, D) / self.div * self.div
+        return self.num.grad(vals) - k * self.mass * _pow(vals, self.r - 1.0) * np.sign(vals)
 
-    def hess_diag(self, vals: np.ndarray, S: float, D: float) -> np.ndarray:
-        c = self.c
-        return -(c - 1.0) * self._k(S, D) * self.mass * _pow(vals, c - 2.0)
+    def hess_diag(self, vals: np.ndarray, R: float, D: float) -> np.ndarray:
+        # (r_k - 1), not Energy's c_k r_k (r_k - 1): with c_k = 1/r_k the
+        # product (1/q) q is not 1 for every q, and would move the iterates
+        out = np.zeros(len(vals))
+        for (_, _, rk), mass in zip(self.num.terms, self.num.masses):
+            out += (rk - 1.0) * mass * _pow(vals, rk - 2.0)
+        return out - (self.r - 1.0) * self._k(R, D) * self.mass * _pow(vals, self.r - 2.0)
 
 
 def _newton(obj, vals, pre, opts):
@@ -331,12 +302,14 @@ def _newton(obj, vals, pre, opts):
 def _lm_polish(obj, vals, tol, budget):
     """Levenberg-Marquardt on the stationarity residual norm.
 
-    The Hessian used is 0.5*stiffness + diag(obj.hess_diag), the exact
-    second derivative of the discrete energy obj.
+    The Hessian used is obj.stiff_weight * stiffness + diag(obj.hess_diag),
+    the exact second derivative of the discrete energy obj; vals arrive
+    pinned and only the free nodes move.
     Returns (vals, res, iters_used, converged).
     """
     quad = obj.quad
     free = quad.free
+    stiff = obj.stiff_weight * quad.stiff
     nu = 1e-8
     g = obj.grad(vals)
     res = quad.dual_norm(g)
@@ -345,13 +318,13 @@ def _lm_polish(obj, vals, tol, budget):
         if res <= tol:
             return vals, res, it, True
         hd = obj.hess_diag(vals)
-        dref = np.abs(0.5 * quad.stiff[1, :] + hd[free]) + 1e-300
+        dref = np.abs(stiff[1, :] + hd[free]) + 1e-300
         improved = False
         for _ in range(60):
             if nu > 1e30:
                 break
             try:
-                step = _Tridiag(_with_diag(0.5 * quad.stiff, hd[free] + nu * dref)).solve(g[free])
+                step = _Tridiag(_with_diag(stiff, hd[free] + nu * dref)).solve(g[free])
             except ValueError:
                 nu *= 10.0
                 continue
@@ -360,7 +333,6 @@ def _lm_polish(obj, vals, tol, budget):
                 continue
             trial = vals.copy()
             trial[free] -= step
-            trial = _pin(trial)
             gv = obj.grad(trial)
             if not np.all(np.isfinite(gv)):
                 nu *= 10.0
@@ -412,11 +384,12 @@ def minimize_rayleigh(
     if grid.N != params.N:
         raise DomainError("grid dimension does not match params.N")
 
-    obj = _Quotient(grid, params)
+    obj = _Quotient(Energy(grid, energy_terms(params, 0.0, [])), params.p, params.a, params.p, 2.0)
     vals = _pin(init.values)
     if not np.any(vals):
         raise ZeroProfileError("initial profile vanishes on the interior nodes")
-    pre = _with_diag(grid.quad.stiff, 0.5 * obj.massb[grid.quad.free])
+    quad = grid.quad
+    pre = _with_diag(quad.stiff, 0.5 * quad.mass(params.b)[quad.free])
     vals, lam, res, iters, converged = _newton(obj, vals, pre, opts)
     return _report(grid, params, vals, lam, iters, res, converged, lam)
 
@@ -504,9 +477,10 @@ def minimize_coercive(
     """
     if grid.N != params.N:
         raise DomainError("grid dimension does not match params.N")
+    eterms = energy_terms(params, lam, terms)  # rejects a non-finite lambda before the regime checks
     _check_coercive(params, terms, lam)
 
-    obj = Energy(grid, energy_terms(params, lam, terms))
+    obj = Energy(grid, eterms)
     if not any(t.c > 0 for t in terms) and lam <= 0:
         return _report(grid, params, np.zeros(grid.M), 0.0, 0, 0.0, True, lam, terms)
 
@@ -531,6 +505,8 @@ def newton_refine(
     min(grad_tol, 1e-10); a report with converged = False means the
     iteration stalled above it (no global convergence is claimed).
     """
+    if u.grid.N != params.N:
+        raise DomainError("grid dimension does not match params.N")
     obj = Energy(u.grid, energy_terms(params, lam, terms))
     tol = min(opts.grad_tol, 1e-10)
     vals = _pin(u.values)
@@ -571,13 +547,16 @@ def probe_best_constant(
     c = critical_exponent(N, eta)
     if init is None:
         init = sample_function(grid, "AubinTalenti", scale=1.0)
+    elif init.grid != grid:
+        raise DomainError("init profile lives on a different grid")
     vals = _pin(init.values)
     B = grid.quad.wint(vals, c, eta)
     if B <= 0:
         raise DomainError("probe initialization degenerate on this grid")
     vals = vals / B ** (1.0 / c)
 
-    _, S, res, iters, converged = _newton(_ProbeQuotient(grid, c, eta), vals, grid.quad.stiff, opts)
+    obj = _Quotient(Energy(grid, [], stiff_weight=1.0), c, eta, 1.0, c)
+    _, S, res, iters, converged = _newton(obj, vals, grid.quad.stiff, opts)
     if not converged:
         warnings.warn(
             f"probe_best_constant stopped after {iters} of at most {opts.max_iters} iterations "

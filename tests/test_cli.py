@@ -355,13 +355,26 @@ _WINDOW = ("--b", "1", "--q", "3.5", "--p", "3", "--eta", "1.8", "--r", "2.2")
         lambda d: _thresholds("--S1", "1.0", "--C", "1", "--C1", "1"),
         lambda d: ["minimize", *PARAMS, "--s-min", "1e-2", "--s-max", "1e2", "--M", "64",
                    "--term", "1.0,1.8"],
+        lambda d: ["eigen", *PARAMS, "--s-min", "1e-3", "--s-max", "1e3", "--M", "257", "--grad-tol", "nan"],
+        lambda d: ["eigen", *PARAMS, "--s-min", "1e-3", "--s-max", "1e3", "--M", "257", "--grad-tol", "inf"],
+        lambda d: ["eigen", *PARAMS, "--s-max", "inf"],
+        lambda d: ["minimize", *PARAMS, "--s-min", "1e-2", "--s-max", "1e2", "--M", "64",
+                   "--term", "nan,1.8,2.2"],
+        lambda d: ["minimize", *PARAMS, "--s-min", "1e-2", "--s-max", "1e2", "--M", "64",
+                   "--term", "inf,1.8,2.2"],
+        lambda d: ["minimize", *PARAMS, "--s-min", "1e-2", "--s-max", "1e2", "--M", "64",
+                   "--term", "1.0,1.8,2.2", "--lambda", "nan"],
+        lambda d: ["verify", *PARAMS, "--profile", _malformed_profile(d), "--term", "1,1,nan"],
+        lambda d: ["verify", *PARAMS, "--profile", _malformed_profile(d), "--lambda", "nan"],
     ],
     ids=["missing-profile", "directory-profile", "header-not-json", "header-missing-keys",
          "row-not-numeric", "negative-steps", "unwritable-csv", "unwritable-out-dir",
          "classify-r-nan", "classify-r-inf", "classify-eta-nan", "region-map-eta-nan",
          "thresholds-S1-nan", "thresholds-S1-inf", "thresholds-S2-nan", "thresholds-mu-inf",
          "thresholds-C-nan", "thresholds-C1-inf", "thresholds-cstar-overflow",
-         "thresholds-tilde-s-overflow", "thresholds-window-without-exponents", "minimize-term-malformed"],
+         "thresholds-tilde-s-overflow", "thresholds-window-without-exponents", "minimize-term-malformed",
+         "eigen-grad-tol-nan", "eigen-grad-tol-inf", "eigen-s-max-inf", "minimize-term-c-nan",
+         "minimize-term-c-inf", "minimize-lambda-nan", "verify-term-r-nan", "verify-lambda-nan"],
 )
 def test_bad_input_is_a_json_error(tmp_path, capsys, make_argv):
     # bad files and arguments are validation errors: one JSON document on

@@ -190,6 +190,16 @@ def test_term_spec_validation():
         il.TermSpec(1.0, 2.5, 3.0)
     with pytest.raises(il.DomainError):
         il.TermSpec(1.0, 1.0, 1.0)
+    for c, r in ((math.nan, 3.0), (math.inf, 3.0), (-math.inf, 3.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(il.DomainError):
+            il.TermSpec(c, 1.0, r)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_non_finite_lambda_is_rejected(ref_params, fun_grid, lam):
+    u = il.sample_function(fun_grid, "Gaussian", sigma=1.0)
+    with pytest.raises(il.DomainError):
+        il.el_residual(u, ref_params, lam, [])
 
 
 def test_functional_report_serialization(ref_params, fun_grid):

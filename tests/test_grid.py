@@ -29,7 +29,8 @@ def test_make_grid_step():
     assert np.all(np.diff(g.nodes) > 0)
 
 
-@pytest.mark.parametrize("args", [(1.0, 1.0, 100, 3), (1e-4, 1e4, 2, 3), (0.0, 1.0, 64, 3), (1e-4, 1e4, 64, 1)])
+@pytest.mark.parametrize("args", [(1.0, 1.0, 100, 3), (1e-4, 1e4, 2, 3), (0.0, 1.0, 64, 3), (1e-4, 1e4, 64, 1),
+                                  (1e-3, math.inf, 257, 3), (math.nan, 1.0, 64, 3), (1e-3, math.nan, 64, 3)])
 def test_make_grid_domain(args):
     with pytest.raises(il.DomainError):
         il.make_grid(*args)

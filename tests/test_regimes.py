@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import inlslab as il
 from inlslab import Regime
@@ -473,6 +473,8 @@ def test_gamma_roots_steep_high_term():
 @settings(max_examples=300, deadline=None)
 @given(st.floats(-12.0, 3.0), st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), st.floats(0.001, 0.999),
        st.floats(-3.0, 3.0))
+# bisection settled one float below the R1 whose residual is exactly 0
+@example(0.0, -0.51171875, 0.0, 0.5466305698603721, 0.0)
 def test_gamma_roots_are_float_exact(log_mu, log_c, log_c1, exp_low, log_rise):
     # each radius is the float of least residual among its neighbours, and
     # that residual is what one float step moves g by, not more

@@ -78,6 +78,14 @@ def test_rayleigh_small_window_exact(ref_params):
     rep = il.minimize_rayleigh(g, ref_params, il.sample_function(g, "Gaussian", sigma=1.0))
     assert rep.iters == 14
     assert rep.value == 1.3458659777074775
+    # a set where (1/q) q != 1: the quotient's Hessian diagonal must write
+    # the numerator's term as (q-1) mass |v|^(q-2), not as (1/q) q (q-1) ...
+    params = il.derive_params(5, 0.283, 3.053, 2.676)
+    assert (1.0 / params.q) * params.q != 1.0
+    g5 = il.make_grid(1e-3, 1e3, 257, 5)
+    rep = il.minimize_rayleigh(g5, params, il.sample_function(g5, "Gaussian", sigma=1.0))
+    assert rep.iters == 23
+    assert rep.value == 2.6646753520299087
 
 
 def test_rayleigh_converges_on_finer_and_wider_grids(ref_params):
@@ -223,6 +231,21 @@ def test_newton_zero_is_critical(ref_params, small_grid):
     assert rep.converged and rep.el_res == 0.0 and rep.profile.is_zero()
 
 
+def test_newton_domain(ref_params, small_grid):
+    u = il.sample_function(small_grid, "Gaussian", sigma=1.0)
+    with pytest.raises(il.DomainError):
+        il.newton_refine(u, il.derive_params(4, 0.3, 3.378, 3.241), 1.0, [])
+    for lam in (math.nan, math.inf):
+        with pytest.raises(il.DomainError):
+            il.newton_refine(u, ref_params, lam, [])
+
+
+def test_coercive_rejects_non_finite_lambda(ref_params, small_grid):
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(il.DomainError):
+            il.minimize_coercive(small_grid, ref_params, [il.TermSpec(1.0, 1.8, 2.2)], lam)
+
+
 def test_newton_far_from_solution_may_fail(ref_params, small_grid):
     rng = np.random.default_rng(5)
     u = il.RadialProfile(small_grid, 10.0 * rng.standard_normal(small_grid.M))
@@ -276,6 +299,19 @@ def test_probe_init_scaling_invariance():
     shifted = il.scale(init, math.exp(16 * g.h), (3 - 2) / 2.0)
     v2 = il.probe_best_constant(g, 3, 0.0, init=shifted)
     assert v2 == pytest.approx(v1, rel=1e-6)
+
+
+def test_probe_exact():
+    # pinned to the last bit, as test_rayleigh_small_window_exact
+    assert il.probe_best_constant(il.make_grid(1e-3, 1e3, 257, 3), 3, 0.0) == 5.495065542814473
+    assert il.probe_best_constant(il.make_grid(1e-4, 1e4, 1025, 3), 3, 1.0) == 2.8960642120329503
+
+
+def test_probe_rejects_a_foreign_init():
+    g = il.make_grid(1e-3, 1e3, 257, 3)
+    for other in (il.make_grid(1e-3, 2e3, 257, 3), il.make_grid(1e-3, 1e3, 129, 3)):
+        with pytest.raises(il.DomainError):
+            il.probe_best_constant(g, 3, 0.0, init=il.sample_function(other, "AubinTalenti", scale=1.0))
 
 
 def test_probe_domain():
@@ -385,10 +421,12 @@ def test_cached_wint_matches_weighted_integral():
 
 
 def test_solve_options_validation():
-    with pytest.raises(il.DomainError):
-        il.SolveOptions(max_iters=0)
-    with pytest.raises(il.DomainError):
-        il.SolveOptions(grad_tol=0.0)
+    for n in (0, math.nan):
+        with pytest.raises(il.DomainError):
+            il.SolveOptions(max_iters=n)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(il.DomainError):
+            il.SolveOptions(grad_tol=tol)
 
 
 def test_solve_report_serialization(eigen_run):
