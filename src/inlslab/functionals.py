@@ -74,13 +74,13 @@ def energy_terms(params: Params, lam: float, terms: list[TermSpec]) -> list[tupl
     return out
 
 
-def _pow(vals: np.ndarray, e: float) -> np.ndarray:
-    """|v|^e with the convention 0^e = 0 also for e <= 0 (term powers < 2)."""
+def _pow(a: np.ndarray, e: float) -> np.ndarray:
+    """a^e for a = |v| >= 0, with 0^e = 0 also for e <= 0 (term powers < 2)."""
     if e >= 0:
-        return np.abs(vals) ** e
-    out = np.zeros_like(vals)
-    nz = vals != 0
-    out[nz] = np.abs(vals[nz]) ** e
+        return a ** e
+    out = np.zeros_like(a)
+    nz = a != 0
+    out[nz] = a[nz] ** e
     return out
 
 
@@ -95,7 +95,7 @@ class Energy:
     grad(vals, value, scale) and hess_diag(vals, value, scale); an
     energy's slope scale is 1. hess_diag is the diagonal part of the
     Hessian, whose tridiagonal part is stiff_weight times the stiffness
-    band quad.stiff.
+    band quad.stiff. _value and _grad take |vals| and sign(vals) from the caller.
     """
 
     def __init__(self, grid: RadialGrid, terms: list[tuple[float, float, float]], stiff_weight: float = 0.5):
@@ -103,26 +103,36 @@ class Energy:
         self.terms = terms
         self.stiff_weight = stiff_weight
         self.masses = [self.quad.mass(eta) for _, eta, _ in terms]
+        # grad's and hess_diag's factors c r mass and c r (r-1) mass, left to right
+        self._gmass = [c * r * m for (c, _, r), m in zip(terms, self.masses)]
+        self._hmass = [c * r * (r - 1.0) * m for (c, _, r), m in zip(terms, self.masses)]
 
     def value(self, vals: np.ndarray) -> float:
+        return self._value(vals, np.abs(vals))
+
+    def _value(self, vals: np.ndarray, a: np.ndarray) -> float:
         out = self.stiff_weight * self.quad.dirich(vals)
         for (c, eta, r) in self.terms:
-            out += c * self.quad.wint(vals, r, eta)
+            out += c * self.quad.wint(a, r, eta)
         return out
 
     def evaluate(self, vals: np.ndarray) -> tuple[float, float]:
         return self.value(vals), 1.0
 
     def grad(self, vals: np.ndarray, value: float | None = None, scale: float | None = None) -> np.ndarray:
+        return self._grad(vals, np.abs(vals), np.sign(vals))
+
+    def _grad(self, vals: np.ndarray, a: np.ndarray, sign: np.ndarray) -> np.ndarray:
         out = self.stiff_weight * self.quad.grad_dirich(vals)
-        for (c, _, r), mass in zip(self.terms, self.masses):
-            out += c * r * mass * _pow(vals, r - 1.0) * np.sign(vals)
+        for (_, _, r), gm in zip(self.terms, self._gmass):
+            out += gm * _pow(a, r - 1.0) * sign
         return out
 
     def hess_diag(self, vals: np.ndarray, value: float | None = None, scale: float | None = None) -> np.ndarray:
+        a = np.abs(vals)
         out = np.zeros(len(vals))
-        for (c, _, r), mass in zip(self.terms, self.masses):
-            out += c * r * (r - 1.0) * mass * _pow(vals, r - 2.0)
+        for (_, _, r), hm in zip(self.terms, self._hmass):
+            out += hm * _pow(a, r - 2.0)
         return out
 
 

@@ -90,11 +90,11 @@ class RadialGrid(_Value):
 class Quadrature:
     """The discrete sums of one grid on raw nodal values.
 
-    wint(v, r, eta) = omega h sum_i w_i |v_i|^r s_i^(N-eta)   (trapezoid in ln s)
+    wint(a, r, eta) = omega h sum_i w_i a_i^r s_i^(N-eta)   (trapezoid in ln s)
     dirich(v)       = sum_cells cw_i slope_i^2,   cw_i = omega h smid_i^N
 
-    with w the trapezoid weights, slope_i = (v_{i+1} - v_i) / ds_i and
-    smid the geometric cell midpoint. w s^(N-eta) is cached per eta;
+    with a = |v|, w the trapezoid weights, slope_i = (v_{i+1} - v_i) / ds_i
+    and smid the geometric cell midpoint. w s^(N-eta) is cached per eta;
     w is 0.5 or 1, so every grouping of these products rounds alike.
     """
 
@@ -107,6 +107,7 @@ class Quadrature:
         self.w[0] = self.w[-1] = 0.5
         self.ds = s[1:] - s[:-1]
         self.cw = self.omega_h * np.sqrt(s[:-1] * s[1:]) ** grid.N
+        self._cw2 = 2.0 * self.cw
         #: interior nodes; both boundary nodes are pinned by the solvers
         self.free = slice(1, grid.M - 1)
         self._wpow = {}
@@ -122,17 +123,17 @@ class Quadrature:
         """Diagonal weights omega h w s^(N-eta) of the eta-weighted integral."""
         return self.omega_h * self._w_pow(eta)
 
-    def wint(self, vals: np.ndarray, r: float, eta: float) -> float:
-        return self.omega_h * float((np.abs(vals) ** r * self._w_pow(eta)).sum())
+    def wint(self, a: np.ndarray, r: float, eta: float) -> float:
+        return self.omega_h * float(np.add.reduce(a ** r * self._w_pow(eta)))
 
     def dirich(self, vals: np.ndarray) -> float:
         slopes = (vals[1:] - vals[:-1]) / self.ds
-        return float((self.cw * slopes * slopes).sum())
+        return float(np.add.reduce(self.cw * slopes * slopes))
 
     def grad_dirich(self, vals: np.ndarray) -> np.ndarray:
         """Gradient of dirich with respect to the nodal values."""
         slopes = (vals[1:] - vals[:-1]) / self.ds
-        f = 2.0 * self.cw * slopes / self.ds
+        f = self._cw2 * slopes / self.ds
         out = np.zeros(len(vals))
         out[1:] += f
         out[:-1] -= f
@@ -154,7 +155,7 @@ class Quadrature:
         """sqrt(sum g_i^2 / mu_i) over the interior nodes, mu = mass(0): the
         Riesz map of the discrete L^2 pairing, stable under refinement."""
         gf = g[self.free]
-        return math.sqrt(float((gf * gf / self._mu_free).sum()))
+        return math.sqrt(float(np.add.reduce(gf * gf / self._mu_free)))
 
 
 def make_grid(s_min: float, s_max: float, M: int, N: int) -> RadialGrid:
@@ -204,11 +205,11 @@ class RadialProfile(_Value):
 def weighted_integral(u: RadialProfile, r: float, eta: float) -> float:
     """omega_{N-1} * sum_i w_i |u_i|^r s_i^(N-eta) h  (trapezoid in ln s)."""
     g = u.grid
-    if r < 1:
-        raise DomainError(f"power r must be >= 1, got {r}")
+    if not 1 <= r < math.inf:
+        raise DomainError(f"power r must be finite and >= 1, got {r}")
     if not 0 <= eta < g.N:
         raise DomainError(f"eta must lie in [0, N), got {eta}")
-    return g.quad.wint(u.values, r, eta)
+    return g.quad.wint(np.abs(u.values), r, eta)
 
 
 def dirichlet_energy(u: RadialProfile) -> float:
@@ -240,8 +241,8 @@ def scale(u: RadialProfile, t: float, delta: float) -> RadialProfile:
     Grid-exact t (ln t an integer multiple of h) is a pure index shift;
     other t interpolate linearly in ln s. t = 0 gives the zero profile.
     """
-    if t < 0:
-        raise DomainError(f"scaling parameter t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"scaling parameter t must be finite and >= 0, got {t}")
     g = u.grid
     if t == 0.0:
         return RadialProfile(g, np.zeros(g.M))
@@ -274,14 +275,14 @@ def sample_function(grid: RadialGrid, family: ProfileFamily | str, **shape) -> R
     s = grid.nodes
     if family is ProfileFamily.GAUSSIAN:
         sigma = float(shape.get("sigma", 1.0))
-        if sigma <= 0:
-            raise DomainError(f"sigma must be positive, got {sigma}")
+        if not 0 < sigma < math.inf:
+            raise DomainError(f"sigma must be positive and finite, got {sigma}")
         vals = np.exp(-(s ** 2) / (2.0 * sigma ** 2))
     elif family is ProfileFamily.BUMP:
         lo = float(shape.get("lo", 1.0))
         hi = float(shape.get("hi", 2.0))
-        if not 0 < lo < hi:
-            raise DomainError(f"require 0 < lo < hi, got ({lo}, {hi})")
+        if not 0 < lo < hi < math.inf:
+            raise DomainError(f"require 0 < lo < hi < inf, got ({lo}, {hi})")
         vals = np.zeros(grid.M)
         inside = (s > lo) & (s < hi)
         t = (s[inside] - lo) * (hi - s[inside])
@@ -289,8 +290,8 @@ def sample_function(grid: RadialGrid, family: ProfileFamily | str, **shape) -> R
         vals[inside] = np.exp(-1.0 / t + 1.0 / peak)
     elif family is ProfileFamily.AUBIN_TALENTI:
         scl = float(shape.get("scale", 1.0))
-        if scl <= 0:
-            raise DomainError(f"scale must be positive, got {scl}")
+        if not 0 < scl < math.inf:
+            raise DomainError(f"scale must be positive and finite, got {scl}")
         vals = (1.0 + (s / scl) ** 2) ** (-(grid.N - 2) / 2.0)
     else:  # pragma: no cover
         raise DomainError(f"unknown family {family}")

@@ -19,12 +19,12 @@ All solvers share one strategy, validated on the reference problems:
   it is an upper bound only while the window error exceeds it.
 * one engine (_newton, shared by the Rayleigh, coercive and probe
   drivers): shifted Newton steps on the objective's value. Each step
-  solves (H + nu P) d = -g with one LAPACK tridiagonal factorization,
-  where H is the objective's tridiagonal-plus-diagonal Hessian and P a
-  fixed positive definite band (gradient stiffness + weighted mass
-  diagonal). A large shift nu gives a short preconditioned gradient
-  step, and nu -> 0 Newton's step, which crosses the near-neutral
-  scaling-orbit direction that stalls plain descent. The value is the
+  solves (H + nu P) d = -g with one LAPACK tridiagonal solve, where H
+  is the objective's tridiagonal-plus-diagonal Hessian and P a fixed
+  positive definite band (gradient stiffness + weighted mass diagonal).
+  A large shift nu gives a short preconditioned gradient step, and
+  nu -> 0 Newton's step, which crosses the near-neutral scaling-orbit
+  direction that stalls plain descent. The value is the
   merit (Armijo); only at its roundoff floor does a smaller residual
   decide. Every objective depends on u through |u| and the cell slopes,
   which |u| does not steepen, so each trial is replaced by its absolute
@@ -35,7 +35,7 @@ All solvers share one strategy, validated on the reference problems:
 * newton_refine sharpens a critical point of Phi with lambda fixed,
   which need not be a minimum, so it runs Levenberg-Marquardt on the
   stationarity residual (_lm_polish) with the same exact Hessian.
-* the tridiagonal factorizations are LAPACK dgttrf/dgttrs from scipy's
+* each matrix is solved once, by one LAPACK dgtsv call from scipy's
   compiled wrapper module scipy/linalg/_flapack, loaded from its file on
   the first solve (_lapack). Importing the scipy.linalg package instead
   would run its array-API set-up, which pulls in numpy.testing,
@@ -84,11 +84,11 @@ class SolveOptions(_Value):
     __slots__ = _fields = ("max_iters", "grad_tol")
 
     def __init__(self, max_iters: int = 50_000, grad_tol: float = 1e-8):
-        if not max_iters >= 1:
-            raise DomainError(f"max_iters must be >= 1, got {max_iters}")
+        if not (max_iters >= 1 and max_iters != math.inf and int(max_iters) == max_iters):
+            raise DomainError(f"max_iters must be an integer >= 1, got {max_iters}")
         if not 0 < grad_tol < math.inf:
             raise DomainError(f"grad_tol must be positive and finite, got {grad_tol}")
-        _set(self, "max_iters", max_iters)
+        _set(self, "max_iters", int(max_iters))
         _set(self, "grad_tol", grad_tol)
 
 
@@ -126,11 +126,6 @@ _FLOOR = 64.0 * np.finfo(float).eps
 _ARMIJO_C = 1e-4
 
 
-def _check_finite(a: np.ndarray) -> None:
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-
-
 def _lapack():
     """scipy's f2py LAPACK module, scipy.linalg._flapack.
 
@@ -151,35 +146,22 @@ def _lapack():
     return module
 
 
-class _Tridiag:
-    """LU factors of a tridiagonal matrix given in solve_banded's (1, 1) layout.
+def _solve_tridiag(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with ab x = rhs, ab tridiagonal in solve_banded's (1, 1) layout.
 
-    LAPACK dgttrf/dgttrs perform the partial-pivoting elimination of the
-    dgtsv call behind scipy.linalg.solve_banded, operation for operation,
-    so solve() returns the same bits. Both routines come from scipy's
-    compiled LAPACK wrappers, loaded by _lapack without the scipy.linalg
-    package, which would add hundreds of milliseconds to every CLI solve.
-    Non-finite input raises ValueError and an exactly zero pivot raises
-    SingularHessian.
+    One LAPACK dgtsv call, as in scipy.linalg.solve_banded, so x has its
+    bits, and its checks: non-finite input raises ValueError and an
+    exactly zero pivot SingularHessian. dgtsv works on copies, so ab and
+    rhs are left as they were and a retried shift can reuse rhs.
     """
-
-    def __init__(self, ab: np.ndarray):
-        lapack = _lapack()
-        _check_finite(ab)
-        *factors, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
-        if info > 0:
-            raise SingularHessian("singular matrix")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dgttrf")
-        self._factors = factors
-        self._dgttrs = lapack.dgttrs
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        _check_finite(rhs)
-        x, info = self._dgttrs(*self._factors, rhs)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of dgttrs")
-        return x
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = _lapack().dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    if info > 0:
+        raise SingularHessian("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgtsv")
+    return x
 
 
 def _pin(vals: np.ndarray) -> np.ndarray:
@@ -218,9 +200,13 @@ class _Quotient:
         self.stiff_weight = num.stiff_weight
         self.r, self.eta, self.div, self.gamma = r, eta, div, gamma
         self.mass = self.quad.mass(eta)
+        # (r_k - 1), not Energy's c_k r_k (r_k - 1): with c_k = 1/r_k the
+        # product (1/q) q is not 1 for every q, and would move the iterates
+        self._hmass = [(rk - 1.0) * m for (_, _, rk), m in zip(num.terms, num.masses)]
 
     def evaluate(self, vals: np.ndarray) -> tuple[float, float]:
-        A, B = self.num.value(vals), self.quad.wint(vals, self.r, self.eta) / self.div
+        a = np.abs(vals)
+        A, B = self.num._value(vals, a), self.quad.wint(a, self.r, self.eta) / self.div
         if B <= 0 or not math.isfinite(B):
             return math.inf, B
         D = B ** (2.0 / self.gamma)
@@ -230,16 +216,16 @@ class _Quotient:
         return 2.0 * self.r / (self.gamma * self.div) * R * D ** (1.0 - self.gamma / 2.0)
 
     def grad(self, vals: np.ndarray, R: float, D: float) -> np.ndarray:
+        a, sign = np.abs(vals), np.sign(vals)
         k = self._k(R, D) / self.div * self.div
-        return self.num.grad(vals) - k * self.mass * _pow(vals, self.r - 1.0) * np.sign(vals)
+        return self.num._grad(vals, a, sign) - k * self.mass * _pow(a, self.r - 1.0) * sign
 
     def hess_diag(self, vals: np.ndarray, R: float, D: float) -> np.ndarray:
-        # (r_k - 1), not Energy's c_k r_k (r_k - 1): with c_k = 1/r_k the
-        # product (1/q) q is not 1 for every q, and would move the iterates
+        a = np.abs(vals)
         out = np.zeros(len(vals))
-        for (_, _, rk), mass in zip(self.num.terms, self.num.masses):
-            out += (rk - 1.0) * mass * _pow(vals, rk - 2.0)
-        return out - (self.r - 1.0) * self._k(R, D) * self.mass * _pow(vals, self.r - 2.0)
+        for (_, _, rk), hm in zip(self.num.terms, self._hmass):
+            out += hm * _pow(a, rk - 2.0)
+        return out - (self.r - 1.0) * self._k(R, D) * self.mass * _pow(a, self.r - 2.0)
 
 
 def _newton(obj, vals, pre, opts):
@@ -250,32 +236,35 @@ def _newton(obj, vals, pre, opts):
     times the value's gradient) and the diagonal of its Hessian, whose
     tridiagonal part is obj.stiff_weight * stiffness. The Hessian's
     rank-one terms are left out; they vanish at a critical point.
-    Each step solves (H + nu pre) d = -g with one tridiagonal
-    factorization: nu -> 0 is Newton's step, a large nu a short step
-    along the gradient preconditioned by the positive definite band pre.
+    Each step solves (H + nu pre) d = -g with one tridiagonal solve:
+    nu -> 0 is Newton's step, a large nu a short step along the
+    gradient preconditioned by the positive definite band pre.
     The trial is |vals + d| (see the module docstring). It is accepted
     on Armijo decrease of the value and, once the value sits at its
     roundoff floor, on a smaller dual-norm residual. nu starts at 1 and
     grows 4x on a rejected step, halves on an accepted one (not below
     1e-12, so it cannot underflow to a shift that never grows again);
     the solve stops unconverged when no nu below 1e30 gives an
-    acceptable step.
+    acceptable step. An init out of float range raises DomainError.
     Returns (vals, value, res, iters, converged).
     """
     quad = obj.quad
     free = quad.free
+    stiff = obj.stiff_weight * quad.stiff
     f0, scale = obj.evaluate(vals)
+    if not (math.isfinite(f0) and 0 < scale < math.inf):
+        raise DomainError(f"init out of float range: objective {f0}, slope scale {scale}")
     g = obj.grad(vals, f0, scale)
     res = quad.dual_norm(g)
     nu = 1.0
     it = 0
     while res > opts.grad_tol and it < opts.max_iters:
-        hess = _with_diag(obj.stiff_weight * quad.stiff, obj.hess_diag(vals, f0, scale)[free])
+        hess = _with_diag(stiff, obj.hess_diag(vals, f0, scale)[free])
         rhs = -g[free]
         accepted = False
         while not accepted and nu < 1e30:
             try:
-                d = _Tridiag(hess + nu * pre).solve(rhs)
+                d = _solve_tridiag(hess + nu * pre, rhs)
             except (ValueError, SingularHessian):
                 nu *= 4.0
                 continue
@@ -324,7 +313,7 @@ def _lm_polish(obj, vals, tol, budget):
             if nu > 1e30:
                 break
             try:
-                step = _Tridiag(_with_diag(stiff, hd[free] + nu * dref)).solve(g[free])
+                step = _solve_tridiag(_with_diag(stiff, hd[free] + nu * dref), g[free])
             except ValueError:
                 nu *= 10.0
                 continue
@@ -450,7 +439,7 @@ def _coercive_init(grid: RadialGrid, terms) -> np.ndarray:
         sv = _pin(shift_values(grid, base, k))
         if not np.any(sv):
             continue
-        d = 0.5 * quad.dirich(sv)
+        d = 0.5 * quad.dirich(sv)  # sv >= 0, so it is its own |sv| for wint
         energies = d * amps * amps + sum(c * quad.wint(sv, r, eta) * pw
                                          for (c, eta, r), pw in zip(terms, powers))
         i = np.argmin(np.where(np.isnan(energies), math.inf, energies))
@@ -550,9 +539,9 @@ def probe_best_constant(
     elif init.grid != grid:
         raise DomainError("init profile lives on a different grid")
     vals = _pin(init.values)
-    B = grid.quad.wint(vals, c, eta)
-    if B <= 0:
-        raise DomainError("probe initialization degenerate on this grid")
+    B = grid.quad.wint(np.abs(vals), c, eta)
+    if not 0 < B < math.inf:
+        raise DomainError(f"the init's integral of |u|^{c} is {B}, not a positive float")
     vals = vals / B ** (1.0 / c)
 
     obj = _Quotient(Energy(grid, [], stiff_weight=1.0), c, eta, 1.0, c)

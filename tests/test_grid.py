@@ -85,6 +85,15 @@ def test_weighted_integral_domain():
         il.weighted_integral(u, 2.0, 3.0)
 
 
+def test_weighted_integral_rejects_a_non_finite_power():
+    # r = nan used to return nan, and r = inf returned 0.0
+    g = il.make_grid(1e-2, 1e2, 64, 3)
+    u = il.sample_function(g, "Gaussian", sigma=1.0)
+    for r in (math.nan, math.inf):
+        with pytest.raises(il.DomainError, match="power r"):
+            il.weighted_integral(u, r, 1.0)
+
+
 def test_quadrature_positivity():
     g = il.make_grid(1e-2, 1e2, 64, 3)
     rng = np.random.default_rng(7)
@@ -120,7 +129,7 @@ def test_quadrature_matches_reference_sums_bit_for_bit():
         for vals in _random_profiles(g, 5):
             for r in (1.5, 2.2, 3.0, 6.0):
                 ref = g.omega * g.h * float(np.sum(w * np.abs(vals) ** r * g.nodes ** (g.N - eta)))
-                assert g.quad.wint(vals, r, eta) == ref
+                assert g.quad.wint(np.abs(vals), r, eta) == ref
     for vals in _random_profiles(g, 6):
         slopes = (vals[1:] - vals[:-1]) / ds
         f = 2.0 * g.omega * g.h * smid ** g.N * slopes / ds
@@ -182,6 +191,14 @@ def test_scale_rejects_negative(wide5_params, wide5_grid):
     u = il.sample_function(wide5_grid, "Gaussian", sigma=1.0)
     with pytest.raises(il.DomainError):
         il.scale(u, -1.0, wide5_params.delta)
+
+
+def test_scale_rejects_a_non_finite_t(wide5_params, wide5_grid):
+    # t = nan used to raise a bare ValueError, and t = inf an OverflowError
+    u = il.sample_function(wide5_grid, "Gaussian", sigma=1.0)
+    for t in (math.nan, math.inf):
+        with pytest.raises(il.DomainError, match="scaling parameter t"):
+            il.scale(u, t, wide5_params.delta)
 
 
 def test_scale_group_law_same_sign(wide5_params, wide5_grid):
@@ -260,6 +277,19 @@ def test_sample_function_domain():
         il.sample_function(g, "Gaussian", sigma=-1.0)
     with pytest.raises(il.DomainError):
         il.sample_function(g, "Bump", lo=2.0, hi=1.0)
+
+
+@pytest.mark.parametrize("family, shape, name", [
+    ("Gaussian", {"sigma": math.nan}, "sigma"), ("Gaussian", {"sigma": math.inf}, "sigma"),
+    ("Bump", {"lo": math.nan, "hi": 2.0}, "lo < hi"), ("Bump", {"lo": 1.0, "hi": math.inf}, "lo < hi"),
+    ("AubinTalenti", {"scale": math.nan}, "scale"), ("AubinTalenti", {"scale": math.inf}, "scale"),
+])
+def test_sample_function_rejects_a_non_finite_shape(family, shape, name):
+    # an infinite shape parameter used to give a constant profile, and nan
+    # failed later as "profile values must be finite"; the error names it
+    g = il.make_grid(1e-2, 1e2, 64, 3)
+    with pytest.raises(il.DomainError, match=name):
+        il.sample_function(g, family, **shape)
 
 
 def test_profile_invariants():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import inlslab as il
-from inlslab.solver import _coercive_init, _pin, _Tridiag, _with_diag
+from inlslab.solver import _coercive_init, _pin, _solve_tridiag, _with_diag
 
 
 @pytest.fixture(scope="module")
@@ -88,15 +88,40 @@ def test_rayleigh_small_window_exact(ref_params):
     assert rep.value == 2.6646753520299087
 
 
+@pytest.mark.parametrize("family, shape, iters, value", [
+    ("Gaussian", {"sigma": 1.0}, 18, 1.3226630373126536),
+    ("Bump", {"lo": 1.0, "hi": 2.0}, 22, 1.3226630373126538),
+])
+def test_rayleigh_reference_window_exact(ref_params, family, shape, iters, value):
+    # the benchmark's reference solves from both inits, pinned to the bit
+    # as test_rayleigh_small_window_exact
+    g = il.make_grid(1e-4, 1e4, 1025, 3)
+    rep = il.minimize_rayleigh(g, ref_params, il.sample_function(g, family, **shape))
+    assert (rep.iters, rep.value) == (iters, value)
+
+
 def test_rayleigh_converges_on_finer_and_wider_grids(ref_params):
     # the reference window refined, and widened by a decade at each end at
-    # the same node count; a window upper bound can only drop as it widens
+    # the same node count; a window upper bound can only drop as it widens.
+    # Both are benchmark solves, so they are pinned to the bit too
     lam_ref = 1.3226630373126538  # [1e-4, 1e4] x 1025, acceptance criterion 6
-    for window in ((1e-4, 1e4, 2049), (1e-5, 1e5, 1025)):
+    for window, iters, value in (((1e-4, 1e4, 2049), 18, 1.3226701107052932),
+                                 ((1e-5, 1e5, 1025), 21, 1.3152053588828878)):
         g = il.make_grid(*window, 3)
         rep = il.minimize_rayleigh(g, ref_params, il.sample_function(g, "Gaussian", sigma=1.0))
         assert rep.converged and rep.el_res <= 1e-8
+        assert (rep.iters, rep.value) == (iters, value)
     assert rep.value <= lam_ref
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_rayleigh_rejects_an_init_out_of_float_range(ref_params, small_grid):
+    # |u|^p overflows to inf at 1e200 and underflows to 0 at 1e-200: the
+    # solve must say so before it starts, not fail later on a lambda of inf
+    u = il.sample_function(small_grid, "Gaussian", sigma=1.0)
+    for factor in (1e200, 1e-200):
+        with pytest.raises(il.DomainError, match="float range"):
+            il.minimize_rayleigh(small_grid, ref_params, il.RadialProfile(small_grid, factor * u.values))
 
 
 # ------------------------------------------------------------- coercive
@@ -115,6 +140,8 @@ def test_coercive_negative_level(ref_params):
     assert rep.el_res <= 1e-8
     # the global minimum, not another local one (-3.934 sits on a sign-changing profile)
     assert rep.value == pytest.approx(-9.653662119594074, rel=1e-9)
+    # the benchmark's coercive solve, pinned to the bit
+    assert (rep.iters, rep.value) == (20, -9.653662119593818)
 
 
 def test_coercive_rejects_scaled_borderline(ref_params, small_grid):
@@ -307,6 +334,17 @@ def test_probe_exact():
     assert il.probe_best_constant(il.make_grid(1e-4, 1e4, 1025, 3), 3, 1.0) == 2.8960642120329503
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_probe_rejects_an_init_out_of_float_range():
+    # |u|^6 of 1e200 x Aubin-Talenti overflows; the normalization by it
+    # would divide the init down to zero
+    g = il.make_grid(1e-3, 1e3, 257, 3)
+    at = il.sample_function(g, "AubinTalenti", scale=1.0)
+    for factor in (1e200, 1e-200):
+        with pytest.raises(il.DomainError, match="positive float"):
+            il.probe_best_constant(g, 3, 0.0, init=il.RadialProfile(g, factor * at.values))
+
+
 def test_probe_rejects_a_foreign_init():
     g = il.make_grid(1e-3, 1e3, 257, 3)
     for other in (il.make_grid(1e-3, 2e3, 257, 3), il.make_grid(1e-3, 1e3, 129, 3)):
@@ -340,69 +378,66 @@ def test_eigenvalue_refinement_trend(ref_params, capsys):
 # --------------------------------------------------------------- kernels
 
 
-def _assert_same_lapack(lu, ab, rhs):
-    # _Tridiag loads LAPACK from scipy's extension file, without the
-    # scipy.linalg package; its factors, pivots and solution must be
-    # scipy.linalg.lapack's, bit for bit
-    from scipy.linalg import lapack
+def _assert_same_bits(ab, rhs):
+    # _solve_tridiag loads LAPACK from scipy's extension file, without the
+    # scipy.linalg package; its solution must be solve_banded's and that of
+    # dgttrf + dgttrs, bit for bit, and it must leave its arguments as they
+    # were (the Newton engine retries a shift with the same right-hand side)
+    from scipy.linalg import lapack, solve_banded
 
+    ab_in, rhs_in = ab.copy(), rhs.copy()
+    x = _solve_tridiag(ab, rhs)
+    assert x.tobytes() == solve_banded((1, 1), ab, rhs).tobytes()
     *factors, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
     assert info == 0
-    for ours, theirs in zip(lu._factors, factors, strict=True):
-        np.testing.assert_array_equal(ours, theirs)
-    np.testing.assert_array_equal(lu.solve(rhs), lapack.dgttrs(*factors, rhs)[0])
+    assert x.tobytes() == lapack.dgttrs(*factors, rhs)[0].tobytes()
+    assert ab.tobytes() == ab_in.tobytes() and rhs.tobytes() == rhs_in.tobytes()
 
 
-def test_factored_preconditioner_matches_solve_banded():
+def test_preconditioner_solve_matches_solve_banded():
     # the descent preconditioner, stiffness + 1/2 mass on the free nodes,
-    # built and factored as minimize_rayleigh does, on the reference grid
-    # against right-hand sides spread over 24 decades
-    from scipy.linalg import solve_banded
-
+    # built as minimize_rayleigh does, on the reference grid against
+    # right-hand sides spread over 24 decades
     q = il.make_grid(1e-4, 1e4, 1025, 3).quad
     mass_diag = 0.5 * q.mass(1.0)
     pre = _with_diag(q.stiff, mass_diag[q.free])
     ab = q.stiff.copy()
     ab[1, :] += mass_diag[q.free]
     np.testing.assert_array_equal(pre, ab)
-    lu = _Tridiag(pre)
     rng = np.random.default_rng(7)
     for _ in range(50):
         rhs = rng.standard_normal(len(ab[1])) * 10.0 ** rng.uniform(-12, 12, len(ab[1]))
-        np.testing.assert_allclose(lu.solve(rhs), solve_banded((1, 1), ab, rhs), rtol=1e-13, atol=0.0)
-        _assert_same_lapack(lu, pre, rhs)
+        _assert_same_bits(pre, rhs)
 
 
 def test_tridiag_matches_solve_banded_with_pivoting():
     # the shifted Newton and Levenberg-Marquardt matrices need not be
-    # diagonally dominant, so row interchanges happen; the factored solve
-    # must still match
-    from scipy.linalg import solve_banded
-
+    # diagonally dominant, so row interchanges happen; the solve must
+    # still match, on dominant and non-dominant systems of several sizes
     rng = np.random.default_rng(11)
-    n = 300
-    for _ in range(20):
+    for i in range(200):
+        n = int(rng.integers(3, 400))
         ab = rng.standard_normal((3, n))
-        ab[1, :] *= 0.1
+        ab[1, :] *= 0.1 if i % 2 else 10.0
         rhs = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
-        lu = _Tridiag(ab)
-        np.testing.assert_allclose(lu.solve(rhs), solve_banded((1, 1), ab, rhs), rtol=1e-13, atol=0.0)
-        _assert_same_lapack(lu, ab, rhs)
+        _assert_same_bits(ab, rhs)
 
 
 def test_tridiag_keeps_solve_banded_checks():
     q = il.make_grid(1e-2, 1e2, 64, 3).quad
     ab = q.stiff.copy()
     ab[1, :] += q.mass(1.0)[q.free]
-    bad = np.ones(len(ab[1]))
-    bad[10] = np.nan
-    with pytest.raises(ValueError):
-        _Tridiag(ab).solve(bad)
-    ab[1, :] = bad
-    with pytest.raises(ValueError):
-        _Tridiag(ab)
+    for bad_value in (np.nan, np.inf):
+        bad = np.ones(len(ab[1]))
+        bad[10] = bad_value
+        with pytest.raises(ValueError):
+            _solve_tridiag(ab, bad)
+        bad_ab = ab.copy()
+        bad_ab[1, :] = bad
+        with pytest.raises(ValueError):
+            _solve_tridiag(bad_ab, np.ones(len(ab[1])))
     with pytest.raises(il.SingularHessian):
-        _Tridiag(np.zeros((3, 8)))
+        _solve_tridiag(np.zeros((3, 8)), np.ones(8))
 
 
 def test_cached_wint_matches_weighted_integral():
@@ -414,14 +449,15 @@ def test_cached_wint_matches_weighted_integral():
         for eta in (0.0, 0.5, 1.0, 1.8, 2.5):
             for r in (1.5, 2.0, 3.0, 6.0):
                 for _repeat in range(2):  # first call fills the cache, second reads it
-                    assert quad.wint(u.values, r, eta) == il.weighted_integral(u, r, eta)
+                    assert quad.wint(np.abs(u.values), r, eta) == il.weighted_integral(u, r, eta)
 
 
 # ---------------------------------------------------------------- options
 
 
 def test_solve_options_validation():
-    for n in (0, math.nan):
+    # a fractional budget would run its ceiling, and inf none at all
+    for n in (0, math.nan, 2.5, math.inf):
         with pytest.raises(il.DomainError):
             il.SolveOptions(max_iters=n)
     for tol in (0.0, math.nan, math.inf):
