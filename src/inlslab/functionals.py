@@ -128,7 +128,7 @@ class Energy:
             out += gm * _pow(a, r - 1.0) * sign
         return out
 
-    def hess_diag(self, vals: np.ndarray, value: float | None = None, scale: float | None = None) -> np.ndarray:
+    def hess_diag(self, vals: np.ndarray, value: float, scale: float) -> np.ndarray:
         a = np.abs(vals)
         out = np.zeros(len(vals))
         for (_, _, r), hm in zip(self.terms, self._hmass):

@@ -243,6 +243,8 @@ def scale(u: RadialProfile, t: float, delta: float) -> RadialProfile:
     """
     if not 0 <= t < math.inf:
         raise DomainError(f"scaling parameter t must be finite and >= 0, got {t}")
+    if not math.isfinite(delta):
+        raise DomainError(f"scaling rate delta must be finite, got {delta}")
     g = u.grid
     if t == 0.0:
         return RadialProfile(g, np.zeros(g.M))
@@ -270,6 +272,8 @@ def sample_function(grid: RadialGrid, family: ProfileFamily | str, **shape) -> R
     Gaussian(sigma): exp(-s^2 / (2 sigma^2)).
     Bump(lo, hi): exp(-1/((s-lo)(hi-s))) normalized to peak 1, zero outside.
     AubinTalenti(scale): (1 + (s/scale)^2)^(-(N-2)/2).
+    A shape whose samples all vanish (a Bump outside the window, or a
+    sigma or scale so small that the samples underflow) raises DomainError.
     """
     family = ProfileFamily(family)
     s = grid.nodes
@@ -277,12 +281,14 @@ def sample_function(grid: RadialGrid, family: ProfileFamily | str, **shape) -> R
         sigma = float(shape.get("sigma", 1.0))
         if not 0 < sigma < math.inf:
             raise DomainError(f"sigma must be positive and finite, got {sigma}")
+        named = f"sigma={sigma}"
         vals = np.exp(-(s ** 2) / (2.0 * sigma ** 2))
     elif family is ProfileFamily.BUMP:
         lo = float(shape.get("lo", 1.0))
         hi = float(shape.get("hi", 2.0))
         if not 0 < lo < hi < math.inf:
             raise DomainError(f"require 0 < lo < hi < inf, got ({lo}, {hi})")
+        named = f"lo={lo}, hi={hi}"
         vals = np.zeros(grid.M)
         inside = (s > lo) & (s < hi)
         t = (s[inside] - lo) * (hi - s[inside])
@@ -292,10 +298,14 @@ def sample_function(grid: RadialGrid, family: ProfileFamily | str, **shape) -> R
         scl = float(shape.get("scale", 1.0))
         if not 0 < scl < math.inf:
             raise DomainError(f"scale must be positive and finite, got {scl}")
+        named = f"scale={scl}"
         vals = (1.0 + (s / scl) ** 2) ** (-(grid.N - 2) / 2.0)
     else:  # pragma: no cover
         raise DomainError(f"unknown family {family}")
-    return RadialProfile(grid, vals)
+    u = RadialProfile(grid, vals)
+    if u.is_zero():
+        raise DomainError(f"{family.value} with {named} vanishes on every node of the grid")
+    return u
 
 
 def save_profile(u: RadialProfile, path, family: str = "custom", params: dict | None = None) -> None:

@@ -17,24 +17,26 @@ All solvers share one strategy, validated on the reference problems:
   s_min, which undershoots the true value.) The computed quotient also
   carries the discretization error, which is O(h^2) and negative, so
   it is an upper bound only while the window error exceeds it.
-* one engine (_newton, shared by the Rayleigh, coercive and probe
-  drivers): shifted Newton steps on the objective's value. Each step
-  solves (H + nu P) d = -g with one LAPACK tridiagonal solve, where H
-  is the objective's tridiagonal-plus-diagonal Hessian and P a fixed
-  positive definite band (gradient stiffness + weighted mass diagonal).
-  A large shift nu gives a short preconditioned gradient step, and
-  nu -> 0 Newton's step, which crosses the near-neutral scaling-orbit
-  direction that stalls plain descent. The value is the
-  merit (Armijo); only at its roundoff floor does a smaller residual
-  decide. Every objective depends on u through |u| and the cell slopes,
-  which |u| does not steepen, so each trial is replaced by its absolute
-  value: the value cannot rise, and a full Newton step that overshoots
-  through zero cannot carry the iterate to a sign-changing critical
-  point (without it, the acceptance suite's subscaled minimization ends
-  at the energy -3.934 instead of -9.654).
+* one engine (_newton, shared by all four drivers): shifted Newton
+  steps. Each step solves (H + nu P) d = -g with one LAPACK tridiagonal
+  solve, where H is the objective's tridiagonal-plus-diagonal Hessian
+  and P a fixed positive definite band (gradient stiffness + weighted
+  mass diagonal). A large shift nu gives a short preconditioned
+  gradient step, and nu -> 0 Newton's step, which crosses the
+  near-neutral scaling-orbit direction that stalls plain descent. For
+  the minimizing drivers the value is the merit (Armijo); only at its
+  roundoff floor does a smaller residual decide. Every objective
+  depends on u through |u| and the cell slopes, which |u| does not
+  steepen, so their trials are replaced by their absolute values: the
+  value cannot rise, and a full Newton step that overshoots through
+  zero cannot carry the iterate to a sign-changing critical point
+  (without it, the acceptance suite's subscaled minimization ends at
+  the energy -3.934 instead of -9.654).
 * newton_refine sharpens a critical point of Phi with lambda fixed,
-  which need not be a minimum, so it runs Levenberg-Marquardt on the
-  stationarity residual (_lm_polish) with the same exact Hessian.
+  which need not be a minimum (a minimax eigenvalue, or a fiber
+  maximum), so it runs the engine in its critical-point mode: the first
+  shift is tiny, so the first trial is Newton's step; trials keep their
+  signs; and a smaller dual-norm residual alone accepts a step.
 * each matrix is solved once, by one LAPACK dgtsv call from scipy's
   compiled wrapper module scipy/linalg/_flapack, loaded from its file on
   the first solve (_lapack). Importing the scipy.linalg package instead
@@ -178,6 +180,12 @@ def _with_diag(band: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return out
 
 
+def _shift_operator(grid: RadialGrid, params: Params) -> np.ndarray:
+    """_newton's shift operator P = stiffness + 1/2 mass(b) on the free nodes."""
+    quad = grid.quad
+    return _with_diag(quad.stiff, 0.5 * quad.mass(params.b)[quad.free])
+
+
 class _Quotient:
     """Scale-free quotient R = A / D, D = B^(2/gamma), B = wint(r, eta) / div,
     whose numerator A is an Energy whose terms have coefficient 1/r_k,
@@ -228,8 +236,8 @@ class _Quotient:
         return out - (self.r - 1.0) * self._k(R, D) * self.mass * _pow(a, self.r - 2.0)
 
 
-def _newton(obj, vals, pre, opts):
-    """Shifted Newton descent on the value of obj, from pinned nodal values.
+def _newton(obj, vals, pre, opts, critical=False):
+    """Shifted Newton iteration on obj from pinned nodal values.
 
     obj gives evaluate(vals) = (value, slope scale), and grad and
     hess_diag at (vals, value, scale): the stationarity gradient (scale
@@ -239,13 +247,17 @@ def _newton(obj, vals, pre, opts):
     Each step solves (H + nu pre) d = -g with one tridiagonal solve:
     nu -> 0 is Newton's step, a large nu a short step along the
     gradient preconditioned by the positive definite band pre.
-    The trial is |vals + d| (see the module docstring). It is accepted
-    on Armijo decrease of the value and, once the value sits at its
-    roundoff floor, on a smaller dual-norm residual. nu starts at 1 and
-    grows 4x on a rejected step, halves on an accepted one (not below
-    1e-12, so it cannot underflow to a shift that never grows again);
-    the solve stops unconverged when no nu below 1e30 gives an
-    acceptable step. An init out of float range raises DomainError.
+    A minimizer (critical=False) starts at nu = 1 and tries |vals + d|
+    (see the module docstring); it accepts on Armijo decrease of the
+    value and, once the value sits at its roundoff floor, on a smaller
+    dual-norm residual. A critical-point search (critical=True), whose
+    target need not be a minimum, starts at nu = 1e-8, so its first
+    trial is Newton's step, tries vals + d, so sign changes are kept,
+    and accepts on a smaller dual-norm residual alone. nu grows 4x on a
+    rejected step and halves on an accepted one (not below 1e-12, so it
+    cannot underflow to a shift that never grows again); the solve stops
+    unconverged when no nu below 1e30 gives an acceptable step. An init
+    out of float range raises DomainError.
     Returns (vals, value, res, iters, converged).
     """
     quad = obj.quad
@@ -256,7 +268,7 @@ def _newton(obj, vals, pre, opts):
         raise DomainError(f"init out of float range: objective {f0}, slope scale {scale}")
     g = obj.grad(vals, f0, scale)
     res = quad.dual_norm(g)
-    nu = 1.0
+    nu = 1e-8 if critical else 1.0
     it = 0
     while res > opts.grad_tol and it < opts.max_iters:
         hess = _with_diag(stiff, obj.hess_diag(vals, f0, scale)[free])
@@ -269,12 +281,12 @@ def _newton(obj, vals, pre, opts):
                 nu *= 4.0
                 continue
             trial = vals.copy()
-            trial[free] = np.abs(vals[free] + d)
+            trial[free] = vals[free] + d if critical else np.abs(vals[free] + d)
             fv, sv = obj.evaluate(trial)
             slope = float(np.dot(g[free], d)) / scale
             # fv - f0, not f0 + c slope: that sum rounds to f0 once slope is tiny
-            armijo = slope < 0 and fv - f0 <= _ARMIJO_C * slope
-            if armijo or fv <= f0 + _FLOOR * abs(f0):
+            armijo = not critical and slope < 0 and fv - f0 <= _ARMIJO_C * slope
+            if armijo or critical or fv <= f0 + _FLOOR * abs(f0):
                 gv = obj.grad(trial, fv, sv)
                 rv = quad.dual_norm(gv)
                 accepted = armijo or rv < res
@@ -286,57 +298,6 @@ def _newton(obj, vals, pre, opts):
         nu = max(0.5 * nu, 1e-12)
         it += 1
     return vals, f0, res, it, res <= opts.grad_tol
-
-
-def _lm_polish(obj, vals, tol, budget):
-    """Levenberg-Marquardt on the stationarity residual norm.
-
-    The Hessian used is obj.stiff_weight * stiffness + diag(obj.hess_diag),
-    the exact second derivative of the discrete energy obj; vals arrive
-    pinned and only the free nodes move.
-    Returns (vals, res, iters_used, converged).
-    """
-    quad = obj.quad
-    free = quad.free
-    stiff = obj.stiff_weight * quad.stiff
-    nu = 1e-8
-    g = obj.grad(vals)
-    res = quad.dual_norm(g)
-    it = 0
-    while it < budget:
-        if res <= tol:
-            return vals, res, it, True
-        hd = obj.hess_diag(vals)
-        dref = np.abs(stiff[1, :] + hd[free]) + 1e-300
-        improved = False
-        for _ in range(60):
-            if nu > 1e30:
-                break
-            try:
-                step = _solve_tridiag(_with_diag(stiff, hd[free] + nu * dref), g[free])
-            except ValueError:
-                nu *= 10.0
-                continue
-            if not np.all(np.isfinite(step)):
-                nu *= 10.0
-                continue
-            trial = vals.copy()
-            trial[free] -= step
-            gv = obj.grad(trial)
-            if not np.all(np.isfinite(gv)):
-                nu *= 10.0
-                continue
-            rv = quad.dual_norm(gv)
-            if rv < res:
-                vals, g, res = trial, gv, rv
-                nu = max(nu * 0.25, 1e-16)
-                improved = True
-                break
-            nu *= 10.0
-        it += 1
-        if not improved:
-            return vals, res, it, False
-    return vals, res, it, res <= tol
 
 
 def _report(grid, params, vals, value, iters, res, converged, lam, terms=()) -> SolveReport:
@@ -377,9 +338,7 @@ def minimize_rayleigh(
     vals = _pin(init.values)
     if not np.any(vals):
         raise ZeroProfileError("initial profile vanishes on the interior nodes")
-    quad = grid.quad
-    pre = _with_diag(quad.stiff, 0.5 * quad.mass(params.b)[quad.free])
-    vals, lam, res, iters, converged = _newton(obj, vals, pre, opts)
+    vals, lam, res, iters, converged = _newton(obj, vals, _shift_operator(grid, params), opts)
     return _report(grid, params, vals, lam, iters, res, converged, lam)
 
 
@@ -474,9 +433,7 @@ def minimize_coercive(
         return _report(grid, params, np.zeros(grid.M), 0.0, 0, 0.0, True, lam, terms)
 
     vals = _coercive_init(grid, obj.terms)
-    quad = grid.quad
-    pre = _with_diag(quad.stiff, 0.5 * quad.mass(params.b)[quad.free])
-    vals, value, res, iters, converged = _newton(obj, vals, pre, opts)
+    vals, value, res, iters, converged = _newton(obj, vals, _shift_operator(grid, params), opts)
     return _report(grid, params, vals, value, iters, res, converged, lam, terms)
 
 
@@ -489,18 +446,23 @@ def newton_refine(
 ) -> SolveReport:
     """Sharpen a near-critical profile of Phi(.; lambda, terms).
 
-    Damped (Levenberg-Marquardt) Newton with the exact tridiagonal-plus-
-    diagonal Hessian of the discrete energy. Convergence target is
-    min(grad_tol, 1e-10); a report with converged = False means the
-    iteration stalled above it (no global convergence is claimed).
+    The critical point need not be a minimum, so this runs the drivers'
+    shifted Newton engine in its critical-point mode: Newton steps with
+    the exact tridiagonal-plus-diagonal Hessian of the discrete energy,
+    shifted only as far as needed to lower the stationarity residual,
+    on signed values. It runs at most min(max_iters, 500) steps to the
+    target min(grad_tol, 1e-10); a report with converged = False means
+    the iteration stalled above it (no global convergence is claimed).
+    A profile whose energy is out of float range raises DomainError.
     """
     if u.grid.N != params.N:
         raise DomainError("grid dimension does not match params.N")
     obj = Energy(u.grid, energy_terms(params, lam, terms))
-    tol = min(opts.grad_tol, 1e-10)
-    vals = _pin(u.values)
-    vals, res, iters, converged = _lm_polish(obj, vals, tol, min(opts.max_iters, 500))
-    return _report(u.grid, params, vals, obj.value(vals), iters, res, converged, lam, terms)
+    budget = SolveOptions(min(opts.max_iters, 500), min(opts.grad_tol, 1e-10))
+    vals, value, res, iters, converged = _newton(
+        obj, _pin(u.values), _shift_operator(u.grid, params), budget, critical=True
+    )
+    return _report(u.grid, params, vals, value, iters, res, converged, lam, terms)
 
 
 def probe_best_constant(

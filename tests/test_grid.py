@@ -194,11 +194,16 @@ def test_scale_rejects_negative(wide5_params, wide5_grid):
 
 
 def test_scale_rejects_a_non_finite_t(wide5_params, wide5_grid):
-    # t = nan used to raise a bare ValueError, and t = inf an OverflowError
+    # t = nan used to raise a bare ValueError, and t = inf an OverflowError;
+    # a non-finite delta failed after a RuntimeWarning as "profile values
+    # must be finite"
     u = il.sample_function(wide5_grid, "Gaussian", sigma=1.0)
     for t in (math.nan, math.inf):
         with pytest.raises(il.DomainError, match="scaling parameter t"):
             il.scale(u, t, wide5_params.delta)
+    for delta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(il.DomainError, match="delta"):
+            il.scale(u, 2.0, delta)
 
 
 def test_scale_group_law_same_sign(wide5_params, wide5_grid):
@@ -289,6 +294,20 @@ def test_sample_function_rejects_a_non_finite_shape(family, shape, name):
     # failed later as "profile values must be finite"; the error names it
     g = il.make_grid(1e-2, 1e2, 64, 3)
     with pytest.raises(il.DomainError, match=name):
+        il.sample_function(g, family, **shape)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning", "ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("family, shape, named", [
+    ("Gaussian", {"sigma": 1e-300}, "Gaussian with sigma"),  # sigma^2 underflows
+    ("AubinTalenti", {"scale": 1e-300}, "AubinTalenti with scale"),  # (s/scale)^2 overflows
+    ("Bump", {"lo": 1e4, "hi": 2e4}, "Bump with lo"),  # outside the window
+])
+def test_sample_function_rejects_a_shape_that_vanishes_on_the_grid(family, shape, named):
+    # these used to return the zero profile, and a solve from it failed
+    # later with ZeroProfileError; the error names the family and its shape
+    g = il.make_grid(1e-3, 1e3, 257, 3)
+    with pytest.raises(il.DomainError, match=named):
         il.sample_function(g, family, **shape)
 
 

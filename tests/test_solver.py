@@ -258,6 +258,7 @@ def test_newton_zero_is_critical(ref_params, small_grid):
     assert rep.converged and rep.el_res == 0.0 and rep.profile.is_zero()
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_newton_domain(ref_params, small_grid):
     u = il.sample_function(small_grid, "Gaussian", sigma=1.0)
     with pytest.raises(il.DomainError):
@@ -265,6 +266,9 @@ def test_newton_domain(ref_params, small_grid):
     for lam in (math.nan, math.inf):
         with pytest.raises(il.DomainError):
             il.newton_refine(u, ref_params, lam, [])
+    # the energy overflows at 1e200 (it used to return a NaN report)
+    with pytest.raises(il.DomainError, match="float range"):
+        il.newton_refine(il.RadialProfile(small_grid, 1e200 * u.values), ref_params, 1.0, [])
 
 
 def test_coercive_rejects_non_finite_lambda(ref_params, small_grid):
@@ -278,6 +282,21 @@ def test_newton_far_from_solution_may_fail(ref_params, small_grid):
     u = il.RadialProfile(small_grid, 10.0 * rng.standard_normal(small_grid.M))
     rep = il.newton_refine(u, ref_params, 1.0, [], il.SolveOptions(max_iters=5))
     assert isinstance(rep.converged, bool)  # divergence reported, not raised
+    # a critical point may change sign: the refinement does not fold its
+    # trials to |u| as the minimizers do
+    assert (rep.profile.values < 0).any()
+
+
+def test_newton_refines_a_perturbed_reference_solution(ref_params):
+    # a seeded relative 1e-3 perturbation of the converged [1e-3,1e3]x257
+    # solution is polished back to el_res <= 1e-10 in a few Newton steps
+    g = il.make_grid(1e-3, 1e3, 257, 3)
+    base = il.minimize_rayleigh(g, ref_params, il.sample_function(g, "Gaussian", sigma=1.0))
+    noise = np.random.default_rng(0).standard_normal(g.M)
+    u = il.RadialProfile(g, base.profile.values * (1.0 + 1e-3 * noise))
+    rep = il.newton_refine(u, ref_params, base.value, [])
+    assert rep.converged and rep.iters <= 5
+    assert rep.el_res <= 1e-10
 
 
 # ----------------------------------------------------------------- probe
@@ -411,9 +430,10 @@ def test_preconditioner_solve_matches_solve_banded():
 
 
 def test_tridiag_matches_solve_banded_with_pivoting():
-    # the shifted Newton and Levenberg-Marquardt matrices need not be
-    # diagonally dominant, so row interchanges happen; the solve must
-    # still match, on dominant and non-dominant systems of several sizes
+    # the shifted Newton matrices need not be diagonally dominant (a
+    # critical-point search starts at the shift 1e-8), so row
+    # interchanges happen; the solve must still match, on dominant and
+    # non-dominant systems of several sizes
     rng = np.random.default_rng(11)
     for i in range(200):
         n = int(rng.integers(3, 400))
