@@ -266,23 +266,13 @@ def _run(args) -> int:
         return _finish_solve(report)
 
     if args.command == "verify":
-        from .functionals import TermSpec, eigen_relation_residual, el_residual, pohozaev_residual
+        from .functionals import _residuals
         from .grid import load_profile
 
         params = derive_params(args.N, args.b, args.q, args.p)
         u = load_profile(args.profile)
         terms = [_parse_term(t) for t in args.term]
-        el_res = el_residual(u, params, args.lam, terms)  # DomainError for a non-finite lambda
-        poh_terms = list(terms)
-        if args.lam != 0.0:
-            poh_terms.append(TermSpec(args.lam, params.a, params.p))
-        _emit(
-            {
-                "el_res": el_res,
-                "pohozaev_res": pohozaev_residual(u, params, poh_terms),
-                "eigen_rel_res": eigen_relation_residual(u, params, args.lam),
-            }
-        )
+        _emit(_residuals(u, params, args.lam, terms))
         return 0
 
     if args.command == "thresholds":

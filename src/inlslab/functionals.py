@@ -11,14 +11,16 @@ and the full objective for a term list {(c_j, eta_j, r_j)} is
 
 Energy is the one discrete Phi: value, exact gradient and Hessian
 diagonal on raw nodal values, evaluated through the grid's Quadrature.
-The solvers minimize it, and phi, grad_phi, el_residual and I_energy
-wrap it, so a solver's reported residual is the public one bit for bit.
+_phi_energy builds it for the solvers, phi, grad_phi, el_residual and
+I_energy, and checks that the grid's dimension is params.N, as J_energy
+and pohozaev_residual do: a mismatch is a DomainError everywhere.
 Gradients are exact derivatives of the discrete sums with respect to
 nodal values (differentiate the quadrature, not the PDE), so central
 finite differences reproduce them to rounding. The residuals below are
 the workbench's verification surface: Euler-Lagrange stationarity in a
 quadrature-weighted dual norm, the Pohozaev balance, and the eigenvalue
-relation I = lambda J.
+relation I = lambda J. _residuals gives all three, for solver reports
+and `inlslab verify` alike.
 """
 
 from __future__ import annotations
@@ -136,15 +138,23 @@ class Energy:
         return out
 
 
-def _phi_energy(u: RadialProfile, params: Params, lam: float, terms: list[TermSpec]) -> Energy:
-    return Energy(u.grid, energy_terms(params, lam, terms))
+def _check_dimension(grid: RadialGrid, params: Params) -> None:
+    if grid.N != params.N:
+        raise DomainError("grid dimension does not match params.N")
+
+
+def _phi_energy(grid: RadialGrid, params: Params, lam: float, terms: list[TermSpec]) -> Energy:
+    """The one constructor of the discrete Phi(.; lam, terms) on grid."""
+    _check_dimension(grid, params)
+    return Energy(grid, energy_terms(params, lam, terms))
 
 
 def I_energy(u: RadialProfile, params: Params) -> float:
-    return _phi_energy(u, params, 0.0, []).value(u.values)
+    return _phi_energy(u.grid, params, 0.0, []).value(u.values)
 
 
 def J_energy(u: RadialProfile, params: Params) -> float:
+    _check_dimension(u.grid, params)
     return weighted_integral(u, params.p, params.a) / params.p
 
 
@@ -156,7 +166,7 @@ def rayleigh(u: RadialProfile, params: Params) -> float:
 
 
 def phi(u: RadialProfile, params: Params, lam: float, terms: list[TermSpec]) -> float:
-    return _phi_energy(u, params, lam, terms).value(u.values)
+    return _phi_energy(u.grid, params, lam, terms).value(u.values)
 
 
 def grad_phi(u: RadialProfile, params: Params, lam: float, terms: list[TermSpec]) -> np.ndarray:
@@ -165,7 +175,7 @@ def grad_phi(u: RadialProfile, params: Params, lam: float, terms: list[TermSpec]
     Returns a vector of length M-1 (nodes 0 .. M-2); the outer node is
     pinned to zero by the profile invariant.
     """
-    return _phi_energy(u, params, lam, terms).grad(u.values)[:-1]
+    return _phi_energy(u.grid, params, lam, terms).grad(u.values)[:-1]
 
 
 def el_residual(u: RadialProfile, params: Params, lam: float, terms: list[TermSpec]) -> float:
@@ -178,7 +188,7 @@ def el_residual(u: RadialProfile, params: Params, lam: float, terms: list[TermSp
     by the solvers, so interior stationarity is what characterizes a
     computed critical point.
     """
-    return u.grid.quad.dual_norm(_phi_energy(u, params, lam, terms).grad(u.values))
+    return u.grid.quad.dual_norm(_phi_energy(u.grid, params, lam, terms).grad(u.values))
 
 
 def pohozaev_residual(u: RadialProfile, params: Params, terms: list[TermSpec]) -> float:
@@ -187,6 +197,7 @@ def pohozaev_residual(u: RadialProfile, params: Params, terms: list[TermSpec]) -
         (N-2)/2 int |grad u|^2 + (N-b)/q int |u|^q |x|^(-b)
             = sum_j c_j (N-eta_j)/r_j int |u|^(r_j) |x|^(-eta_j).
     """
+    _check_dimension(u.grid, params)
     N, b, q = params.N, params.b, params.q
     lhs = 0.5 * (N - 2) * dirichlet_energy(u) + (N - b) / q * weighted_integral(u, q, b)
     rhs = 0.0
@@ -200,6 +211,18 @@ def eigen_relation_residual(u: RadialProfile, params: Params, lam: float) -> flo
     Iv = I_energy(u, params)
     Jv = J_energy(u, params)
     return abs(Iv - lam * Jv) / (Iv + lam * Jv + EPS)
+
+
+def _residuals(u: RadialProfile, params: Params, lam: float, terms: list[TermSpec]) -> dict:
+    """The residuals of u as a critical point of Phi(.; lam, terms); the eigen
+    term joins the Pohozaev balance as the term (lam, a, p) when lam != 0."""
+    el_res = el_residual(u, params, lam, terms)  # rejects a non-finite lambda first
+    full = list(terms) + ([TermSpec(lam, params.a, params.p)] if lam != 0.0 else [])
+    return {
+        "el_res": el_res,
+        "pohozaev_res": pohozaev_residual(u, params, full),
+        "eigen_rel_res": eigen_relation_residual(u, params, lam),
+    }
 
 
 def project_to_M(u: RadialProfile, params: Params) -> RadialProfile:

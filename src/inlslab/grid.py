@@ -277,31 +277,32 @@ def sample_function(grid: RadialGrid, family: ProfileFamily | str, **shape) -> R
     """
     family = ProfileFamily(family)
     s = grid.nodes
-    if family is ProfileFamily.GAUSSIAN:
-        sigma = float(shape.get("sigma", 1.0))
-        if not 0 < sigma < math.inf:
-            raise DomainError(f"sigma must be positive and finite, got {sigma}")
-        named = f"sigma={sigma}"
-        vals = np.exp(-(s ** 2) / (2.0 * sigma ** 2))
-    elif family is ProfileFamily.BUMP:
-        lo = float(shape.get("lo", 1.0))
-        hi = float(shape.get("hi", 2.0))
-        if not 0 < lo < hi < math.inf:
-            raise DomainError(f"require 0 < lo < hi < inf, got ({lo}, {hi})")
-        named = f"lo={lo}, hi={hi}"
-        vals = np.zeros(grid.M)
-        inside = (s > lo) & (s < hi)
-        t = (s[inside] - lo) * (hi - s[inside])
-        peak = ((hi - lo) / 2.0) ** 2
-        vals[inside] = np.exp(-1.0 / t + 1.0 / peak)
-    elif family is ProfileFamily.AUBIN_TALENTI:
-        scl = float(shape.get("scale", 1.0))
-        if not 0 < scl < math.inf:
-            raise DomainError(f"scale must be positive and finite, got {scl}")
-        named = f"scale={scl}"
-        vals = (1.0 + (s / scl) ** 2) ** (-(grid.N - 2) / 2.0)
-    else:  # pragma: no cover
-        raise DomainError(f"unknown family {family}")
+    with np.errstate(divide="ignore", over="ignore"):  # such samples go to their limit, 0
+        if family is ProfileFamily.GAUSSIAN:
+            sigma = float(shape.get("sigma", 1.0))
+            if not 0 < sigma < math.inf:
+                raise DomainError(f"sigma must be positive and finite, got {sigma}")
+            named = f"sigma={sigma}"
+            vals = np.exp(-(s ** 2) / (2.0 * sigma ** 2))
+        elif family is ProfileFamily.BUMP:
+            lo = float(shape.get("lo", 1.0))
+            hi = float(shape.get("hi", 2.0))
+            if not 0 < lo < hi < math.inf:
+                raise DomainError(f"require 0 < lo < hi < inf, got ({lo}, {hi})")
+            named = f"lo={lo}, hi={hi}"
+            vals = np.zeros(grid.M)
+            inside = (s > lo) & (s < hi)
+            t = (s[inside] - lo) * (hi - s[inside])
+            peak = ((hi - lo) / 2.0) ** 2
+            vals[inside] = np.exp(-1.0 / t + 1.0 / peak)
+        elif family is ProfileFamily.AUBIN_TALENTI:
+            scl = float(shape.get("scale", 1.0))
+            if not 0 < scl < math.inf:
+                raise DomainError(f"scale must be positive and finite, got {scl}")
+            named = f"scale={scl}"
+            vals = (1.0 + (s / scl) ** 2) ** (-(grid.N - 2) / 2.0)
+        else:  # pragma: no cover
+            raise DomainError(f"unknown family {family}")
     u = RadialProfile(grid, vals)
     if u.is_zero():
         raise DomainError(f"{family.value} with {named} vanishes on every node of the grid")
@@ -334,8 +335,8 @@ def save_profile(u: RadialProfile, path, family: str = "custom", params: dict | 
 def load_profile(path) -> RadialProfile:
     """Read a profile written by save_profile.
 
-    A file that cannot be read or is not in save_profile's format raises
-    DomainError.
+    A file that cannot be read, is not in save_profile's format, or has a
+    row whose s is not its grid node (to 1e-12 relative) raises DomainError.
     """
     import json
 
@@ -349,15 +350,17 @@ def load_profile(path) -> RadialProfile:
             cols = fh.readline().strip()
             if cols != "s,u":
                 raise DomainError(f"{path}: expected 's,u' header, got {cols!r}")
-            vals = []
-            for line in fh:
-                line = line.strip()
-                if line:
-                    vals.append(float(line.split(",")[1]))
+            rows = [line.split(",") for line in map(str.strip, fh) if line]
+            s = np.array([float(row[0]) for row in rows])
+            vals = np.array([float(row[1]) for row in rows])
     except OSError as exc:
         raise DomainError(f"{path}: cannot read profile: {exc.strerror}") from exc
     except (ValueError, LookupError, TypeError) as exc:  # bad JSON, missing keys, bad rows
         raise DomainError(f"{path}: malformed profile: {exc}") from exc
     if len(vals) != grid.M:
         raise DomainError(f"{path}: expected {grid.M} rows, got {len(vals)}")
-    return RadialProfile(grid, np.asarray(vals))
+    off = np.flatnonzero(~(np.abs(s - grid.nodes) <= 1e-12 * grid.nodes))
+    if off.size:
+        i = off[0]
+        raise DomainError(f"{path}: row {i + 1} has s = {s[i]:.17g}, not grid node {grid.nodes[i]:.17g}")
+    return RadialProfile(grid, vals)

@@ -6,7 +6,8 @@ functionals.Energy (the one discrete Phi), and the Rayleigh quotient I/J
 and the embedding-constant probe's quotient are the one scale-free
 quotient _Quotient, whose numerator is an Energy (Phi's operator part I,
 or the Dirichlet form alone). Every driver fills its SolveReport through
-_report.
+_report, with the residuals `inlslab verify` prints (functionals._residuals);
+the engine's own residual only decides convergence.
 All solvers share one strategy, validated on the reference problems:
 
 * search space: nodal values with BOTH boundary nodes pinned to zero.
@@ -65,14 +66,7 @@ import numpy as np
 
 from .errors import DomainError, NotCoerciveConfig, SingularHessian, ZeroProfileError, _set, _Value
 from .exponents import Params, critical_exponent, ell_of
-from .functionals import (
-    Energy,
-    TermSpec,
-    _pow,
-    eigen_relation_residual,
-    energy_terms,
-    pohozaev_residual,
-)
+from .functionals import Energy, TermSpec, _phi_energy, _pow, _residuals
 from .grid import RadialGrid, RadialProfile, sample_function, shift_values
 
 
@@ -199,7 +193,7 @@ class _Quotient:
     k = (2r/(gamma div)) R D^(1-gamma/2) (B = D^(gamma/2)), which is
     lambda for the Rayleigh quotient. Its factor is written k/div * div,
     as Energy writes the eigen term, so the Rayleigh grad is the gradient
-    of Phi(.; lambda) bit for bit and el_res is the public el_residual.
+    of Phi(.; lambda) bit for bit and the engine stops on the public el_residual.
     """
 
     def __init__(self, num: Energy, r: float, eta: float, div: float, gamma: float):
@@ -300,19 +294,11 @@ def _newton(obj, vals, pre, opts, critical=False):
     return vals, f0, res, it, res <= opts.grad_tol
 
 
-def _report(grid, params, vals, value, iters, res, converged, lam, terms=()) -> SolveReport:
+def _report(grid, params, vals, value, iters, converged, lam, terms=()) -> SolveReport:
     """SolveReport of a critical point of Phi(.; lam, terms) with nodal values vals."""
     profile = RadialProfile(grid, vals)
-    full = list(terms) + ([TermSpec(lam, params.a, params.p)] if lam != 0 else [])
-    return SolveReport(
-        value=value,
-        iters=iters,
-        el_res=res,
-        pohozaev_res=pohozaev_residual(profile, params, full) if full else 0.0,
-        eigen_rel_res=eigen_relation_residual(profile, params, lam),
-        converged=converged,
-        profile=profile,
-    )
+    return SolveReport(value=value, iters=iters, converged=converged, profile=profile,
+                       **_residuals(profile, params, lam, terms))
 
 
 def minimize_rayleigh(
@@ -331,15 +317,13 @@ def minimize_rayleigh(
         raise ZeroProfileError("minimize_rayleigh needs a nonzero initial profile")
     if init.grid != grid:
         raise DomainError("init profile lives on a different grid")
-    if grid.N != params.N:
-        raise DomainError("grid dimension does not match params.N")
 
-    obj = _Quotient(Energy(grid, energy_terms(params, 0.0, [])), params.p, params.a, params.p, 2.0)
+    obj = _Quotient(_phi_energy(grid, params, 0.0, []), params.p, params.a, params.p, 2.0)
     vals = _pin(init.values)
     if not np.any(vals):
         raise ZeroProfileError("initial profile vanishes on the interior nodes")
-    vals, lam, res, iters, converged = _newton(obj, vals, _shift_operator(grid, params), opts)
-    return _report(grid, params, vals, lam, iters, res, converged, lam)
+    vals, lam, _, iters, converged = _newton(obj, vals, _shift_operator(grid, params), opts)
+    return _report(grid, params, vals, lam, iters, converged, lam)
 
 
 def _check_coercive(params: Params, terms: list[TermSpec], lam: float) -> None:
@@ -423,18 +407,14 @@ def minimize_coercive(
     negative terms for lambda > 0. The minimizer sits at a negative
     energy level; the report's value field is that level.
     """
-    if grid.N != params.N:
-        raise DomainError("grid dimension does not match params.N")
-    eterms = energy_terms(params, lam, terms)  # rejects a non-finite lambda before the regime checks
+    obj = _phi_energy(grid, params, lam, terms)  # bad grid or lambda: before the regime checks
     _check_coercive(params, terms, lam)
-
-    obj = Energy(grid, eterms)
     if not any(t.c > 0 for t in terms) and lam <= 0:
-        return _report(grid, params, np.zeros(grid.M), 0.0, 0, 0.0, True, lam, terms)
+        return _report(grid, params, np.zeros(grid.M), 0.0, 0, True, lam, terms)
 
     vals = _coercive_init(grid, obj.terms)
-    vals, value, res, iters, converged = _newton(obj, vals, _shift_operator(grid, params), opts)
-    return _report(grid, params, vals, value, iters, res, converged, lam, terms)
+    vals, value, _, iters, converged = _newton(obj, vals, _shift_operator(grid, params), opts)
+    return _report(grid, params, vals, value, iters, converged, lam, terms)
 
 
 def newton_refine(
@@ -455,14 +435,12 @@ def newton_refine(
     the iteration stalled above it (no global convergence is claimed).
     A profile whose energy is out of float range raises DomainError.
     """
-    if u.grid.N != params.N:
-        raise DomainError("grid dimension does not match params.N")
-    obj = Energy(u.grid, energy_terms(params, lam, terms))
+    obj = _phi_energy(u.grid, params, lam, terms)
     budget = SolveOptions(min(opts.max_iters, 500), min(opts.grad_tol, 1e-10))
-    vals, value, res, iters, converged = _newton(
+    vals, value, _, iters, converged = _newton(
         obj, _pin(u.values), _shift_operator(u.grid, params), budget, critical=True
     )
-    return _report(u.grid, params, vals, value, iters, res, converged, lam, terms)
+    return _report(u.grid, params, vals, value, iters, converged, lam, terms)
 
 
 def probe_best_constant(

@@ -294,7 +294,7 @@ def test_one_command_parser_matches_the_full_parser(argv, capsys):
                 == _parser_output(build_parser(), probe, capsys)), probe
 
 
-def _malformed_profile(tmp_path, first_line=None, bad_row=False):
+def _malformed_profile(tmp_path, first_line=None, bad_row=False, swap_rows=False, s_times=None):
     path = tmp_path / "profile.csv"
     il.save_profile(il.RadialProfile(il.make_grid(1e-2, 1e2, 64, 3), np.ones(64)), path)
     lines = path.read_text().split("\n")
@@ -302,6 +302,10 @@ def _malformed_profile(tmp_path, first_line=None, bad_row=False):
         lines[0] = first_line
     if bad_row:
         lines[5] = lines[5].split(",")[0] + ",abc"
+    if swap_rows:  # the values land on each other's nodes
+        lines[5], lines[6] = lines[6], lines[5]
+    if s_times is not None:
+        lines[2:-1] = [f"{float(s) * s_times!r},{v}" for s, v in (row.split(",") for row in lines[2:-1])]
     path.write_text("\n".join(lines))
     return str(path)
 
@@ -336,6 +340,10 @@ _WINDOW = ("--b", "1", "--q", "3.5", "--p", "3", "--eta", "1.8", "--r", "2.2")
         lambda d: ["verify", *PARAMS, "--profile", _malformed_profile(d, first_line="# {not json")],
         lambda d: ["verify", *PARAMS, "--profile", _malformed_profile(d, first_line='# {"N": 3}')],
         lambda d: ["verify", *PARAMS, "--profile", _malformed_profile(d, bad_row=True)],
+        lambda d: ["verify", *PARAMS, "--profile", _malformed_profile(d, swap_rows=True)],
+        lambda d: ["verify", *PARAMS, "--profile", _malformed_profile(d, s_times=7.0)],
+        lambda d: ["verify", "--N", "4", "--b", "1", "--q", "2.5", "--p", "2.2",
+                   "--profile", _malformed_profile(d)],
         lambda d: _region_map(d / "atlas.csv", eta_steps="-1"),
         lambda d: _region_map(_file(d) / "atlas.csv"),
         lambda d: ["eigen", *PARAMS, "--s-min", "1e-3", "--s-max", "1e3", "--M", "257",
@@ -368,7 +376,8 @@ _WINDOW = ("--b", "1", "--q", "3.5", "--p", "3", "--eta", "1.8", "--r", "2.2")
         lambda d: ["verify", *PARAMS, "--profile", _malformed_profile(d), "--lambda", "nan"],
     ],
     ids=["missing-profile", "directory-profile", "header-not-json", "header-missing-keys",
-         "row-not-numeric", "negative-steps", "unwritable-csv", "unwritable-out-dir",
+         "row-not-numeric", "rows-swapped", "s-column-scaled", "verify-dimension-mismatch",
+         "negative-steps", "unwritable-csv", "unwritable-out-dir",
          "classify-r-nan", "classify-r-inf", "classify-eta-nan", "region-map-eta-nan",
          "thresholds-S1-nan", "thresholds-S1-inf", "thresholds-S2-nan", "thresholds-mu-inf",
          "thresholds-C-nan", "thresholds-C1-inf", "thresholds-cstar-overflow",

@@ -148,6 +148,31 @@ def test_grad_phi_matches_finite_differences(ref_params, fun_grid):
         assert fd == pytest.approx(an, rel=1e-5)
 
 
+def test_sublinear_derivative_terms(ref_params, fun_grid):
+    # a term with 1 < r < 2 has |u|^(r-2) in its Hessian diagonal, which
+    # is taken as 0 at zero nodes; grad_phi still matches central differences
+    # along directions that keep off the nodes where |u|^r is not smooth
+    from inlslab.functionals import _phi_energy
+
+    P, g = ref_params, fun_grid
+    terms = [il.TermSpec(-1.0, 1.8, 1.5), il.TermSpec(0.7, 0.5, 1.2)]
+    rng = np.random.default_rng(7)
+    vals = np.asarray(_gauss(g).values) * np.exp(0.3 * rng.standard_normal(g.M))
+    u = il.RadialProfile(g, vals)
+    grad = il.grad_phi(u, P, 0.4, terms)
+    for _ in range(5):
+        v = rng.standard_normal(g.M)
+        v[vals < 1e-2] = 0.0
+        eps = 1e-6
+        up, dn = u.with_values(vals + eps * v), u.with_values(vals - eps * v)
+        fd = (il.phi(up, P, 0.4, terms) - il.phi(dn, P, 0.4, terms)) / (2 * eps)
+        assert fd == pytest.approx(float(np.dot(grad, v[:-1])), rel=1e-5)
+    zeroed = vals.copy()
+    zeroed[::7] = 0.0
+    hd = _phi_energy(g, P, 0.4, terms).hess_diag(zeroed, 0.0, 1.0)
+    assert np.all(np.isfinite(hd)) and np.all(hd[::7] == 0.0)
+
+
 def test_grad_I_pairing_is_operator_action(ref_params, fun_grid):
     # pairing grad I(u) with u gives the tested-function identity exactly:
     # int |grad u|^2 + int |u|^q |x|^-b
@@ -200,6 +225,18 @@ def test_non_finite_lambda_is_rejected(ref_params, fun_grid, lam):
     u = il.sample_function(fun_grid, "Gaussian", sigma=1.0)
     with pytest.raises(il.DomainError):
         il.el_residual(u, ref_params, lam, [])
+
+
+@pytest.mark.parametrize("name, args", [
+    ("phi", (0.5, [])), ("grad_phi", (0.5, [])), ("el_residual", (0.5, [])),
+    ("pohozaev_residual", ([],)), ("eigen_relation_residual", (0.5,)), ("I_energy", ()),
+    ("J_energy", ()), ("rayleigh", ()), ("project_to_M", ()), ("functional_report", (0.5, [])),
+])
+def test_dimension_mismatch_is_a_domain_error(ref_params, name, args):
+    # a profile on an N = 4 grid against N = 3 params has no meaning
+    u = _gauss(il.make_grid(1e-3, 1e3, 257, 4))
+    with pytest.raises(il.DomainError, match="grid dimension does not match params.N"):
+        getattr(il, name)(u, ref_params, *args)
 
 
 def test_functional_report_serialization(ref_params, fun_grid):

@@ -297,7 +297,7 @@ def test_sample_function_rejects_a_non_finite_shape(family, shape, name):
         il.sample_function(g, family, **shape)
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning", "ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("family, shape, named", [
     ("Gaussian", {"sigma": 1e-300}, "Gaussian with sigma"),  # sigma^2 underflows
     ("AubinTalenti", {"scale": 1e-300}, "AubinTalenti with scale"),  # (s/scale)^2 overflows
@@ -309,6 +309,18 @@ def test_sample_function_rejects_a_shape_that_vanishes_on_the_grid(family, shape
     g = il.make_grid(1e-3, 1e3, 257, 3)
     with pytest.raises(il.DomainError, match=named):
         il.sample_function(g, family, **shape)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_function_takes_the_limit_where_samples_overflow():
+    # (s/scale)^2 overflows on the outer nodes only, where the limit 0 is
+    # the right value: no warning, and the same bits as the plain formula
+    g = il.make_grid(1e-3, 1e3, 257, 3)
+    u = il.sample_function(g, "AubinTalenti", scale=1e-154)
+    with np.errstate(over="ignore"):
+        want = (1.0 + (g.nodes / 1e-154) ** 2) ** -0.5
+    assert u.values.tobytes() == il.RadialProfile(g, want).values.tobytes()
+    assert u.values[0] > 0 and u.values[-2] == 0.0
 
 
 def test_profile_invariants():

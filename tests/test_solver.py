@@ -124,6 +124,16 @@ def test_rayleigh_rejects_an_init_out_of_float_range(ref_params, small_grid):
             il.minimize_rayleigh(small_grid, ref_params, il.RadialProfile(small_grid, factor * u.values))
 
 
+def test_rayleigh_stops_on_its_own_below_the_roundoff_floor(ref_params):
+    # grad_tol 1e-300 is below el_res's roundoff floor: once no shift below
+    # 1e30 gives an acceptable step the engine stops, long before its budget
+    g = il.make_grid(1e-3, 1e3, 257, 3)
+    init = il.sample_function(g, "Gaussian", sigma=1.0)
+    rep = il.minimize_rayleigh(g, ref_params, init, il.SolveOptions(grad_tol=1e-300))
+    assert not rep.converged and rep.iters == 28
+    assert rep.el_res == il.el_residual(rep.profile, ref_params, rep.value, [])
+
+
 # ------------------------------------------------------------- coercive
 
 
@@ -250,6 +260,29 @@ def test_newton_reported_residual_is_the_public_one(ref_params, small_grid):
     )
     rep = il.newton_refine(crude.profile, ref_params, crude.value, [])
     assert rep.el_res == il.el_residual(rep.profile, ref_params, crude.value, [])
+
+
+def test_newton_reports_the_public_residuals(ref_params, small_grid):
+    # with lambda = 0 and no terms the Pohozaev balance has nothing on its
+    # right side: the report gives the public residual, about 1, not 0
+    u = il.sample_function(small_grid, "Gaussian", sigma=1.0)
+    rep = il.newton_refine(u, ref_params, 0.0, [], il.SolveOptions(max_iters=3))
+    assert rep.pohozaev_res == il.pohozaev_residual(rep.profile, ref_params, [])
+    assert rep.pohozaev_res == pytest.approx(1.0)
+    assert rep.el_res == il.el_residual(rep.profile, ref_params, 0.0, [])
+    assert rep.eigen_rel_res == il.eigen_relation_residual(rep.profile, ref_params, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_newton_stops_on_a_non_finite_hessian(ref_params):
+    # |u|^(r-2) overflows at a subnormal node for r = 1.01, so no shift
+    # gives a finite step matrix: the solve reports where it started
+    g = il.make_grid(1e-3, 1e3, 257, 3)
+    vals = np.array(il.sample_function(g, "Gaussian", sigma=1.0).values)
+    vals[100] = 5e-324
+    rep = il.newton_refine(il.RadialProfile(g, vals), ref_params, 0.0, [il.TermSpec(-1.0, 1.8, 1.01)])
+    assert not rep.converged and rep.iters == 0
+    assert np.array_equal(rep.profile.values, _pin(vals))
 
 
 def test_newton_zero_is_critical(ref_params, small_grid):
