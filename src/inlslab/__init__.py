@@ -1,8 +1,8 @@
 """Radial workbench for weighted nonlinear Schrodinger eigenproblems.
 
 Exponent/regime calculus, a log-radial discretization of the weighted
-energy space, scaling-manifold Rayleigh minimization for the first
-nonlinear eigenvalue, negative-level minimization of coercive subscaled
+energy space, the first nonlinear eigenvalue lambda_1 from minimizing the
+quotient I/J, negative-level minimization of coercive subscaled
 energies, and Pohozaev-based verification of computed solutions.
 
 The public names resolve lazily (PEP 562): `import inlslab` loads no

@@ -239,7 +239,9 @@ def scale(u: RadialProfile, t: float, delta: float) -> RadialProfile:
     """Nodal representation of u_t(x) = t^delta u(t x).
 
     Grid-exact t (ln t an integer multiple of h) is a pure index shift;
-    other t interpolate linearly in ln s. t = 0 gives the zero profile.
+    other t interpolate linearly in ln s. t = 0 gives the zero profile, and
+    so does a shift that leaves no nonzero node, whatever t^delta is; a
+    t^delta past the float range on a nonzero node raises DomainError.
     """
     if not 0 <= t < math.inf:
         raise DomainError(f"scaling parameter t must be finite and >= 0, got {t}")
@@ -251,12 +253,17 @@ def scale(u: RadialProfile, t: float, delta: float) -> RadialProfile:
     x = math.log(t) / g.h
     k = math.floor(x)
     f = x - k
-    if f < 1e-9 or f > 1.0 - 1e-9:
+    exact = f < 1e-9 or f > 1.0 - 1e-9
+    if exact:
         k = round(x)
-        out = shift_values(g, u.values, k) * math.exp(k * g.h) ** delta
+        out = shift_values(g, u.values, k)
     else:
-        out = ((1.0 - f) * shift_values(g, u.values, k)
-               + f * shift_values(g, u.values, k + 1)) * t ** delta
+        out = (1.0 - f) * shift_values(g, u.values, k) + f * shift_values(g, u.values, k + 1)
+    try:
+        out = out * (math.exp(k * g.h) if exact else t) ** delta
+    except (OverflowError, ZeroDivisionError):  # t^delta is past the float range
+        if out.any():
+            raise DomainError(f"t^delta = {t!r}^{delta!r} lies outside the float range") from None
     return RadialProfile(g, out)
 
 
@@ -294,7 +301,8 @@ def sample_function(grid: RadialGrid, family: ProfileFamily | str, **shape) -> R
             inside = (s > lo) & (s < hi)
             t = (s[inside] - lo) * (hi - s[inside])
             peak = ((hi - lo) / 2.0) ** 2
-            vals[inside] = np.exp(-1.0 / t + 1.0 / peak)
+            # numpy's division: a peak that underflows to 0 gives inf, not ZeroDivisionError
+            vals[inside] = np.exp(-1.0 / t + np.divide(1.0, peak))
         elif family is ProfileFamily.AUBIN_TALENTI:
             scl = float(shape.get("scale", 1.0))
             if not 0 < scl < math.inf:

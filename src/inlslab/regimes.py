@@ -17,26 +17,25 @@ verdicts.
 
 A verdict is computed in two steps. Everything that depends on eta alone
 (the eta-cap and N = 2 rejections, the embedding interval, the scaled
-threshold r_s and each boundary's tolerance) forms the row of (params,
-eta, radial). The verdict of a pair then only compares r with its row;
-the row builds each of its verdict objects once, when a pair first
-needs it. classify_pair and region_map keep rows in a bounded LRU cache
-of _ROW_CACHE_SIZE rows, so an eta seen before costs one lookup; a new
-eta costs one interval and one verdict, as a pair classified on its own
-does. interpolation_pair's companion search, which tries a new eta at
-every step, builds its rows outside the cache.
+threshold r_s, the Pohozaev bounds and each boundary's tolerance) forms
+the row of (params, eta, radial). A pair's verdict and nonexistence flag
+then only compare r with its row; the row builds each of its verdict
+objects once, when a pair first needs it. Rows are kept in a bounded LRU
+cache of _ROW_CACHE_SIZE rows, so an eta seen before costs one lookup; a
+new eta costs one interval and one verdict, as a pair classified on its
+own does. interpolation_pair's companion search, which tries a new eta
+at every step, builds its rows outside the cache.
 
-region_map takes each eta's row and Pohozaev bounds once and fills the
-row by runs. Along an increasing r grid each verdict holds on one
-interval of r, in the order of _VERDICTS, and the nonexistence flag is
-a prefix test (r <= q(N-eta)/(N-b)) or a suffix test (r >= 2*_eta), so an
+region_map takes each eta's row once and fills it by runs. Along an
+increasing r grid each verdict holds on one interval of r, in the order
+of _VERDICTS, and so does each Pohozaev zone that _zone returns, so an
 eta row has at most ten runs of equal cells however fine the r grid is.
-Their ends are found by bisection with _kind and the two halves of
-_only_trivial as keys, each run's cell is built from its first r, and
-every r of the run gets a copy. region_map_csv formats each distinct
-float of the atlas once per call (a 200x200 atlas has 778 in its
-160,000 float fields) and reuses the text of a line's eta and interval
-ends when they are the previous line's.
+Their ends are found by bisection with the pair of the two as the key,
+each run's cell is built from its first r, and every r of the run gets
+a copy. region_map_csv formats each distinct float of the atlas once per
+call (a 200x200 atlas has 778 in its 160,000 float fields) and reuses
+the text of a line's eta and interval ends when they are the previous
+line's.
 """
 
 from __future__ import annotations
@@ -150,18 +149,22 @@ def _tol(c: float) -> float:
 
 
 class _Row:
-    """What classify_pair knows about (params, eta, radial) before it sees r.
+    """What classify_pair and nonexistence know of (params, eta, radial) before r.
 
-    ``early`` is the verdict of every r when eta alone rules the pair out;
-    the other fields are then unset. Otherwise r is compared with the
-    interval ends and the scaled threshold r_s, each with its _tol, and the
-    answer is one of the row's six verdicts. ``verdicts`` holds them in the
-    order of _VERDICTS, each built the first time a pair needs it: a row
-    that serves one pair builds one.
+    ``low`` and ``crit`` are the Pohozaev bounds q(N-eta)/(N-b) and 2*_eta
+    with their _tol; outside 0 <= eta < 2 they are -inf and inf with _tol
+    -1, so no test passes. ``early`` is the verdict of every r when eta
+    alone rules the pair out; the interval fields are then unset.
+    Otherwise r is compared with the interval ends and the scaled
+    threshold r_s, each with its _tol, and the answer is one of the row's
+    six verdicts. ``verdicts`` holds them in the order of _VERDICTS, each
+    built the first time a pair needs it: a row that serves one pair
+    builds one.
     """
 
-    __slots__ = ("early", "interval", "lower", "lower_tol", "lower_included", "upper",
-                 "upper_tol", "upper_included", "r_s", "r_s_tol", "verdicts")
+    __slots__ = ("low", "low_tol", "crit", "crit_tol", "early", "interval", "lower",
+                 "lower_tol", "lower_included", "upper", "upper_tol", "upper_included", "r_s",
+                 "r_s_tol", "verdicts")
 
 
 _ETA_TOO_LARGE = RegimeVerdict(False, Regime.NOT_APPLICABLE, None, "ETA_TOO_LARGE")
@@ -184,13 +187,15 @@ _R_LE_ONE, _BELOW, _SUBSCALED, _SCALED, _SUPERSCALED, _ABOVE = range(len(_VERDIC
 
 
 def _build_row(params: Params, eta: float, radial: bool) -> _Row:
-    """The row of eta >= 0: the eta-cap and N = 2 verdicts, or the
-    embedding interval (with its endpoint-inclusion rules), r_s and the
-    tolerances of the three. Callers pass float(eta) and bool(radial), so
-    equal keys of _row build equal rows."""
+    """The row of eta >= 0: the Pohozaev bounds, then the eta-cap and
+    N = 2 verdicts, or the embedding interval (with its endpoint-inclusion
+    rules), r_s and the tolerances of the three. Callers pass float(eta)
+    and bool(radial), so equal keys of _row build equal rows."""
     N, b = params.N, params.b
 
     row = _Row()
+    low, crit = (params.q * (N - eta) / (N - b), critical_exponent(N, eta)) if eta < 2 else (-INF, INF)
+    row.low, row.low_tol, row.crit, row.crit_tol = low, _tol(low), crit, _tol(crit)
     row.early = None
     eta_cap = (N + 2) / 2.0
     if eta > eta_cap or _close(eta, eta_cap):
@@ -298,28 +303,16 @@ def classify_pair(params: Params, pair: WeightedPair, radial: bool = False) -> R
     return _verdict(_row(params, float(pair.eta), bool(radial)), pair.r)
 
 
-def _pohozaev_bounds(params: Params, eta: float):
-    """The Pohozaev test's bounds at eta, each with its _tol: the lower
-    q(N-eta)/(N-b) and the critical 2*_eta (inf for N = 2, no test)."""
-    N, b, q = params.N, params.b, params.q
-    low = q * (N - eta) / (N - b)
-    crit = critical_exponent(N, eta)
-    return low, _tol(low), crit, _tol(crit)
-
-
-def _only_trivial(bounds, r: float) -> bool:
-    """r <= low or r >= crit, up to EQ_TOL, for bounds from _pohozaev_bounds.
-
-    Either half alone is the test against bounds whose other end is
-    infinite, with the _tol of an infinite end: r <= low, which holds on a
-    prefix of an increasing r grid, with crit = inf, and r >= crit, which
-    holds on a suffix, with low = -inf.
-    """
-    low, low_tol, crit, crit_tol = bounds
+def _zone(row: _Row, r: float) -> int:
+    """0 for r <= low, 2 for r >= crit and 1 between, up to EQ_TOL, for the
+    Pohozaev bounds of a row. Like _kind, it never decreases as r grows:
+    r <= low holds on a prefix of the r axis and r >= crit on a suffix."""
     r_tol = EQ_TOL * abs(r)
-    d_low, d_crit = abs(r - low), abs(r - crit)
-    return (r < low or d_low <= low_tol or d_low <= r_tol
-            or r > crit or d_crit <= crit_tol or d_crit <= r_tol)
+    d = abs(r - row.low)
+    if r < row.low or d <= row.low_tol or d <= r_tol:
+        return 0
+    d = abs(r - row.crit)  # N = 2: crit is inf, its _tol -1, and no test passes
+    return 2 if r > row.crit or d <= row.crit_tol or d <= r_tol else 1
 
 
 def nonexistence(params: Params, eta: float, r: float) -> bool:
@@ -329,7 +322,7 @@ def nonexistence(params: Params, eta: float, r: float) -> bool:
         raise DomainError(f"eta must lie in [0, 2), got {eta}")
     if not (math.isfinite(r) and r > 1):
         raise DomainError(f"r must be finite and > 1, got {r}")
-    return _only_trivial(_pohozaev_bounds(params, eta), r)
+    return _zone(_row(params, float(eta), False), r) != 1
 
 
 def interpolation_pair(params: Params, pair: WeightedPair, radial: bool = False):
@@ -606,12 +599,12 @@ def region_map(params: Params, eta_grid, r_grid, radial: bool = False):
     nonempty, finite and strictly increasing. A cell that WeightedPair
     rejects (eta < 0 or r <= 0) gets the verdict DOMAIN.
 
-    Each eta's row and Pohozaev bounds are fetched once. Along the r grid
-    the verdict changes only where _kind does, which never decreases, and
-    the nonexistence flag only at r <= 1 and where either half of
-    _only_trivial does, so the row falls into at most ten runs of equal
-    cells. Their ends are found by bisection, each run's cell is built
-    once from its first r, and every r of the run gets a copy of it.
+    Each eta's row is fetched once. Along the r grid the verdict changes
+    only where _kind does and the nonexistence flag only at r <= 1 and
+    where _zone does. Neither key decreases, so their pair does not, and
+    the row falls into at most ten runs of equal cells. Their ends are
+    found by bisection, each run's cell is built once from its first r,
+    and every r of the run gets a copy of it.
     """
     eta_grid = list(eta_grid)
     r_grid = list(r_grid)
@@ -630,17 +623,10 @@ def region_map(params: Params, eta_grid, r_grid, radial: bool = False):
     rows = []
     for eta in eta_grid:
         row = _row(params, float(eta), radial) if eta >= 0 else None
-        bounds = _pohozaev_bounds(params, eta) if 0 <= eta < 2 else None
         cuts = {0, above_0, above_1, n}
-        if row is not None and row.early is None:
-            cuts.update(_cuts(r_grid, partial(_kind, row), above_0, n))
-        if bounds is not None:
-            # the halves of _only_trivial: r <= low on a prefix, r >= crit on a suffix
-            low, low_tol, crit, crit_tol = bounds
-            at_or_below = (low, low_tol, INF, _tol(INF))
-            at_or_above = (-INF, _tol(-INF), crit, crit_tol)
-            cuts.update(_cuts(r_grid, lambda r: not _only_trivial(at_or_below, r), above_1, n))
-            cuts.update(_cuts(r_grid, partial(_only_trivial, at_or_above), above_1, n))
+        if row is not None:
+            key = partial(_zone, row) if row.early is not None else lambda r: (_kind(row, r), _zone(row, r))
+            cuts.update(_cuts(r_grid, key, above_0, n))
         cuts = sorted(cuts)
         for start, end in zip(cuts, cuts[1:]):
             r = r_grid[start]
@@ -651,7 +637,7 @@ def region_map(params: Params, eta_grid, r_grid, radial: bool = False):
                 "r": None,
                 "admissible": verdict.admissible,
                 "regime": verdict.regime.value,
-                "nonexistence": bounds is not None and r > 1 and _only_trivial(bounds, r),
+                "nonexistence": row is not None and r > 1 and _zone(row, r) != 1,
                 "lower": iv.lower if iv else math.nan,
                 "lower_included": iv.lower_included if iv else False,
                 "upper": iv.upper if iv else math.nan,

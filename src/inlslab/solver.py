@@ -247,11 +247,13 @@ def _newton(obj, vals, pre, opts, critical=False):
     dual-norm residual. A critical-point search (critical=True), whose
     target need not be a minimum, starts at nu = 1e-8, so its first
     trial is Newton's step, tries vals + d, so sign changes are kept,
-    and accepts on a smaller dual-norm residual alone. nu grows 4x on a
-    rejected step and halves on an accepted one (not below 1e-12, so it
-    cannot underflow to a shift that never grows again); the solve stops
-    unconverged when no nu below 1e30 gives an acceptable step. An init
-    out of float range raises DomainError.
+    and accepts on a smaller dual-norm residual alone. Its obj's grad and
+    hess_diag must not read the value and scale, as an Energy's do not,
+    so it evaluates the value only at the start and on the returned
+    values. nu grows 4x on a rejected step and halves on an accepted one
+    (not below 1e-12, so it cannot underflow to a shift that never grows
+    again); the solve stops unconverged when no nu below 1e30 gives an
+    acceptable step. An init out of float range raises DomainError.
     Returns (vals, value, res, iters, converged).
     """
     quad = obj.quad
@@ -276,7 +278,7 @@ def _newton(obj, vals, pre, opts, critical=False):
                 continue
             trial = vals.copy()
             trial[free] = vals[free] + d if critical else np.abs(vals[free] + d)
-            fv, sv = obj.evaluate(trial)
+            fv, sv = (f0, scale) if critical else obj.evaluate(trial)
             slope = float(np.dot(g[free], d)) / scale
             # fv - f0, not f0 + c slope: that sum rounds to f0 once slope is tiny
             armijo = not critical and slope < 0 and fv - f0 <= _ARMIJO_C * slope
@@ -286,11 +288,13 @@ def _newton(obj, vals, pre, opts, critical=False):
                 accepted = armijo or rv < res
             if not accepted:
                 nu *= 4.0
-        if not accepted:
-            return vals, f0, res, it, False
+        if not accepted:  # then res > grad_tol, so the solve is unconverged
+            break
         vals, f0, scale, g, res = trial, fv, sv, gv, rv
         nu = max(0.5 * nu, 1e-12)
         it += 1
+    if critical:
+        f0 = obj.evaluate(vals)[0]
     return vals, f0, res, it, res <= opts.grad_tol
 
 

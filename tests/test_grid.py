@@ -206,6 +206,18 @@ def test_scale_rejects_a_non_finite_t(wide5_params, wide5_grid):
             il.scale(u, 2.0, delta)
 
 
+@pytest.mark.filterwarnings("error")
+def test_scale_with_an_amplitude_past_the_float_range():
+    # t^delta used to raise a bare OverflowError from the float power. A
+    # shift past the window leaves only zeros, which stay 0; the constant
+    # extension below the window keeps nonzero nodes, which cannot take it
+    g = il.make_grid(1e-3, 1e3, 257, 3)
+    u = il.sample_function(g, "Gaussian", sigma=1.0)
+    assert il.scale(u, 1e200, 2.0).is_zero()
+    with pytest.raises(il.DomainError, match="float range"):
+        il.scale(u, 1e-200, -2.0)
+
+
 def test_scale_group_law_same_sign(wide5_params, wide5_grid):
     g, P = wide5_grid, wide5_params
     u = il.sample_function(g, "Gaussian", sigma=1.0)
@@ -302,6 +314,8 @@ def test_sample_function_rejects_a_non_finite_shape(family, shape, name):
     ("Gaussian", {"sigma": 1e-300}, "Gaussian with sigma"),  # sigma^2 underflows
     ("AubinTalenti", {"scale": 1e-300}, "AubinTalenti with scale"),  # (s/scale)^2 overflows
     ("Bump", {"lo": 1e4, "hi": 2e4}, "Bump with lo"),  # outside the window
+    # ((hi - lo)/2)^2 underflows to 0: 1/peak raised ZeroDivisionError
+    ("Bump", {"lo": 1e-300, "hi": 3e-300}, "Bump with lo"),
 ])
 def test_sample_function_rejects_a_shape_that_vanishes_on_the_grid(family, shape, named):
     # these used to return the zero profile, and a solve from it failed

@@ -813,22 +813,19 @@ def test_region_map_matches_per_pair_reference(case):
 
 
 @st.composite
-def boundary_row(draw):
+def boundary_row(draw, n_choices=(2, 3, 4, 5)):
     # params, eta, radial, and an increasing r grid packed around the row's
     # boundaries (1, the interval ends, r_s, the Pohozaev bounds)
-    N, b, q, p = draw(valid_params())
+    N, b, q, p = draw(valid_params(n_choices))
     P = il.derive_params(N, b, q, p)
     eta = draw(st.sampled_from([0.0, b, P.a, 1.0, 2.0, (N + 2) / 2]) | st.floats(0.0, N + 0.5))
     if draw(st.booleans()):
         eta = draw(st.sampled_from(_nudged(eta)))
     radial = draw(st.booleans())
     row = il.regimes._build_row(P, float(eta), radial)
-    edges = [1.0]
+    edges = [1.0, row.low, row.crit]
     if row.early is None:
         edges += [row.lower, row.upper, row.r_s]
-    if 0 <= eta < 2:
-        low, _, crit, _ = il.regimes._pohozaev_bounds(P, eta)
-        edges += [low, crit]
     rs = draw(st.lists(st.floats(1e-3, 15.0), max_size=20))
     rs += [y for x in edges if math.isfinite(x) and x > 0 for e in _nudged(x)
            for y in (e, math.nextafter(e, 0.0), math.nextafter(e, math.inf))]
@@ -837,21 +834,32 @@ def boundary_row(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(boundary_row())
-def test_kind_and_pohozaev_halves_are_monotone_in_r(case):
+def test_kind_and_pohozaev_zone_are_monotone_in_r(case):
     # region_map fills each eta row by runs found by bisection, which needs
     # keys that are monotone along an increasing r grid
     P, eta, row, rs = case
+    zones = [il.regimes._zone(row, r) for r in rs]
+    assert zones == sorted(zones)
     if row.early is None:
-        kinds = [il.regimes._kind(row, r) for r in rs]
-        assert kinds == sorted(kinds)
+        keys = [(il.regimes._kind(row, r), il.regimes._zone(row, r)) for r in rs]
+        assert keys == sorted(keys)
     if 0 <= eta < 2:
-        bounds = il.regimes._pohozaev_bounds(P, eta)
-        low, low_tol, crit, crit_tol = bounds
-        no_end = il.regimes._tol(math.inf)
-        below = [il.regimes._only_trivial((low, low_tol, math.inf, no_end), r) for r in rs]
-        above = [il.regimes._only_trivial((-math.inf, no_end, crit, crit_tol), r) for r in rs]
-        assert below == sorted(below, reverse=True)  # a prefix
-        assert above == sorted(above)  # a suffix
-        assert [x or y for x, y in zip(below, above)] == [
-            il.regimes._only_trivial(bounds, r) for r in rs]
+        assert (row.low, row.crit) == (P.q * (P.N - eta) / (P.N - P.b),
+                                       il.critical_exponent(P.N, eta))
+        assert [z != 1 for z in zones] == [_nonexistence_reference(P, eta, r) for r in rs]
+    else:
+        assert (row.low, row.crit) == (-math.inf, math.inf) and zones == [1] * len(zones)
 
+
+@pytest.mark.parametrize("n_choices", [(2,), (3, 4, 5)], ids=["N2", "N3-5"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_nonexistence_matches_the_reference_on_a_cold_and_a_warm_row(n_choices, data):
+    # nonexistence reads the cached row: the first call after a cache clear
+    # builds it, the second finds it
+    P, eta, _, rs = data.draw(boundary_row(n_choices))
+    for r in rs:
+        if 0 <= eta < 2 and r > 1:
+            il.regimes._row.cache_clear()
+            cold = il.nonexistence(P, eta, r)
+            assert cold == il.nonexistence(P, eta, r) == _nonexistence_reference(P, eta, r)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import inlslab as il
+from inlslab.functionals import Energy
 from inlslab.solver import _coercive_init, _pin, _solve_tridiag, _with_diag
 
 
@@ -330,6 +331,22 @@ def test_newton_refines_a_perturbed_reference_solution(ref_params):
     rep = il.newton_refine(u, ref_params, base.value, [])
     assert rep.converged and rep.iters <= 5
     assert rep.el_res <= 1e-10
+
+
+def test_newton_evaluates_the_energy_at_the_start_and_on_return(ref_params, monkeypatch):
+    # a critical-point search accepts on the residual alone, so it does not
+    # evaluate the energy of its trials
+    g = il.make_grid(1e-3, 1e3, 257, 3)
+    base = il.minimize_rayleigh(g, ref_params, il.sample_function(g, "Gaussian", sigma=1.0))
+    noise = np.random.default_rng(0).standard_normal(g.M)
+    u = il.RadialProfile(g, base.profile.values * (1.0 + 1e-2 * noise))
+    calls = []
+    evaluate = Energy.evaluate
+    monkeypatch.setattr(Energy, "evaluate",
+                        lambda self, vals: calls.append(1) or evaluate(self, vals))
+    rep = il.newton_refine(u, ref_params, base.value, [il.TermSpec(-0.1, 1.8, 4.0)])
+    assert rep.iters >= 3 and len(calls) == 2
+    assert rep.value == il.phi(rep.profile, ref_params, base.value, [il.TermSpec(-0.1, 1.8, 4.0)])
 
 
 # ----------------------------------------------------------------- probe
