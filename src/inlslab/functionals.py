@@ -82,7 +82,8 @@ def _pow(a: np.ndarray, e: float) -> np.ndarray:
         return a ** e
     out = np.zeros_like(a)
     nz = a != 0
-    out[nz] = a[nz] ** e
+    with np.errstate(over="ignore"):  # a tiny node gives inf, which the callers reject
+        out[nz] = a[nz] ** e
     return out
 
 

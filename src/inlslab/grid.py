@@ -241,7 +241,8 @@ def scale(u: RadialProfile, t: float, delta: float) -> RadialProfile:
     Grid-exact t (ln t an integer multiple of h) is a pure index shift;
     other t interpolate linearly in ln s. t = 0 gives the zero profile, and
     so does a shift that leaves no nonzero node, whatever t^delta is; a
-    t^delta past the float range on a nonzero node raises DomainError.
+    t^delta past the float range on a nonzero node, or a finite t^delta
+    that carries a node past it, raises DomainError.
     """
     if not 0 <= t < math.inf:
         raise DomainError(f"scaling parameter t must be finite and >= 0, got {t}")
@@ -260,10 +261,13 @@ def scale(u: RadialProfile, t: float, delta: float) -> RadialProfile:
     else:
         out = (1.0 - f) * shift_values(g, u.values, k) + f * shift_values(g, u.values, k + 1)
     try:
-        out = out * (math.exp(k * g.h) if exact else t) ** delta
+        with np.errstate(over="ignore"):  # an overflowing node is reported below
+            out = out * (math.exp(k * g.h) if exact else t) ** delta
+        past = not np.isfinite(out).all()
     except (OverflowError, ZeroDivisionError):  # t^delta is past the float range
-        if out.any():
-            raise DomainError(f"t^delta = {t!r}^{delta!r} lies outside the float range") from None
+        past = out.any()
+    if past:
+        raise DomainError(f"t^delta = {t!r}^{delta!r} takes u_t outside the float range")
     return RadialProfile(g, out)
 
 

@@ -26,13 +26,15 @@ new eta costs one interval and one verdict, as a pair classified on its
 own does. interpolation_pair's companion search, which tries a new eta
 at every step, builds its rows outside the cache.
 
-region_map takes each eta's row once and fills it by runs. Along an
-increasing r grid each verdict holds on one interval of r, in the order
-of _VERDICTS, and so does each Pohozaev zone that _zone returns, so an
-eta row has at most ten runs of equal cells however fine the r grid is.
-Their ends are found by bisection with the pair of the two as the key,
-each run's cell is built from its first r, and every r of the run gets
-a copy. region_map_csv formats each distinct float of the atlas once per
+region_map takes each eta's row once and fills it by runs. A pair's verdict
+and nonexistence flag compare r with at most six finite thresholds of its
+row (1, the Pohozaev bounds, the interval ends and r_s), each up to EQ_TOL,
+and no comparison changes outside the band of width 4 EQ_TOL max(1, |c|)
+on either side of its threshold c. The row keeps the edges of these
+bands, and region_map cuts the r grid where they fall: every cell inside a
+band is a run of its own, and the cells between two bands form one run.
+Each run's cell is built from its first r, and every r of the run gets a
+copy. region_map_csv formats each distinct float of the atlas once per
 call (a 200x200 atlas has 778 in its 160,000 float fields) and reuses
 the text of a line's eta and interval ends when they are the previous
 line's.
@@ -41,9 +43,10 @@ line's.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import operator
+from bisect import bisect_left, bisect_right
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .errors import DomainError, EmptyGridError, SearchFailed, _set, _Value
 # the parameters and derived exponents live in exponents, which the solvers
@@ -159,12 +162,12 @@ class _Row:
     threshold r_s, each with its _tol, and the answer is one of the row's
     six verdicts. ``verdicts`` holds them in the order of _VERDICTS, each
     built the first time a pair needs it: a row that serves one pair
-    builds one.
+    builds one. ``bands`` holds the _bands of every threshold r meets.
     """
 
     __slots__ = ("low", "low_tol", "crit", "crit_tol", "early", "interval", "lower",
                  "lower_tol", "lower_included", "upper", "upper_tol", "upper_included", "r_s",
-                 "r_s_tol", "verdicts")
+                 "r_s_tol", "verdicts", "bands")
 
 
 _ETA_TOO_LARGE = RegimeVerdict(False, Regime.NOT_APPLICABLE, None, "ETA_TOO_LARGE")
@@ -186,6 +189,14 @@ _VERDICTS = (
 _R_LE_ONE, _BELOW, _SUBSCALED, _SCALED, _SUPERSCALED, _ABOVE = range(len(_VERDICTS))
 
 
+def _bands(*cs: float) -> tuple:
+    """(c - 4 t, c + 4 t), t = _tol(c), for each finite threshold c. An r
+    outside it has d = |r - c| > 4 t and EQ_TOL * |r| <= t + EQ_TOL * d, so
+    no _close test against c passes, by a margin far beyond rounding: r
+    compares with c by its side of c alone."""
+    return tuple((c - 4 * t, c + 4 * t) for c in cs if (t := _tol(c)) > 0)
+
+
 def _build_row(params: Params, eta: float, radial: bool) -> _Row:
     """The row of eta >= 0: the Pohozaev bounds, then the eta-cap and
     N = 2 verdicts, or the embedding interval (with its endpoint-inclusion
@@ -196,6 +207,7 @@ def _build_row(params: Params, eta: float, radial: bool) -> _Row:
     row = _Row()
     low, crit = (params.q * (N - eta) / (N - b), critical_exponent(N, eta)) if eta < 2 else (-INF, INF)
     row.low, row.low_tol, row.crit, row.crit_tol = low, _tol(low), crit, _tol(crit)
+    row.bands = _bands(1.0, low, crit)
     row.early = None
     eta_cap = (N + 2) / 2.0
     if eta > eta_cap or _close(eta, eta_cap):
@@ -231,6 +243,7 @@ def _build_row(params: Params, eta: float, radial: bool) -> _Row:
     row.lower, row.lower_tol, row.lower_included = lower, _tol(lower), lower_inc
     row.upper, row.upper_tol, row.upper_included = upper, _tol(upper), upper_inc
     row.r_s, row.r_s_tol = r_s, _tol(r_s)
+    row.bands += _bands(lower, upper, r_s)
     row.verdicts = [None] * len(_VERDICTS)
     return row
 
@@ -251,12 +264,11 @@ def _kind(row: _Row, r: float) -> int:
     with an interval. Every test is the _close test of classify_pair's
     rules, written out with _tol.
 
-    The index never decreases as r grows, which region_map relies on:
-    the r that pass _close(r, c) form an interval around c, since |r - c|
-    grows faster than EQ_TOL * |r| on either side of c, so R_LE_ONE and
-    R_BELOW_LOWER hold on prefixes of the r axis, R_ABOVE_UPPER on a
-    suffix, and SCALED on the band of r_s between SUBSCALED and
-    SUPERSCALED."""
+    The index never decreases as r grows: the r that pass _close(r, c)
+    form an interval around c, since |r - c| grows faster than
+    EQ_TOL * |r| on either side of c, so R_LE_ONE and R_BELOW_LOWER hold
+    on prefixes of the r axis, R_ABOVE_UPPER on a suffix, and SCALED on
+    the band of r_s between SUBSCALED and SUPERSCALED."""
     r_tol = EQ_TOL * abs(r)
     d = abs(r - 1.0)
     if r < 1.0 or d <= EQ_TOL or d <= r_tol:
@@ -573,25 +585,6 @@ def _gamma_roots(mu: float, C: float, C1: float, exp_low: float, exp_high: float
     return r1, r2
 
 
-def _cuts(r_grid, key, lo: int, hi: int) -> list:
-    """The ends of the runs of equal key over r_grid[lo:hi].
-
-    key must never decrease over the grid. Each run's end is found by
-    bisection from the run's start; the run that has the last cell's key
-    ends at hi.
-    """
-    if lo >= hi:
-        return []
-    last = key(r_grid[hi - 1])
-    cuts = [hi]
-    k = key(r_grid[lo])
-    while k != last:
-        lo = bisect_right(r_grid, k, lo + 1, hi, key=key)
-        cuts.append(lo)
-        k = key(r_grid[lo])
-    return cuts
-
-
 def region_map(params: Params, eta_grid, r_grid, radial: bool = False):
     """Tabulate classify_pair and nonexistence over a rectangular grid.
 
@@ -599,34 +592,34 @@ def region_map(params: Params, eta_grid, r_grid, radial: bool = False):
     nonempty, finite and strictly increasing. A cell that WeightedPair
     rejects (eta < 0 or r <= 0) gets the verdict DOMAIN.
 
-    Each eta's row is fetched once. Along the r grid the verdict changes
-    only where _kind does and the nonexistence flag only at r <= 1 and
-    where _zone does. Neither key decreases, so their pair does not, and
-    the row falls into at most ten runs of equal cells. Their ends are
-    found by bisection, each run's cell is built once from its first r,
-    and every r of the run gets a copy of it.
+    Each eta's row is fetched once. Along the r grid a cell can change
+    only at r = 0 or inside one of the row's bands, so the grid is cut at
+    0 and at the bands' edges, and every cell inside a band is a run of
+    its own; the cells between two cuts share their verdict and
+    nonexistence flag. Each run's cell is built once from its first r, and
+    every r of the run gets a copy of it.
     """
     eta_grid = list(eta_grid)
     r_grid = list(r_grid)
     if not eta_grid or not r_grid:
         raise EmptyGridError("eta and r grids must be nonempty")
     for g, name in ((eta_grid, "eta_grid"), (r_grid, "r_grid")):
-        if not all(math.isfinite(x) for x in g):
+        if not all(map(math.isfinite, g)):
             raise DomainError(f"{name} must be finite")
-        if any(y <= x for x, y in zip(g, g[1:])):
+        if not all(map(operator.lt, g, g[1:])):
             raise DomainError(f"{name} must be strictly increasing")
 
     radial = bool(radial)
     n = len(r_grid)
     above_0 = bisect_right(r_grid, 0)  # the cells before it are DOMAIN
-    above_1 = bisect_right(r_grid, 1, above_0)  # nonexistence is False before it
     rows = []
     for eta in eta_grid:
         row = _row(params, float(eta), radial) if eta >= 0 else None
-        cuts = {0, above_0, above_1, n}
+        cuts = {0, above_0, n}
         if row is not None:
-            key = partial(_zone, row) if row.early is not None else lambda r: (_kind(row, r), _zone(row, r))
-            cuts.update(_cuts(r_grid, key, above_0, n))
+            for lo, hi in row.bands:
+                i = bisect_left(r_grid, lo)
+                cuts.update(range(i, bisect_right(r_grid, hi, i) + 1))
         cuts = sorted(cuts)
         for start, end in zip(cuts, cuts[1:]):
             r = r_grid[start]

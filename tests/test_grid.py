@@ -216,6 +216,11 @@ def test_scale_with_an_amplitude_past_the_float_range():
     assert il.scale(u, 1e200, 2.0).is_zero()
     with pytest.raises(il.DomainError, match="float range"):
         il.scale(u, 1e-200, -2.0)
+    # a finite t^delta = 1e10 carries a node of 1e300 past the float range:
+    # the product used to warn and fail the profile's generic finite check
+    big = il.RadialProfile(g, 1e300 * u.values)
+    with pytest.raises(il.DomainError, match=r"t\^delta = 1e-05\^-2\.0 .*float range"):
+        il.scale(big, 1e-5, -2.0)
 
 
 def test_scale_group_law_same_sign(wide5_params, wide5_grid):

@@ -3,6 +3,7 @@ nonexistence, interpolation pairs, and threshold constants."""
 
 import hashlib
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -815,7 +816,8 @@ def test_region_map_matches_per_pair_reference(case):
 @st.composite
 def boundary_row(draw, n_choices=(2, 3, 4, 5)):
     # params, eta, radial, and an increasing r grid packed around the row's
-    # boundaries (1, the interval ends, r_s, the Pohozaev bounds)
+    # boundaries (1, the interval ends, r_s, the Pohozaev bounds) and the
+    # edges of their bands
     N, b, q, p = draw(valid_params(n_choices))
     P = il.derive_params(N, b, q, p)
     eta = draw(st.sampled_from([0.0, b, P.a, 1.0, 2.0, (N + 2) / 2]) | st.floats(0.0, N + 0.5))
@@ -829,14 +831,17 @@ def boundary_row(draw, n_choices=(2, 3, 4, 5)):
     rs = draw(st.lists(st.floats(1e-3, 15.0), max_size=20))
     rs += [y for x in edges if math.isfinite(x) and x > 0 for e in _nudged(x)
            for y in (e, math.nextafter(e, 0.0), math.nextafter(e, math.inf))]
+    rs += [y for band in row.bands for e in band if e > 0
+           for y in (e, math.nextafter(e, 0.0), math.nextafter(e, math.inf))]
     return P, eta, row, sorted(set(rs))
 
 
 @settings(max_examples=300, deadline=None)
 @given(boundary_row())
 def test_kind_and_pohozaev_zone_are_monotone_in_r(case):
-    # region_map fills each eta row by runs found by bisection, which needs
-    # keys that are monotone along an increasing r grid
+    # each verdict and each Pohozaev zone holds on one interval of r, in
+    # order; region_map cuts its runs at the row's bands and does not rely
+    # on this
     P, eta, row, rs = case
     zones = [il.regimes._zone(row, r) for r in rs]
     assert zones == sorted(zones)
@@ -849,6 +854,22 @@ def test_kind_and_pohozaev_zone_are_monotone_in_r(case):
         assert [z != 1 for z in zones] == [_nonexistence_reference(P, eta, r) for r in rs]
     else:
         assert (row.low, row.crit) == (-math.inf, math.inf) and zones == [1] * len(zones)
+
+
+@settings(max_examples=300, deadline=None)
+@given(boundary_row())
+def test_verdict_and_zone_hold_between_the_bands(case):
+    # region_map builds one cell for all the r between two of a row's band
+    # edges: r outside every band, with no edge between them, must share
+    # the verdict, the Pohozaev zone and the side of 1
+    P, eta, row, rs = case
+    edges = sorted(e for band in row.bands for e in band)
+    outside = [r for r in rs if not any(lo <= r <= hi for lo, hi in row.bands)]
+    for r, s in zip(outside, outside[1:]):
+        if bisect_right(edges, r) == bisect_right(edges, s):
+            assert il.regimes._verdict(row, r) == il.regimes._verdict(row, s)
+            assert il.regimes._zone(row, r) == il.regimes._zone(row, s)
+            assert (r > 1) == (s > 1)
 
 
 @pytest.mark.parametrize("n_choices", [(2,), (3, 4, 5)], ids=["N2", "N3-5"])

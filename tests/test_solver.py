@@ -274,7 +274,7 @@ def test_newton_reports_the_public_residuals(ref_params, small_grid):
     assert rep.eigen_rel_res == il.eigen_relation_residual(rep.profile, ref_params, 0.0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_newton_stops_on_a_non_finite_hessian(ref_params):
     # |u|^(r-2) overflows at a subnormal node for r = 1.01, so no shift
     # gives a finite step matrix: the solve reports where it started
