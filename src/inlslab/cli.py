@@ -194,25 +194,23 @@ def _emit(doc) -> None:
     sys.stdout.write(to_json(doc) + "\n")
 
 
-def _finish_solve(report) -> int:
-    _emit(report.to_dict())
+def _finish_solve(args, params, report) -> int:
+    """Write profile.csv and report.json under --out, if given, then print
+    the report; the printed and written documents name the profile's path."""
+    doc = report.to_dict()
+    if args.out:
+        from .grid import save_profile
+
+        os.makedirs(args.out, exist_ok=True)
+        doc["profile_path"] = os.path.join(args.out, "profile.csv")
+        save_profile(report.profile, doc["profile_path"], family="solution",
+                     params={"N": params.N, "b": params.b, "q": params.q, "p": params.p})
+        with open(os.path.join(args.out, "report.json"), "w") as fh:
+            fh.write(to_json(doc) + "\n")
+    _emit(doc)
     if not report.converged:
         raise Diverged("solver did not reach grad_tol")
     return 0
-
-
-def _write_outputs(args, params, report):
-    from .grid import save_profile
-
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        ppath = os.path.join(args.out, "profile.csv")
-        save_profile(report.profile, ppath, family="solution",
-                     params={"N": params.N, "b": params.b, "q": params.q, "p": params.p})
-        report.profile_path = ppath
-        rpath = os.path.join(args.out, "report.json")
-        with open(rpath, "w") as fh:
-            fh.write(to_json(report.to_dict()) + "\n")
 
 
 def _run(args) -> int:
@@ -251,8 +249,7 @@ def _run(args) -> int:
         else:
             init = sample_function(grid, "Bump", lo=1.0, hi=2.0)
         report = minimize_rayleigh(grid, params, init, _opts(args))
-        _write_outputs(args, params, report)
-        return _finish_solve(report)
+        return _finish_solve(args, params, report)
 
     if args.command == "minimize":
         from .grid import make_grid
@@ -262,8 +259,7 @@ def _run(args) -> int:
         grid = make_grid(args.s_min, args.s_max, args.M, args.N)
         terms = [_parse_term(t) for t in args.term]
         report = minimize_coercive(grid, params, terms, args.lam, _opts(args))
-        _write_outputs(args, params, report)
-        return _finish_solve(report)
+        return _finish_solve(args, params, report)
 
     if args.command == "verify":
         from .functionals import _residuals

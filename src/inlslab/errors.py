@@ -59,11 +59,8 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __setstate__(self, state):
-        # object.__getstate__ gives (instance __dict__ or None, {slot: value})
-        extra, slots = state
-        if extra:
-            self.__dict__.update(extra)
-        for name, value in slots.items():
+        # object.__getstate__ gives (None, {slot: value}): no record has an instance dict
+        for name, value in state[1].items():
             _set(self, name, value)
 
 

@@ -250,25 +250,20 @@ def project_to_M(u: RadialProfile, params: Params) -> RadialProfile:
     if abs(res) <= 1e-10:
         return v
 
-    step = max(0.5 * g.h, abs(res))
-    lo = hi = lt
-    flo = fhi = res
-    n = 0
-    while flo > 0 and n < 300:
-        lo -= step
+    # bracket the root by doubling steps from the guess: down while I > 1, up while I < 1
+    sign = -1.0 if res > 0 else 1.0
+    step = sign * max(0.5 * g.h, abs(res))
+    end, f, n = lt, res, 0
+    while sign * f < 0 and n < 300:
+        end += step
         step *= 2.0
-        _, flo = at(lo)
+        _, f = at(end)
         n += 1
-    step = max(0.5 * g.h, abs(res))
-    while fhi < 0 and n < 300:
-        hi += step
-        step *= 2.0
-        _, fhi = at(hi)
-        n += 1
-    if flo > 0 or fhi < 0:
+    if sign * f < 0:
         raise DomainError(
             "projection target I = 1 is not reachable by scaling inside the grid window"
         )
+    lo, hi = (end, lt) if sign < 0 else (lt, end)
     for _ in range(300):
         mid = 0.5 * (lo + hi)
         v, fm = at(mid)

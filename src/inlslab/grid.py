@@ -11,7 +11,7 @@ evaluated by the trapezoid rule. The gradient term uses cell slopes
 the quadratic form positive definite on every mesh mode and makes its
 Hessian tridiagonal. Both sums, their nodal gradients, the stiffness
 band and the dual norm are written once, in the Quadrature each grid
-builds on first use (RadialGrid.quad); every energy and solver
+builds when it is made (RadialGrid.quad); every energy and solver
 evaluates through it.
 
 The scaling u_t(x) = t^delta u(tx) acts on the log grid as a pure index
@@ -61,12 +61,12 @@ def sphere_area(N: int) -> float:
 class RadialGrid(_Value):
     """Log-uniform radial mesh on [s_min, s_max] with M nodes.
 
-    h, the read-only nodes and the sphere area omega are derived from the
-    four arguments; the repr shows h but not nodes or omega.
+    h, the read-only nodes, the sphere area omega and the grid's
+    Quadrature quad are derived from the four arguments; the repr shows h
+    but not nodes, omega or quad.
     """
 
-    # __dict__ holds the cached quad
-    __slots__ = ("s_min", "s_max", "M", "N", "h", "nodes", "omega", "__dict__")
+    __slots__ = ("s_min", "s_max", "M", "N", "h", "nodes", "omega", "quad")
     _fields = ("s_min", "s_max", "M", "N", "h")
 
     def __init__(self, s_min: float, s_max: float, M: int, N: int):
@@ -80,11 +80,7 @@ class RadialGrid(_Value):
         _set(self, "h", h)
         _set(self, "nodes", nodes)
         _set(self, "omega", sphere_area(N))
-
-    @cached_property
-    def quad(self) -> "Quadrature":
-        """The grid's quadrature, built on first use."""
-        return Quadrature(self)
+        _set(self, "quad", Quadrature(self))
 
 
 class Quadrature:
@@ -303,10 +299,9 @@ def sample_function(grid: RadialGrid, family: ProfileFamily | str, **shape) -> R
             named = f"lo={lo}, hi={hi}"
             vals = np.zeros(grid.M)
             inside = (s > lo) & (s < hi)
-            t = (s[inside] - lo) * (hi - s[inside])
-            peak = ((hi - lo) / 2.0) ** 2
-            # numpy's division: a peak that underflows to 0 gives inf, not ZeroDivisionError
-            vals[inside] = np.exp(-1.0 / t + np.divide(1.0, peak))
+            w = hi - lo
+            x = (s[inside] - lo) / w
+            vals[inside] = np.exp((4.0 - 1.0 / (x * (1.0 - x))) / w / w)
         elif family is ProfileFamily.AUBIN_TALENTI:
             scl = float(shape.get("scale", 1.0))
             if not 0 < scl < math.inf:

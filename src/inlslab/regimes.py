@@ -18,13 +18,13 @@ verdicts.
 A verdict is computed in two steps. Everything that depends on eta alone
 (the eta-cap and N = 2 rejections, the embedding interval, the scaled
 threshold r_s, the Pohozaev bounds and each boundary's tolerance) forms
-the row of (params, eta, radial). A pair's verdict and nonexistence flag
-then only compare r with its row; the row builds each of its verdict
-objects once, when a pair first needs it. Rows are kept in a bounded LRU
-cache of _ROW_CACHE_SIZE rows, so an eta seen before costs one lookup; a
-new eta costs one interval and one verdict, as a pair classified on its
-own does. interpolation_pair's companion search, which tries a new eta
-at every step, builds its rows outside the cache.
+the row of (params, eta, radial). The row is built whole: with its
+interval it builds the six verdicts an r can get, and nothing changes it
+afterwards. A pair's verdict and nonexistence flag then only compare r
+with its row. Rows are kept in a bounded LRU cache of _ROW_CACHE_SIZE
+rows, so an eta seen before costs one lookup; a new eta costs one row.
+interpolation_pair's companion search, which tries a new eta at every
+step, builds its rows outside the cache.
 
 region_map takes each eta's row once and fills it by runs. A pair's verdict
 and nonexistence flag compare r with at most six finite thresholds of its
@@ -158,16 +158,15 @@ class _Row:
     with their _tol; outside 0 <= eta < 2 they are -inf and inf with _tol
     -1, so no test passes. ``early`` is the verdict of every r when eta
     alone rules the pair out; the interval fields are then unset.
-    Otherwise r is compared with the interval ends and the scaled
+    Otherwise r is compared with the ends of ``interval`` and the scaled
     threshold r_s, each with its _tol, and the answer is one of the row's
-    six verdicts. ``verdicts`` holds them in the order of _VERDICTS, each
-    built the first time a pair needs it: a row that serves one pair
-    builds one. ``bands`` holds the _bands of every threshold r meets.
+    six ``verdicts``, built with the row in the order of _VERDICTS.
+    ``bands`` holds the _bands of every threshold r meets. _build_row
+    fills every field, and nothing changes a row after it returns.
     """
 
-    __slots__ = ("low", "low_tol", "crit", "crit_tol", "early", "interval", "lower",
-                 "lower_tol", "lower_included", "upper", "upper_tol", "upper_included", "r_s",
-                 "r_s_tol", "verdicts", "bands")
+    __slots__ = ("low", "low_tol", "crit", "crit_tol", "early", "interval", "lower_tol",
+                 "upper_tol", "r_s", "r_s_tol", "verdicts", "bands")
 
 
 _ETA_TOO_LARGE = RegimeVerdict(False, Regime.NOT_APPLICABLE, None, "ETA_TOO_LARGE")
@@ -231,7 +230,7 @@ def _build_row(params: Params, eta: float, radial: bool) -> _Row:
         compact = True
     else:
         compact = radial_eff or (eta > b and not _close(eta, b))
-    row.interval = EmbeddingInterval(
+    row.interval = iv = EmbeddingInterval(
         lower=lower,
         upper=upper,
         lower_included=lower_inc,
@@ -240,19 +239,18 @@ def _build_row(params: Params, eta: float, radial: bool) -> _Row:
         compact_interior=compact,
     )
     r_s = scaled_threshold(params, eta)
-    row.lower, row.lower_tol, row.lower_included = lower, _tol(lower), lower_inc
-    row.upper, row.upper_tol, row.upper_included = upper, _tol(upper), upper_inc
+    row.lower_tol, row.upper_tol = _tol(lower), _tol(upper)
     row.r_s, row.r_s_tol = r_s, _tol(r_s)
     row.bands += _bands(lower, upper, r_s)
-    row.verdicts = [None] * len(_VERDICTS)
+    row.verdicts = tuple([RegimeVerdict(admissible, regime, iv, reason)
+                          for admissible, regime, reason in _VERDICTS])
     return row
 
 
 # Rows kept by _row. Calls that meet an eta again reuse its row: region_map
 # on the same parameters again (one row per eta of its grid, 200 for a
 # 200x200 atlas) and classify_pair on an eta seen before. A new eta builds
-# its row, one interval and one verdict, which is what classifying the pair
-# alone costs. interpolation_pair's companion search, which tries a new eta
+# its row. interpolation_pair's companion search, which tries a new eta
 # at every step, builds those rows with _build_row, outside the cache.
 _ROW_CACHE_SIZE = 1024
 
@@ -273,17 +271,18 @@ def _kind(row: _Row, r: float) -> int:
     d = abs(r - 1.0)
     if r < 1.0 or d <= EQ_TOL or d <= r_tol:
         return _R_LE_ONE
-    d = abs(r - row.lower)
+    iv = row.interval
+    d = abs(r - iv.lower)
     if d <= row.lower_tol or d <= r_tol:
-        if not row.lower_included:
+        if not iv.lower_included:
             return _BELOW
-    elif r < row.lower:
+    elif r < iv.lower:
         return _BELOW
-    d = abs(r - row.upper)  # N = 2: upper is inf, its _tol -1, and no test passes
+    d = abs(r - iv.upper)  # N = 2: upper is inf, its _tol -1, and no test passes
     if d <= row.upper_tol or d <= r_tol:
-        if not row.upper_included:
+        if not iv.upper_included:
             return _ABOVE
-    elif r > row.upper:
+    elif r > iv.upper:
         return _ABOVE
     d = abs(r - row.r_s)
     if d <= row.r_s_tol or d <= r_tol:
@@ -293,14 +292,7 @@ def _kind(row: _Row, r: float) -> int:
 
 def _verdict(row: _Row, r: float) -> RegimeVerdict:
     """Verdict of a finite r > 0 against its eta's row."""
-    if row.early is not None:
-        return row.early
-    k = _kind(row, r)
-    v = row.verdicts[k]
-    if v is None:
-        admissible, regime, reason = _VERDICTS[k]
-        v = row.verdicts[k] = RegimeVerdict(admissible, regime, row.interval, reason)
-    return v
+    return row.early or row.verdicts[_kind(row, r)]
 
 
 def classify_pair(params: Params, pair: WeightedPair, radial: bool = False) -> RegimeVerdict:

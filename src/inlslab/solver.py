@@ -89,28 +89,25 @@ class SolveOptions(_Value):
 
 
 class SolveReport(_Value):
-    """What a solve returns. Unlike the other records it is mutable (the
-    CLI sets profile_path after writing the profile) and so unhashable;
-    equality also compares profile, which the repr leaves out."""
+    """What a solve returns. The solvers leave profile_path None; the CLI
+    puts the path of the profile it writes into its own documents.
+    Equality and hash also cover profile, which the repr leaves out."""
 
     __slots__ = ("value", "iters", "el_res", "pohozaev_res", "eigen_rel_res", "converged",
                  "profile_path", "profile")
     _fields = __slots__[:-1]  # all but profile
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, value: float, iters: int, el_res: float, pohozaev_res: float,
                  eigen_rel_res: float, converged: bool, profile_path: str | None = None,
                  profile: RadialProfile | None = None):
-        self.value = value
-        self.iters = iters
-        self.el_res = el_res
-        self.pohozaev_res = pohozaev_res
-        self.eigen_rel_res = eigen_rel_res
-        self.converged = converged
-        self.profile_path = profile_path
-        self.profile = profile
+        _set(self, "value", value)
+        _set(self, "iters", iters)
+        _set(self, "el_res", el_res)
+        _set(self, "pohozaev_res", pohozaev_res)
+        _set(self, "eigen_rel_res", eigen_rel_res)
+        _set(self, "converged", converged)
+        _set(self, "profile_path", profile_path)
+        _set(self, "profile", profile)
 
     def _key(self) -> tuple:
         return (*_Value._key(self), self.profile)

@@ -284,6 +284,9 @@ def test_sample_bump_support():
     outside = (g.nodes <= 1.0) | (g.nodes >= 2.0)
     assert np.all(u.values[outside] == 0.0)
     assert np.any(u.values > 0)
+    # on [1, 2] the bump in x = (s - lo)/w is exp(-1/((s-1)(2-s)) + 4) to the bit
+    s = g.nodes[~outside]
+    assert u.values[~outside].tobytes() == np.exp(-1.0 / ((s - 1.0) * (2.0 - s)) + 4.0).tobytes()
 
 
 def test_sample_aubin_talenti_value():
@@ -319,7 +322,7 @@ def test_sample_function_rejects_a_non_finite_shape(family, shape, name):
     ("Gaussian", {"sigma": 1e-300}, "Gaussian with sigma"),  # sigma^2 underflows
     ("AubinTalenti", {"scale": 1e-300}, "AubinTalenti with scale"),  # (s/scale)^2 overflows
     ("Bump", {"lo": 1e4, "hi": 2e4}, "Bump with lo"),  # outside the window
-    # ((hi - lo)/2)^2 underflows to 0: 1/peak raised ZeroDivisionError
+    # a support far below the window, narrower than its squared width can hold
     ("Bump", {"lo": 1e-300, "hi": 3e-300}, "Bump with lo"),
 ])
 def test_sample_function_rejects_a_shape_that_vanishes_on_the_grid(family, shape, named):
@@ -328,6 +331,16 @@ def test_sample_function_rejects_a_shape_that_vanishes_on_the_grid(family, shape
     g = il.make_grid(1e-3, 1e3, 257, 3)
     with pytest.raises(il.DomainError, match=named):
         il.sample_function(g, family, **shape)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_bump_on_a_support_narrower_than_its_squared_width():
+    # ((hi - lo)/2)^2 underflows to 0 here; the bump is evaluated in
+    # x = (s - lo)/w, so the node at the centre gets its peak value 1
+    g = il.make_grid(1e-160, 1e-150, 65, 3)
+    node = g.nodes[30]
+    u = il.sample_function(g, "Bump", lo=node - 1e-166, hi=node + 1e-166)
+    assert u.values[30] == 1.0 and np.count_nonzero(u.values) == 1
 
 
 @pytest.mark.filterwarnings("error")

@@ -827,7 +827,7 @@ def boundary_row(draw, n_choices=(2, 3, 4, 5)):
     row = il.regimes._build_row(P, float(eta), radial)
     edges = [1.0, row.low, row.crit]
     if row.early is None:
-        edges += [row.lower, row.upper, row.r_s]
+        edges += [row.interval.lower, row.interval.upper, row.r_s]
     rs = draw(st.lists(st.floats(1e-3, 15.0), max_size=20))
     rs += [y for x in edges if math.isfinite(x) and x > 0 for e in _nudged(x)
            for y in (e, math.nextafter(e, 0.0), math.nextafter(e, math.inf))]
@@ -854,6 +854,23 @@ def test_kind_and_pohozaev_zone_are_monotone_in_r(case):
         assert [z != 1 for z in zones] == [_nonexistence_reference(P, eta, r) for r in rs]
     else:
         assert (row.low, row.crit) == (-math.inf, math.inf) and zones == [1] * len(zones)
+
+
+@settings(max_examples=100, deadline=None)
+@given(boundary_row())
+def test_a_row_is_whole_when_built(case):
+    # _build_row makes all six verdicts; answering a pair reads one of them
+    # and changes nothing in the row
+    P, eta, row, rs = case
+    before = {name: getattr(row, name) for name in type(row).__slots__ if hasattr(row, name)}
+    got = [il.regimes._verdict(row, r) for r in rs]
+    if row.early is None:
+        assert [v.reason for v in row.verdicts] == [v[2] for v in il.regimes._VERDICTS]
+        assert all(v.interval is row.interval for v in row.verdicts)
+        assert all(v is row.verdicts[il.regimes._kind(row, r)] for v, r in zip(got, rs))
+    else:
+        assert all(v is row.early for v in got)
+    assert {name: getattr(row, name) for name in before} == before
 
 
 @settings(max_examples=300, deadline=None)

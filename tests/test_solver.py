@@ -61,6 +61,18 @@ def test_rayleigh_zero_init(ref_params, small_grid):
         )
 
 
+@pytest.mark.parametrize("values, error, message", [
+    (lambda g: il.sample_function(il.make_grid(1e-3, 1e3, 257, 3), "Gaussian", sigma=1.0),
+     il.DomainError, "different grid"),
+    (lambda g: il.RadialProfile(g, np.eye(g.M)[0]), il.ZeroProfileError,
+     "vanishes on the interior nodes"),
+], ids=["foreign-grid", "inner-node-only"])
+def test_rayleigh_rejects_an_unusable_init(ref_params, small_grid, values, error, message):
+    # an init on another grid, or one that the inner pin zeroes, fails before the first step
+    with pytest.raises(error, match=message):
+        il.minimize_rayleigh(small_grid, ref_params, values(small_grid))
+
+
 def test_rayleigh_solution_satisfies_el_equation(ref_params, small_grid, eigen_run):
     # A(u) = lambda B(u) in the weak discrete sense: the el_residual with
     # the eigen term expressed either through lambda or the term list
@@ -169,6 +181,18 @@ def test_coercive_rejects_superscaled_positive(ref_params, small_grid):
 def test_coercive_rejects_positive_lambda_without_subscaled(ref_params, small_grid):
     with pytest.raises(il.NotCoerciveConfig):
         il.minimize_coercive(small_grid, ref_params, [], 1.0)
+
+
+@pytest.mark.parametrize("terms, lam, message", [
+    ([il.TermSpec(1.0, 1.8, 10.0)], 0.0, r"not an admissible pair \(R_ABOVE_UPPER\)"),
+    ([il.TermSpec(1.0, 1.8, 2.2), il.TermSpec(-1.0, 1.8, 2.25)], 0.5,
+     "sign-negative terms to be Superscaled, got Subscaled"),
+    ([il.TermSpec(1.0, 1.8, 2.25), il.TermSpec(-1.0, 1.8, 2.2)], 0.0,
+     "must scale faster than the dominant subscaled term"),
+], ids=["inadmissible", "negative-not-superscaled", "negative-not-faster"])
+def test_coercive_rejects_a_non_coercive_term_list(ref_params, small_grid, terms, lam, message):
+    with pytest.raises(il.NotCoerciveConfig, match=message):
+        il.minimize_coercive(small_grid, ref_params, terms, lam)
 
 
 def test_coercive_mixed_signs(ref_params):
@@ -428,6 +452,9 @@ def test_probe_domain():
     g3 = il.make_grid(1e-2, 1e2, 64, 3)
     with pytest.raises(il.DomainError):
         il.probe_best_constant(g3, 3, 2.5)
+    g4 = il.make_grid(1e-2, 1e2, 64, 4)
+    with pytest.raises(il.DomainError, match="grid dimension does not match N"):
+        il.probe_best_constant(g4, 3, 0.0)
 
 
 def test_eigenvalue_refinement_trend(ref_params, capsys):

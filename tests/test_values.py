@@ -3,6 +3,7 @@ frozen attributes, copy and pickle. The reprs are the dataclass-format
 strings the classes have always printed."""
 
 import copy
+import functools
 import math
 import pickle
 
@@ -62,7 +63,6 @@ CASES = {
         "converged=True, profile_path='run/profile.csv')",
     ),
 }
-FROZEN = [name for name in CASES if name != "SolveReport"]
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -94,14 +94,14 @@ def test_to_dict_maps_the_repr_fields_in_order(name):
     assert list(a.to_dict().items()) == [(f, getattr(a, f)) for f in type(a)._fields]
 
 
-@pytest.mark.parametrize("name", FROZEN)
+@pytest.mark.parametrize("name", CASES)
 def test_frozen_records_hash_by_value(name):
     make = CASES[name][0]
     assert hash(make(1.0)) == hash(make(1.0))
     assert len({make(1.0), make(1.0), make(2.0)}) == 2
 
 
-@pytest.mark.parametrize("name", FROZEN)
+@pytest.mark.parametrize("name", CASES)
 def test_frozen_records_reject_assignment_and_deletion(name):
     a = CASES[name][0](1.0)
     field = type(a)._fields[0]
@@ -116,24 +116,31 @@ def test_frozen_records_reject_assignment_and_deletion(name):
 
 
 @pytest.mark.parametrize("name", CASES)
+def test_records_are_complete_when_made(name):
+    # no instance dict and no attribute computed on first use: __init__
+    # sets every slot, and nothing is added or changed later
+    a = CASES[name][0](1.0)
+    assert not hasattr(a, "__dict__")
+    assert all(hasattr(a, slot) for slot in type(a).__slots__)
+    assert not any(isinstance(v, functools.cached_property)
+                   for cls in type(a).__mro__ for v in vars(cls).values())
+
+
+@pytest.mark.parametrize("name", CASES)
 def test_copy_and_pickle_keep_the_value(name):
     a = CASES[name][0](1.0)
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert b == a and repr(b) == repr(a)
 
 
-def test_solve_report_is_mutable_and_unhashable():
-    report = CASES["SolveReport"][0](1.0)
-    report.profile_path = None
-    assert repr(report).endswith("converged=True, profile_path=None)")
-    del report.profile
-    report.profile = None
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(report)
-    # equality also compares the profile, which the repr leaves out
-    twin = CASES["SolveReport"][0](1.0)
-    twin.profile_path = None
+def test_solve_report_equality_and_hash_cover_the_profile():
+    # the repr leaves the profile out; equality and hash do not
+    args = (1.5, 3, 1e-9, 2e-9, 3e-9, True, None)
+    report = il.SolveReport(*args, _profile(1.0))
+    twin = il.SolveReport(*args, _profile(2.0))
     assert repr(twin) == repr(report) and twin != report
+    assert report == il.SolveReport(*args, _profile(1.0))
+    assert hash(report) == hash(il.SolveReport(*args, _profile(1.0)))
 
 
 def test_params_hash_is_the_hash_of_its_fields():
@@ -171,9 +178,7 @@ def test_radial_grid_builds_its_quadrature_once(monkeypatch):
 
     monkeypatch.setattr(grid_module, "Quadrature", Counting)
     g = _grid()
-    assert built == []
-    first = g.quad
-    assert g.quad is first and built == [g]
+    assert built == [g] and isinstance(g.quad, Counting)
     assert il.weighted_integral(il.RadialProfile(g, np.ones(64)), 2.0, 0.0) > 0
     assert built == [g]
     assert not g.nodes.flags.writeable
