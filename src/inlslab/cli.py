@@ -14,18 +14,16 @@ import argparse
 import os
 import sys
 
-from .errors import Diverged, DomainError, InlsError, SingularHessian
+from .errors import Diverged, DomainError, InlsError
+from .exponents import critical_exponent, derive_params, ell_of
 from .regimes import (
     WeightedPair,
     classify_pair,
-    derive_params,
-    ell_of,
     gamma_mu_roots,
     ps_threshold,
     region_map,
     region_map_csv,
     tilde_s_root,
-    critical_exponent,
 )
 from .reports import to_json
 
@@ -310,7 +308,7 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return _run(args)
-    except (Diverged, SingularHessian) as exc:
+    except Diverged as exc:
         return _fail(exc, 3)
     except InlsError as exc:
         return _fail(exc, 2)

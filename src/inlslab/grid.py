@@ -194,9 +194,6 @@ class RadialProfile(_Value):
     def is_zero(self) -> bool:
         return not np.any(self.values)
 
-    def with_values(self, vals: np.ndarray) -> "RadialProfile":
-        return RadialProfile(self.grid, vals)
-
 
 def weighted_integral(u: RadialProfile, r: float, eta: float) -> float:
     """omega_{N-1} * sum_i w_i |u_i|^r s_i^(N-eta) h  (trapezoid in ln s)."""
@@ -308,8 +305,6 @@ def sample_function(grid: RadialGrid, family: ProfileFamily | str, **shape) -> R
                 raise DomainError(f"scale must be positive and finite, got {scl}")
             named = f"scale={scl}"
             vals = (1.0 + (s / scl) ** 2) ** (-(grid.N - 2) / 2.0)
-        else:  # pragma: no cover
-            raise DomainError(f"unknown family {family}")
     u = RadialProfile(grid, vals)
     if u.is_zero():
         raise DomainError(f"{family.value} with {named} vanishes on every node of the grid")

@@ -2,8 +2,8 @@
 
     -Delta u + |u|^(q-2) u / |x|^b = lambda |u|^(p-2) u / |x|^a   on R^N.
 
-Everything here is scalar arithmetic over the problem exponents: derived
-parameters (delta, a, ell; defined in exponents and re-exported here),
+Everything here is scalar arithmetic over the problem exponents and the
+parameters that exponents derives from them (delta, a, ell):
 weighted-embedding intervals for candidate nonlinearity pairs (eta, r)
 in the nonradial and radial settings, admissibility and the
 subscaled/scaled/superscaled trichotomy, the Pohozaev-based
@@ -49,17 +49,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import DomainError, EmptyGridError, SearchFailed, _set, _Value
-# the parameters and derived exponents live in exponents, which the solvers
-# import without this module; they are re-exported here
-from .exponents import (  # noqa: F401
-    EQ_TOL,
-    INF,
-    Params,
-    _close,
-    critical_exponent,
-    derive_params,
-    ell_of,
-)
+from .exponents import EQ_TOL, INF, Params, _close, critical_exponent
 
 
 class Regime(str, Enum):

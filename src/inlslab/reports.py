@@ -19,8 +19,8 @@ def fmt_float(x: float) -> str:
 def to_json(obj, indent: int = 0) -> str:
     """Minimal JSON writer with deterministic float formatting.
 
-    Handles dicts (insertion order preserved), lists, strings, bools,
-    None, ints and floats. Floats print with 17 significant digits;
+    Handles dicts (insertion order preserved), strings, bools, None,
+    ints and floats. Floats print with 17 significant digits;
     infinities appear as the strings "inf"/"-inf" and NaN as "nan" to
     keep the output parseable.
     """
@@ -32,11 +32,6 @@ def to_json(obj, indent: int = 0) -> str:
             f'{pad}  "{k}": {to_json(v, indent + 2)}' for k, v in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{pad}  {to_json(v, indent + 2)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:

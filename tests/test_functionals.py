@@ -77,7 +77,7 @@ def test_rayleigh_scale_invariance(wide5_params, wide5_grid):
 
 def test_rayleigh_not_amplitude_invariant(ref_params, fun_grid):
     u = _gauss(fun_grid)
-    doubled = u.with_values(2.0 * np.asarray(u.values))
+    doubled = il.RadialProfile(u.grid, 2.0 * np.asarray(u.values))
     assert abs(il.rayleigh(doubled, ref_params) / il.rayleigh(u, ref_params) - 1) > 1e-3
 
 
@@ -164,7 +164,7 @@ def test_sublinear_derivative_terms(ref_params, fun_grid):
         v = rng.standard_normal(g.M)
         v[vals < 1e-2] = 0.0
         eps = 1e-6
-        up, dn = u.with_values(vals + eps * v), u.with_values(vals - eps * v)
+        up, dn = il.RadialProfile(u.grid, vals + eps * v), il.RadialProfile(u.grid, vals - eps * v)
         fd = (il.phi(up, P, 0.4, terms) - il.phi(dn, P, 0.4, terms)) / (2 * eps)
         assert fd == pytest.approx(float(np.dot(grad, v[:-1])), rel=1e-5)
     zeroed = vals.copy()
