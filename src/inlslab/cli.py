@@ -270,10 +270,13 @@ def _run(args) -> int:
         return 0
 
     if args.command == "thresholds":
+        for given, needed in (("eta2", "S2"), ("S2", "eta2"), ("C", "C1"), ("C1", "C")):
+            if getattr(args, given) is not None and getattr(args, needed) is None:
+                raise DomainError(f"--{given} needs --{needed}")
         doc = {"cstar": ps_threshold(args.N, args.eta1, args.S1)}
-        if args.eta2 is not None and args.S2 is not None:
+        if args.eta2 is not None:
             doc["tilde_s"] = tilde_s_root(args.mu, args.S1, args.S2, args.N, args.eta1, args.eta2)
-        if args.C is not None and args.C1 is not None:
+        if args.C is not None:
             for name in ("b", "q", "p", "eta", "r"):
                 if getattr(args, name) is None:
                     raise DomainError(f"--{name} is required for truncation radii")
@@ -288,11 +291,13 @@ def _run(args) -> int:
 
     if args.command == "probe":
         from .grid import make_grid
-        from .solver import probe_best_constant
+        from .solver import _probe
 
         grid = make_grid(args.s_min, args.s_max, args.M, args.N)
-        value = probe_best_constant(grid, args.N, args.eta, _opts(args))
+        value, stop = _probe(grid, args.N, args.eta, _opts(args), None)
         _emit({"S": value})
+        if stop:
+            raise Diverged(stop)
         return 0
 
     raise InlsError(f"unknown command {args.command!r}")  # pragma: no cover

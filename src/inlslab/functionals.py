@@ -233,13 +233,16 @@ def project_to_M(u: RadialProfile, params: Params) -> RadialProfile:
     discrete scaling only transforms I approximately for interpolated t,
     refines t by bracketed bisection on ln t until |I - 1| <= 1e-10 (or
     the bracket is exhausted at float resolution). Raises DomainError if
-    no scaling of u can reach I = 1 inside the grid window.
+    I(u) is not a positive float or no scaling of u can reach I = 1
+    inside the grid window.
     """
     if u.is_zero():
         raise ZeroProfileError("cannot project the zero profile")
     g = u.grid
     delta, ell = params.delta, params.ell
     Iu = I_energy(u, params)
+    if not 0 < Iu < math.inf:
+        raise DomainError(f"I(u) = {Iu!r} is not a positive float: u cannot be projected")
 
     def at(lt: float):
         v = scale(u, math.exp(min(lt, 700.0)), delta)

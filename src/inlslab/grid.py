@@ -70,17 +70,23 @@ class RadialGrid(_Value):
     _fields = ("s_min", "s_max", "M", "N", "h")
 
     def __init__(self, s_min: float, s_max: float, M: int, N: int):
-        h = math.log(s_max / s_min) / (M - 1)
-        nodes = s_min * np.exp(h * np.arange(M))
-        nodes.flags.writeable = False
         _set(self, "s_min", s_min)
         _set(self, "s_max", s_max)
         _set(self, "M", M)
         _set(self, "N", N)
-        _set(self, "h", h)
-        _set(self, "nodes", nodes)
         _set(self, "omega", sphere_area(N))
-        _set(self, "quad", Quadrature(self))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            h = math.log(s_max / s_min) / (M - 1)
+            nodes = s_min * np.exp(h * np.arange(M))
+            nodes.flags.writeable = False
+            _set(self, "h", h)
+            _set(self, "nodes", nodes)
+            quad = Quadrature(self)
+        # a weight that underflows to 0 is kept; an infinite or NaN node or weight is not
+        if not all(np.isfinite(a).all() for a in (nodes, quad.cw, quad.mass(0.0))):
+            raise DomainError(f"window [{s_min!r}, {s_max!r}] at N = {N} takes the grid's nodes "
+                              "or weights outside the float range")
+        _set(self, "quad", quad)
 
 
 class Quadrature:
@@ -270,16 +276,33 @@ class ProfileFamily(str, Enum):
     AUBIN_TALENTI = "AubinTalenti"
 
 
+#: the shape keywords each family takes
+_SHAPE_KEYS = {
+    ProfileFamily.GAUSSIAN: ("sigma",),
+    ProfileFamily.BUMP: ("lo", "hi"),
+    ProfileFamily.AUBIN_TALENTI: ("scale",),
+}
+
+
 def sample_function(grid: RadialGrid, family: ProfileFamily | str, **shape) -> RadialProfile:
     """Sample a closed-form radial family on the grid.
 
     Gaussian(sigma): exp(-s^2 / (2 sigma^2)).
     Bump(lo, hi): exp(-1/((s-lo)(hi-s))) normalized to peak 1, zero outside.
     AubinTalenti(scale): (1 + (s/scale)^2)^(-(N-2)/2).
-    A shape whose samples all vanish (a Bump outside the window, or a
-    sigma or scale so small that the samples underflow) raises DomainError.
+    An unknown family or shape keyword raises DomainError, and so does a
+    shape whose samples all vanish (a Bump outside the window, or a sigma
+    or scale so small that the samples underflow).
     """
-    family = ProfileFamily(family)
+    try:
+        family = ProfileFamily(family)
+    except ValueError:
+        known = ", ".join(f"{f.value}({', '.join(keys)})" for f, keys in _SHAPE_KEYS.items())
+        raise DomainError(f"unknown family {family!r}; the families are {known}") from None
+    unknown = set(shape).difference(_SHAPE_KEYS[family])
+    if unknown:
+        keys, got = ", ".join(_SHAPE_KEYS[family]), ", ".join(sorted(unknown))
+        raise DomainError(f"{family.value} takes the shape keywords {keys}, got {got}")
     s = grid.nodes
     with np.errstate(divide="ignore", over="ignore"):  # such samples go to their limit, 0
         if family is ProfileFamily.GAUSSIAN:

@@ -468,6 +468,17 @@ def probe_best_constant(
     acceptable step, a RuntimeWarning gives the final dual-norm
     residual; the quotient at the last iterate is returned either way.
     """
+    S, stop = _probe(grid, N, eta, opts, init)
+    if stop:
+        warnings.warn(stop, RuntimeWarning, stacklevel=2)
+    return S
+
+
+def _probe(
+    grid: RadialGrid, N: int, eta: float, opts: SolveOptions, init: RadialProfile | None
+) -> tuple[float, str | None]:
+    """probe_best_constant's estimate, and why it stopped above opts.grad_tol
+    (None when it converged)."""
     if N < 3:
         raise DomainError(f"probe requires N >= 3, got {N}")
     if not 0 <= eta < 2:
@@ -487,11 +498,7 @@ def probe_best_constant(
 
     obj = _Quotient(Energy(grid, [], stiff_weight=1.0), c, eta, 1.0, c)
     _, S, res, iters, converged = _newton(obj, vals, grid.quad.stiff, opts)
-    if not converged:
-        warnings.warn(
-            f"probe_best_constant stopped after {iters} of at most {opts.max_iters} iterations "
-            f"at dual-norm residual {res:.3e} > grad_tol {opts.grad_tol:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return S
+    if converged:
+        return S, None
+    return S, (f"probe_best_constant stopped after {iters} of at most {opts.max_iters} iterations "
+               f"at dual-norm residual {res:.3e} > grad_tol {opts.grad_tol:.3e}")

@@ -294,12 +294,46 @@ def test_one_command_parser_matches_the_full_parser(argv, capsys):
                 == _parser_output(build_parser(), probe, capsys)), probe
 
 
-def _malformed_profile(tmp_path, first_line=None, bad_row=False, swap_rows=False, s_times=None):
+@pytest.mark.parametrize("argv, lines", [
+    (["classify", "--N", "2", "--b", "1", "--q", "3", "--p", "2.5", "--eta", "0.5", "--r", "3", "--radial"],
+     ['"upper": "inf"']),
+    (["eigen", *PARAMS, "--s-min", "1e-3", "--s-max", "1e3", "--M", "257", "--init", "bump"],
+     ['"value": 1.3458659777074762', '"iters": 19']),
+], ids=["classify-N2-infinite-upper", "eigen-bump-init"])
+def test_command_prints_pinned_lines(argv, lines, capsys):
+    # outputs the README commands do not reach; the eigen lines are the ones CI greps
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    for line in lines:
+        assert line in out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["probe", "--N", "3", "--eta", "0.5", "--s-min", "1e-3", "--s-max", "1e3", "--M", "257", "--max-iters", "1"],
+    ["minimize", *PARAMS, "--s-min", "2e-5", "--s-max", "1e4", "--M", "1025", "--term", "1.0,1.8,2.2",
+     "--max-iters", "1"],
+], ids=["probe", "minimize"])
+def test_capped_solve_prints_its_result_then_diverges(argv, capsys):
+    # the result at the cap goes to stdout; stderr has the DIVERGED document
+    # alone, and no warning is raised
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)
+    assert json.loads(err)["error"] == "DIVERGED"
+
+
+def _malformed_profile(tmp_path, first_line=None, bad_row=False, swap_rows=False, s_times=None,
+                       columns=None, short=False):
     path = tmp_path / "profile.csv"
     il.save_profile(il.RadialProfile(il.make_grid(1e-2, 1e2, 64, 3), np.ones(64)), path)
     lines = path.read_text().split("\n")
     if first_line is not None:
         lines[0] = first_line
+    if columns is not None:
+        lines[1] = columns
+    if short:  # 8 of the grid's 64 rows
+        del lines[10:]
     if bad_row:
         lines[5] = lines[5].split(",")[0] + ",abc"
     if swap_rows:  # the values land on each other's nodes
@@ -374,6 +408,16 @@ _WINDOW = ("--b", "1", "--q", "3.5", "--p", "3", "--eta", "1.8", "--r", "2.2")
                    "--term", "1.0,1.8,2.2", "--lambda", "nan"],
         lambda d: ["verify", *PARAMS, "--profile", _malformed_profile(d), "--term", "1,1,nan"],
         lambda d: ["verify", *PARAMS, "--profile", _malformed_profile(d), "--lambda", "nan"],
+        lambda d: ["verify", *PARAMS, "--profile", _malformed_profile(d, first_line="s,u")],
+        lambda d: ["verify", *PARAMS, "--profile", _malformed_profile(d, columns="s,v")],
+        lambda d: ["verify", *PARAMS, "--profile", _malformed_profile(d, short=True)],
+        lambda d: _thresholds("--S1", "1.0", "--mu", "0.3", "--C", "1", *_WINDOW),
+        lambda d: _thresholds("--S1", "1.0", "--mu", "0.3", "--C1", "1", *_WINDOW),
+        lambda d: _thresholds("--S1", "1.0", "--eta2", "1.0", "--mu", "0.3"),
+        lambda d: _thresholds("--S1", "1.0", "--S2", "1.0", "--mu", "0.3"),
+        lambda d: ["eigen", *PARAMS, "--s-min", "1e-160", "--s-max", "1e160", "--M", "257"],
+        lambda d: ["eigen", *PARAMS, "--s-min", "1e-120", "--s-max", "1e120", "--M", "257"],
+        lambda d: ["probe", "--N", "3", "--eta", "0.5", "--s-min", "1e-120", "--s-max", "1e120", "--M", "257"],
     ],
     ids=["missing-profile", "directory-profile", "header-not-json", "header-missing-keys",
          "row-not-numeric", "rows-swapped", "s-column-scaled", "verify-dimension-mismatch",
@@ -383,7 +427,11 @@ _WINDOW = ("--b", "1", "--q", "3.5", "--p", "3", "--eta", "1.8", "--r", "2.2")
          "thresholds-C-nan", "thresholds-C1-inf", "thresholds-cstar-overflow",
          "thresholds-tilde-s-overflow", "thresholds-window-without-exponents", "minimize-term-malformed",
          "eigen-grad-tol-nan", "eigen-grad-tol-inf", "eigen-s-max-inf", "minimize-term-c-nan",
-         "minimize-term-c-inf", "minimize-lambda-nan", "verify-term-r-nan", "verify-lambda-nan"],
+         "minimize-term-c-inf", "minimize-lambda-nan", "verify-term-r-nan", "verify-lambda-nan",
+         "no-metadata-line", "wrong-column-header", "short-profile", "thresholds-C-without-C1",
+         "thresholds-C1-without-C", "thresholds-eta2-without-S2", "thresholds-S2-without-eta2",
+         "eigen-nodes-past-float-range", "eigen-weights-past-float-range",
+         "probe-weights-past-float-range"],
 )
 def test_bad_input_is_a_json_error(tmp_path, capsys, make_argv):
     # bad files and arguments are validation errors: one JSON document on

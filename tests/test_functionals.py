@@ -114,6 +114,13 @@ def test_project_zero_profile(wide5_params, wide5_grid):
         il.project_to_M(il.RadialProfile(wide5_grid, np.zeros(wide5_grid.M)), wide5_params)
 
 
+def test_project_rejects_a_profile_whose_I_underflows(wide5_params, wide5_grid):
+    # I(u) underflows to 0.0 here, where the closed-form guess would take log(0)
+    u = il.RadialProfile(wide5_grid, 1e-200 * np.asarray(_gauss(wide5_grid).values))
+    with pytest.raises(il.DomainError, match="I\\(u\\) = 0.0 is not a positive float"):
+        il.project_to_M(u, wide5_params)
+
+
 # ---------------------------------------------------------------- gradients
 
 

@@ -36,6 +36,22 @@ def test_make_grid_domain(args):
         il.make_grid(*args)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s_min, s_max", [(1e-160, 1e160), (1e-120, 1e120)], ids=["nodes", "weights"])
+def test_make_grid_rejects_a_window_past_the_float_range(s_min, s_max):
+    # at [1e-160, 1e160] ln(s_max/s_min) overflows and the nodes are NaN; at
+    # [1e-120, 1e120] the nodes are finite but s^N and its weights are not.
+    # Either is one DomainError naming the window, and no warning
+    with pytest.raises(il.DomainError, match=r"window \[1e-1[26]0, 1e\+1[26]0\] at N = 3 .* float range"):
+        il.make_grid(s_min, s_max, 257, 3)
+
+
+@pytest.mark.parametrize("N", [0, 2.5])
+def test_sphere_area_domain(N):
+    with pytest.raises(il.DomainError, match="dimension must be a positive integer"):
+        il.sphere_area(N)
+
+
 def test_sphere_area_values():
     assert il.sphere_area(2) == pytest.approx(2 * math.pi, rel=1e-15)
     assert il.sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-15)
@@ -314,6 +330,20 @@ def test_sample_function_rejects_a_non_finite_shape(family, shape, name):
     # failed later as "profile values must be finite"; the error names it
     g = il.make_grid(1e-2, 1e2, 64, 3)
     with pytest.raises(il.DomainError, match=name):
+        il.sample_function(g, family, **shape)
+
+
+@pytest.mark.parametrize("family, shape, named", [
+    ("Foo", {}, r"unknown family 'Foo'; the families are Gaussian\(sigma\), Bump\(lo, hi\), AubinTalenti\(scale\)"),
+    ("Gaussian", {"sigmaa": 2.0}, "Gaussian takes the shape keywords sigma, got sigmaa"),
+    ("Bump", {"lo": 1.0, "high": 2.0}, "Bump takes the shape keywords lo, hi, got high"),
+    ("AubinTalenti", {"sigma": 1.0}, "AubinTalenti takes the shape keywords scale, got sigma"),
+])
+def test_sample_function_rejects_an_unknown_family_or_keyword(family, shape, named):
+    # an ignored misspelt keyword would give the default shape:
+    # Gaussian(sigmaa=2.0) would sample the sigma = 1 Gaussian
+    g = il.make_grid(1e-2, 1e2, 64, 3)
+    with pytest.raises(il.DomainError, match=named):
         il.sample_function(g, family, **shape)
 
 

@@ -108,6 +108,17 @@ def test_lower_endpoint_cases(ref_params):
     assert il.lower_endpoint(ref_params, 0.5, radial=False) == pytest.approx(4.75)
 
 
+@pytest.mark.parametrize("call, named", [
+    (lambda P: il.lower_endpoint(P, 3.0), "eta must lie in"),
+    (lambda P: il.ps_threshold(3, 2.0, 1.0), "eta1 must lie in"),
+    (lambda P: il.tilde_s_root(0.3, 1, 1, 3, 0.5, 2.0), "eta2 must lie in"),
+    (lambda P: il.gamma_mu_roots(0.3, 1, 1, 1.0, 2.0), "exp_low must lie in"),
+], ids=["lower-endpoint-eta-N", "ps-threshold-eta1-2", "tilde-s-eta2-2", "gamma-roots-exp-low-1"])
+def test_scalar_calculus_rejects_an_argument_out_of_range(ref_params, call, named):
+    with pytest.raises(il.DomainError, match=named):
+        call(ref_params)
+
+
 def test_lower_endpoint_n2_nonradial_eta_below_b():
     P = il.derive_params(2, 1.0, 3.0, 2.5)
     with pytest.raises(il.DomainError):
