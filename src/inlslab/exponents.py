@@ -1,10 +1,13 @@
-"""Problem parameters and the exponents derived from them.
+"""Problem parameters, the exponents derived from them, and the shared root search.
 
 The validated parameters (N, b, q, p) with delta, a and ell, the critical
 exponent 2*_eta and the scaling rate ell_of, plus the boundary tolerance
-EQ_TOL and its test _close. The solvers and functionals need these and
-nothing else of the exponent calculus, so they import this module and
-not regimes, which re-exports every name here.
+EQ_TOL and its test _close. _scan and _bisect are the one bracketed root
+search: _scan brackets a sign change of f by repeated halving or doubling
+from a start, and _bisect solves it down to the float of least |f|.
+regimes uses them for the threshold constants and functionals for the
+projection onto I = 1. The solvers and functionals need this module and
+nothing else of the exponent calculus, so they import it and not regimes.
 """
 
 from __future__ import annotations
@@ -107,3 +110,49 @@ def critical_exponent(N: int, eta: float) -> float:
 def ell_of(params: Params, eta: float, r: float) -> float:
     """Growth rate r*delta + eta - N of the (eta, r) integral under scaling."""
     return r * params.delta + eta - params.N
+
+
+def _scan(f, x: float, factor: float, below: bool = False) -> float:
+    """The first x*factor^k, k = 0 ... 1999, where f is positive (negative
+    when below is set), by repeated multiplication; x*factor^2000 if none."""
+    for _ in range(2000):
+        fx = f(x)
+        if (fx < 0) if below else (fx > 0):
+            break
+        x *= factor
+    return x
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f in a bracket [lo, hi] where f changes sign, by bisection
+    down to adjacent floats, then the end with the smaller |f| walked to
+    the float whose |f| neither neighbour beats.
+
+    Rounding makes f flip sign more than once within a few ulps of the
+    root, so the bisection may settle beside the float of least |f|
+    rather than on it; the walk moves there.
+    """
+    flo, fhi = f(lo), f(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        fm = f(mid)
+        if (fm < 0) == (flo < 0):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+    x, fx = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    for toward in (0.0, INF):
+        while True:
+            y = math.nextafter(x, toward)
+            if not 0.0 < y < INF:
+                break
+            try:
+                fy = f(y)
+            except (OverflowError, ZeroDivisionError):
+                break
+            if not abs(fy) < abs(fx):
+                break
+            x, fx = y, fy
+    return x

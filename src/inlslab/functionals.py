@@ -20,7 +20,10 @@ finite differences reproduce them to rounding. The residuals below are
 the workbench's verification surface: Euler-Lagrange stationarity in a
 quadrature-weighted dual norm, the Pohozaev balance, and the eigenvalue
 relation I = lambda J. _residuals gives all three, for solver reports
-and `inlslab verify` alike.
+and `inlslab verify` alike. The public functions evaluate the grid's
+kernels under np.errstate(over="ignore", invalid="ignore"): a profile
+whose sums leave the float range gives inf or nan, or the DomainError of
+project_to_M, without a numpy warning.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, SearchFailed, ZeroProfileError, _set, _Value
-from .exponents import Params
+from .errors import DomainError, ZeroProfileError, _set, _Value
+from .exponents import Params, _bisect, _scan
 from .grid import RadialGrid, RadialProfile, dirichlet_energy, scale, weighted_integral
 
 EPS = np.finfo(float).eps
@@ -151,7 +154,8 @@ def _phi_energy(grid: RadialGrid, params: Params, lam: float, terms: list[TermSp
 
 
 def I_energy(u: RadialProfile, params: Params) -> float:
-    return _phi_energy(u.grid, params, 0.0, []).value(u.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _phi_energy(u.grid, params, 0.0, []).value(u.values)
 
 
 def J_energy(u: RadialProfile, params: Params) -> float:
@@ -167,7 +171,8 @@ def rayleigh(u: RadialProfile, params: Params) -> float:
 
 
 def phi(u: RadialProfile, params: Params, lam: float, terms: list[TermSpec]) -> float:
-    return _phi_energy(u.grid, params, lam, terms).value(u.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _phi_energy(u.grid, params, lam, terms).value(u.values)
 
 
 def grad_phi(u: RadialProfile, params: Params, lam: float, terms: list[TermSpec]) -> np.ndarray:
@@ -176,7 +181,8 @@ def grad_phi(u: RadialProfile, params: Params, lam: float, terms: list[TermSpec]
     Returns a vector of length M-1 (nodes 0 .. M-2); the outer node is
     pinned to zero by the profile invariant.
     """
-    return _phi_energy(u.grid, params, lam, terms).grad(u.values)[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _phi_energy(u.grid, params, lam, terms).grad(u.values)[:-1]
 
 
 def el_residual(u: RadialProfile, params: Params, lam: float, terms: list[TermSpec]) -> float:
@@ -189,7 +195,8 @@ def el_residual(u: RadialProfile, params: Params, lam: float, terms: list[TermSp
     by the solvers, so interior stationarity is what characterizes a
     computed critical point.
     """
-    return u.grid.quad.dual_norm(_phi_energy(u.grid, params, lam, terms).grad(u.values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return u.grid.quad.dual_norm(_phi_energy(u.grid, params, lam, terms).grad(u.values))
 
 
 def pohozaev_residual(u: RadialProfile, params: Params, terms: list[TermSpec]) -> float:
@@ -204,7 +211,8 @@ def pohozaev_residual(u: RadialProfile, params: Params, terms: list[TermSpec]) -
     rhs = 0.0
     for t in terms:
         rhs += t.c * (N - t.eta) / t.r * weighted_integral(u, t.r, t.eta)
-    return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + EPS)
+    with np.errstate(invalid="ignore"):  # inf / inf
+        return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + EPS)
 
 
 def eigen_relation_residual(u: RadialProfile, params: Params, lam: float) -> float:
@@ -229,56 +237,32 @@ def _residuals(u: RadialProfile, params: Params, lam: float, terms: list[TermSpe
 def project_to_M(u: RadialProfile, params: Params) -> RadialProfile:
     """Scale u along the orbit onto the level set I = 1.
 
-    Starts from the closed-form guess t = I(u)^(-1/ell) and, because the
-    discrete scaling only transforms I approximately for interpolated t,
-    refines t by bracketed bisection on ln t until |I - 1| <= 1e-10 (or
-    the bracket is exhausted at float resolution). Raises DomainError if
-    I(u) is not a positive float or no scaling of u can reach I = 1
-    inside the grid window.
+    Starts from the closed-form t = I(u)^(-1/ell), exact only for grid-exact
+    t, brackets the root of I(u_t) = 1 by halving and doubling t (_scan),
+    and returns u_t at the float t of least |I(u_t) - 1| there (_bisect);
+    t stays within e^(+-700). Raises DomainError if I(u) is not a positive
+    float or no scaling of u reaches I = 1 inside the grid window.
     """
     if u.is_zero():
         raise ZeroProfileError("cannot project the zero profile")
-    g = u.grid
-    delta, ell = params.delta, params.ell
     Iu = I_energy(u, params)
     if not 0 < Iu < math.inf:
         raise DomainError(f"I(u) = {Iu!r} is not a positive float: u cannot be projected")
 
-    def at(lt: float):
-        v = scale(u, math.exp(min(lt, 700.0)), delta)
-        return v, I_energy(v, params) - 1.0
+    def u_t(t: float) -> RadialProfile:
+        return scale(u, min(t, math.exp(700.0)), params.delta)
 
-    lt = -math.log(Iu) / ell  # ln of the closed-form guess I(u)^(-1/ell)
-    v, res = at(lt)
-    if abs(res) <= 1e-10:
-        return v
+    def f(t: float) -> float:
+        return I_energy(u_t(t), params) - 1.0
 
-    # bracket the root by doubling steps from the guess: down while I > 1, up while I < 1
-    sign = -1.0 if res > 0 else 1.0
-    step = sign * max(0.5 * g.h, abs(res))
-    end, f, n = lt, res, 0
-    while sign * f < 0 and n < 300:
-        end += step
-        step *= 2.0
-        _, f = at(end)
-        n += 1
-    if sign * f < 0:
+    t = math.exp(min(max(-math.log(Iu) / params.ell, -700.0), 700.0))
+    lo = _scan(f, t, 0.5, below=True)
+    hi = _scan(f, t, 2.0)
+    if not f(lo) < 0 < f(hi):  # hi is finite when f(hi) > 0: f(t) is f(e^700) beyond e^700
         raise DomainError(
             "projection target I = 1 is not reachable by scaling inside the grid window"
         )
-    lo, hi = (end, lt) if sign < 0 else (lt, end)
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        v, fm = at(mid)
-        if abs(fm) <= 1e-10 or hi - lo < 1e-15:
-            break
-        if fm < 0:
-            lo = mid
-        else:
-            hi = mid
-    else:  # pragma: no cover
-        raise SearchFailed("projection bisection exhausted its iteration budget")
-    return v
+    return u_t(_bisect(f, lo, hi))
 
 
 def functional_report(

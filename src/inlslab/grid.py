@@ -98,6 +98,9 @@ class Quadrature:
     with a = |v|, w the trapezoid weights, slope_i = (v_{i+1} - v_i) / ds_i
     and smid the geometric cell midpoint. w s^(N-eta) is cached per eta;
     w is 0.5 or 1, so every grouping of these products rounds alike.
+    The kernels set no np.errstate, which costs about 1 us a call and every
+    Newton step calls them: their callers set it once (weighted_integral,
+    dirichlet_energy, the public functionals and the Newton engine).
     """
 
     def __init__(self, grid: RadialGrid):
@@ -208,12 +211,14 @@ def weighted_integral(u: RadialProfile, r: float, eta: float) -> float:
         raise DomainError(f"power r must be finite and >= 1, got {r}")
     if not 0 <= eta < g.N:
         raise DomainError(f"eta must lie in [0, N), got {eta}")
-    return g.quad.wint(np.abs(u.values), r, eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return g.quad.wint(np.abs(u.values), r, eta)
 
 
 def dirichlet_energy(u: RadialProfile) -> float:
     """omega_{N-1} * sum_cells (slope_i)^2 smid_i^N h, smid geometric midpoint."""
-    return u.grid.quad.dirich(u.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return u.grid.quad.dirich(u.values)
 
 
 def shift_values(grid: RadialGrid, vals: np.ndarray, k: int) -> np.ndarray:
@@ -290,9 +295,10 @@ def sample_function(grid: RadialGrid, family: ProfileFamily | str, **shape) -> R
     Gaussian(sigma): exp(-s^2 / (2 sigma^2)).
     Bump(lo, hi): exp(-1/((s-lo)(hi-s))) normalized to peak 1, zero outside.
     AubinTalenti(scale): (1 + (s/scale)^2)^(-(N-2)/2).
-    An unknown family or shape keyword raises DomainError, and so does a
-    shape whose samples all vanish (a Bump outside the window, or a sigma
-    or scale so small that the samples underflow).
+    An unknown family or shape keyword, or a shape value that is not a
+    float, raises DomainError, and so does a shape whose samples all
+    vanish (a Bump outside the window, or a sigma or scale so small that
+    the samples underflow).
     """
     try:
         family = ProfileFamily(family)
@@ -303,17 +309,24 @@ def sample_function(grid: RadialGrid, family: ProfileFamily | str, **shape) -> R
     if unknown:
         keys, got = ", ".join(_SHAPE_KEYS[family]), ", ".join(sorted(unknown))
         raise DomainError(f"{family.value} takes the shape keywords {keys}, got {got}")
+    for key, value in shape.items():
+        try:
+            shape[key] = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(
+                f"{family.value} shape keyword {key} must be a float, got {value!r}"
+            ) from None
     s = grid.nodes
     with np.errstate(divide="ignore", over="ignore"):  # such samples go to their limit, 0
         if family is ProfileFamily.GAUSSIAN:
-            sigma = float(shape.get("sigma", 1.0))
+            sigma = shape.get("sigma", 1.0)
             if not 0 < sigma < math.inf:
                 raise DomainError(f"sigma must be positive and finite, got {sigma}")
             named = f"sigma={sigma}"
             vals = np.exp(-(s ** 2) / (2.0 * sigma ** 2))
         elif family is ProfileFamily.BUMP:
-            lo = float(shape.get("lo", 1.0))
-            hi = float(shape.get("hi", 2.0))
+            lo = shape.get("lo", 1.0)
+            hi = shape.get("hi", 2.0)
             if not 0 < lo < hi < math.inf:
                 raise DomainError(f"require 0 < lo < hi < inf, got ({lo}, {hi})")
             named = f"lo={lo}, hi={hi}"
@@ -323,7 +336,7 @@ def sample_function(grid: RadialGrid, family: ProfileFamily | str, **shape) -> R
             x = (s[inside] - lo) / w
             vals[inside] = np.exp((4.0 - 1.0 / (x * (1.0 - x))) / w / w)
         elif family is ProfileFamily.AUBIN_TALENTI:
-            scl = float(shape.get("scale", 1.0))
+            scl = shape.get("scale", 1.0)
             if not 0 < scl < math.inf:
                 raise DomainError(f"scale must be positive and finite, got {scl}")
             named = f"scale={scl}"

@@ -49,7 +49,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import DomainError, EmptyGridError, SearchFailed, _set, _Value
-from .exponents import EQ_TOL, INF, Params, _close, critical_exponent
+from .exponents import EQ_TOL, INF, Params, _bisect, _close, _scan, critical_exponent
 
 
 class Regime(str, Enum):
@@ -403,52 +403,6 @@ def ps_threshold(N: int, eta1: float, S: float) -> float:
     except OverflowError:
         raise _out_of_range("c*") from None
     return (2.0 - eta1) / (2.0 * (N - eta1)) * power
-
-
-def _scan(f, x: float, factor: float, below: bool = False) -> float:
-    """The first x*factor^k, k = 0 ... 1999, where f is positive (negative
-    when below is set), by repeated multiplication; x*factor^2000 if none."""
-    for _ in range(2000):
-        fx = f(x)
-        if (fx < 0) if below else (fx > 0):
-            break
-        x *= factor
-    return x
-
-
-def _bisect(f, lo: float, hi: float) -> float:
-    """Root of f in a bracket [lo, hi] where f changes sign, by bisection
-    down to adjacent floats, then the end with the smaller |f| walked to
-    the float whose |f| neither neighbour beats.
-
-    Rounding makes f flip sign more than once within a few ulps of the
-    root, so the bisection may settle beside the float of least |f|
-    rather than on it; the walk moves there.
-    """
-    flo, fhi = f(lo), f(hi)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        fm = f(mid)
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    x, fx = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
-    for toward in (0.0, INF):
-        while True:
-            y = math.nextafter(x, toward)
-            if not 0.0 < y < INF:
-                break
-            try:
-                fy = f(y)
-            except (OverflowError, ZeroDivisionError):
-                break
-            if not abs(fy) < abs(fx):
-                break
-            x, fx = y, fy
-    return x
 
 
 def tilde_s_root(mu: float, S1: float, S2: float, N: int, eta1: float, eta2: float) -> float:

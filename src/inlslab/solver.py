@@ -256,42 +256,44 @@ def _newton(obj, vals, pre, opts, critical=False):
     quad = obj.quad
     free = quad.free
     stiff = obj.stiff_weight * quad.stiff
-    f0, scale = obj.evaluate(vals)
-    if not (math.isfinite(f0) and 0 < scale < math.inf):
-        raise DomainError(f"init out of float range: objective {f0}, slope scale {scale}")
-    g = obj.grad(vals, f0, scale)
-    res = quad.dual_norm(g)
-    nu = 1e-8 if critical else 1.0
-    it = 0
-    while res > opts.grad_tol and it < opts.max_iters:
-        hess = _with_diag(stiff, obj.hess_diag(vals, f0, scale)[free])
-        rhs = -g[free]
-        accepted = False
-        while not accepted and nu < 1e30:
-            try:
-                d = _solve_tridiag(hess + nu * pre, rhs)
-            except (ValueError, SingularHessian):
-                nu *= 4.0
-                continue
-            trial = vals.copy()
-            trial[free] = vals[free] + d if critical else np.abs(vals[free] + d)
-            fv, sv = (f0, scale) if critical else obj.evaluate(trial)
-            slope = float(np.dot(g[free], d)) / scale
-            # fv - f0, not f0 + c slope: that sum rounds to f0 once slope is tiny
-            armijo = not critical and slope < 0 and fv - f0 <= _ARMIJO_C * slope
-            if armijo or critical or fv <= f0 + _FLOOR * abs(f0):
-                gv = obj.grad(trial, fv, sv)
-                rv = quad.dual_norm(gv)
-                accepted = armijo or rv < res
-            if not accepted:
-                nu *= 4.0
-        if not accepted:  # then res > grad_tol, so the solve is unconverged
-            break
-        vals, f0, scale, g, res = trial, fv, sv, gv, rv
-        nu = max(0.5 * nu, 1e-12)
-        it += 1
-    if critical:
-        f0 = obj.evaluate(vals)[0]
+    # an init past the float range is rejected below; a trial past it fails the step tests
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0, scale = obj.evaluate(vals)
+        if not (math.isfinite(f0) and 0 < scale < math.inf):
+            raise DomainError(f"init out of float range: objective {f0}, slope scale {scale}")
+        g = obj.grad(vals, f0, scale)
+        res = quad.dual_norm(g)
+        nu = 1e-8 if critical else 1.0
+        it = 0
+        while res > opts.grad_tol and it < opts.max_iters:
+            hess = _with_diag(stiff, obj.hess_diag(vals, f0, scale)[free])
+            rhs = -g[free]
+            accepted = False
+            while not accepted and nu < 1e30:
+                try:
+                    d = _solve_tridiag(hess + nu * pre, rhs)
+                except (ValueError, SingularHessian):
+                    nu *= 4.0
+                    continue
+                trial = vals.copy()
+                trial[free] = vals[free] + d if critical else np.abs(vals[free] + d)
+                fv, sv = (f0, scale) if critical else obj.evaluate(trial)
+                slope = float(np.dot(g[free], d)) / scale
+                # fv - f0, not f0 + c slope: that sum rounds to f0 once slope is tiny
+                armijo = not critical and slope < 0 and fv - f0 <= _ARMIJO_C * slope
+                if armijo or critical or fv <= f0 + _FLOOR * abs(f0):
+                    gv = obj.grad(trial, fv, sv)
+                    rv = quad.dual_norm(gv)
+                    accepted = armijo or rv < res
+                if not accepted:
+                    nu *= 4.0
+            if not accepted:  # then res > grad_tol, so the solve is unconverged
+                break
+            vals, f0, scale, g, res = trial, fv, sv, gv, rv
+            nu = max(0.5 * nu, 1e-12)
+            it += 1
+        if critical:
+            f0 = obj.evaluate(vals)[0]
     return vals, f0, res, it, res <= opts.grad_tol
 
 
@@ -491,7 +493,8 @@ def _probe(
     elif init.grid != grid:
         raise DomainError("init profile lives on a different grid")
     vals = _pin(init.values)
-    B = grid.quad.wint(np.abs(vals), c, eta)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf B is rejected below
+        B = grid.quad.wint(np.abs(vals), c, eta)
     if not 0 < B < math.inf:
         raise DomainError(f"the init's integral of |u|^{c} is {B}, not a positive float")
     vals = vals / B ** (1.0 / c)

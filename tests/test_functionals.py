@@ -1,6 +1,7 @@
 """Energy functionals, gradients, projection, and verification residuals."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,14 +96,14 @@ def test_project_reaches_manifold(wide5_params, wide5_grid):
                     ("AubinTalenti", {"scale": 1.0})):
         u = il.sample_function(g, fam, **kw)
         v = il.project_to_M(u, P)
-        assert abs(il.I_energy(v, P) - 1.0) <= 1e-6
+        assert abs(il.I_energy(v, P) - 1.0) <= 1e-12
 
 
 def test_project_identity_on_manifold(wide5_params, wide5_grid):
     u = il.sample_function(wide5_grid, "Gaussian", sigma=1.0)
     v = il.project_to_M(u, wide5_params)
     w = il.project_to_M(v, wide5_params)
-    assert abs(il.I_energy(w, wide5_params) - 1.0) <= 1e-6
+    assert abs(il.I_energy(w, wide5_params) - 1.0) <= 1e-12
     # second application is a near-identity
     assert il.rayleigh(w, wide5_params) == pytest.approx(
         il.rayleigh(v, wide5_params), rel=1e-6
@@ -112,6 +113,24 @@ def test_project_identity_on_manifold(wide5_params, wide5_grid):
 def test_project_zero_profile(wide5_params, wide5_grid):
     with pytest.raises(il.ZeroProfileError):
         il.project_to_M(il.RadialProfile(wide5_grid, np.zeros(wide5_grid.M)), wide5_params)
+
+
+@pytest.mark.parametrize("s_min, s_max, M", [(1e-3, 1e3, 257), (1e-4, 1e4, 1025)])
+def test_project_reaches_a_target_the_guess_shifts_out_of_the_window(ref_params, s_min, s_max, M):
+    # the guess ln t = -93.3 shifts this profile out of the window (I = 0); I(u_t) > 1 only
+    # on an interval of ln t about 30 wide and 67 away, which the bracket must not step over
+    g = il.make_grid(s_min, s_max, M, 3)
+    u = il.RadialProfile(g, 1e5 * np.asarray(il.sample_function(g, "Gaussian", sigma=0.01).values))
+    v = il.project_to_M(u, ref_params)
+    assert abs(il.I_energy(v, ref_params) - 1.0) <= 1e-12
+
+
+def test_project_rejects_an_unreachable_target(ref_params):
+    # I(u_t) - 1 <= -0.92 for every t
+    u = il.sample_function(il.make_grid(1e-3, 1e3, 257, 3), "Gaussian", sigma=0.01)
+    with pytest.raises(il.DomainError, match="^projection target I = 1 is not reachable by "
+                                             "scaling inside the grid window$"):
+        il.project_to_M(u, ref_params)
 
 
 def test_project_rejects_a_profile_whose_I_underflows(wide5_params, wide5_grid):
@@ -244,6 +263,41 @@ def test_dimension_mismatch_is_a_domain_error(ref_params, name, args):
     u = _gauss(il.make_grid(1e-3, 1e3, 257, 4))
     with pytest.raises(il.DomainError, match="grid dimension does not match params.N"):
         getattr(il, name)(u, ref_params, *args)
+
+
+_OVERFLOW_CALLS = {
+    "I_energy": lambda u, P: il.I_energy(u, P),
+    "J_energy": lambda u, P: il.J_energy(u, P),
+    "phi": lambda u, P: il.phi(u, P, 0.5, []),
+    "grad_phi": lambda u, P: il.grad_phi(u, P, 0.5, []),
+    "el_residual": lambda u, P: il.el_residual(u, P, 0.5, []),
+    "pohozaev_residual": lambda u, P: il.pohozaev_residual(u, P, []),
+    "eigen_relation_residual": lambda u, P: il.eigen_relation_residual(u, P, 0.5),
+    "rayleigh": lambda u, P: il.rayleigh(u, P),
+    "functional_report": lambda u, P: tuple(il.functional_report(u, P, 0.5, []).to_dict().values()),
+    "dirichlet_energy": lambda u, P: il.dirichlet_energy(u),
+    "weighted_integral": lambda u, P: il.weighted_integral(u, P.q, P.b),
+    "project_to_M": lambda u, P: il.project_to_M(u, P),
+    "minimize_rayleigh": lambda u, P: il.minimize_rayleigh(u.grid, P, u),
+    "newton_refine": lambda u, P: il.newton_refine(u, P, 0.5, []),
+    "probe_best_constant": lambda u, P: il.probe_best_constant(u.grid, 3, 0.5, init=u),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", list(_OVERFLOW_CALLS))
+def test_an_overflowing_profile_gives_no_numpy_warning(ref_params, name):
+    # the energy sums of this profile overflow: each entry point returns inf
+    # or nan, or its driver raises DomainError, without a numpy RuntimeWarning
+    g = il.make_grid(1e-3, 1e3, 257, 3)
+    u = il.RadialProfile(g, 1e200 * np.asarray(_gauss(g).values))
+    try:
+        out = _OVERFLOW_CALLS[name](u, ref_params)
+    except il.DomainError as e:
+        assert re.match(r"(I\(u\) = inf is not a positive float|init out of float range"
+                        r"|the init's integral of \|u\|\^5.0 is inf)", str(e))
+    else:
+        assert not np.isfinite(np.asarray(out, dtype=float)).all()
 
 
 def test_functional_report_serialization(ref_params, fun_grid):

@@ -324,6 +324,13 @@ def test_sample_function_domain():
     ("Gaussian", {"sigma": math.nan}, "sigma"), ("Gaussian", {"sigma": math.inf}, "sigma"),
     ("Bump", {"lo": math.nan, "hi": 2.0}, "lo < hi"), ("Bump", {"lo": 1.0, "hi": math.inf}, "lo < hi"),
     ("AubinTalenti", {"scale": math.nan}, "scale"), ("AubinTalenti", {"scale": math.inf}, "scale"),
+    ("Gaussian", {"sigma": "abc"}, "Gaussian shape keyword sigma must be a float, got 'abc'"),
+    ("Gaussian", {"sigma": None}, "Gaussian shape keyword sigma must be a float, got None"),
+    ("Bump", {"lo": "abc", "hi": 2.0}, "Bump shape keyword lo must be a float"),
+    ("Bump", {"lo": 1.0, "hi": None}, "Bump shape keyword hi must be a float"),
+    ("AubinTalenti", {"scale": "abc"}, "AubinTalenti shape keyword scale must be a float"),
+    ("AubinTalenti", {"scale": None}, "AubinTalenti shape keyword scale must be a float"),
+    ("AubinTalenti", {"scale": 10 ** 400}, "AubinTalenti shape keyword scale must be a float"),
 ])
 def test_sample_function_rejects_a_non_finite_shape(family, shape, name):
     # an infinite shape parameter used to give a constant profile, and nan
