@@ -4,11 +4,12 @@ Every exception carries a short machine-readable ``code`` so the CLI can
 emit stable one-line JSON diagnostics and map failures to exit codes.
 
 _Value is the base of the package's small record classes (Params,
-WeightedPair, RadialGrid, SolveReport, ...). Each is a __slots__ class
-with an explicit __init__ that validates its arguments; _Value supplies
-value equality, hashing, the repr, to_dict and frozen attributes. Generated
-dataclass code would do the same, but building it costs every CLI
-command about a millisecond per class at start-up.
+WeightedPair, RadialGrid, SolveReport, ...), __slots__ classes that name
+their fields once, in __slots__. It supplies the one constructor, value
+equality, hashing, the repr, to_dict and frozen attributes; a record that
+checks its arguments does so in its own __init__, then calls _Value's.
+Generated dataclass code would do the same, but building it costs every
+CLI command about a millisecond per class at start-up.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ _set = object.__setattr__
 
 
 class _Value:
-    """Immutable record base: equality, hash and repr over ``_fields``.
+    """Immutable record base: one constructor, and equality, hash and repr over ``_fields``.
 
     A subclass declares its attributes in __slots__ and names the ones
-    its repr shows, in order, in ``_fields``; __init__ stores them with
-    _set. Instances compare equal only to instances of the same class
+    its repr shows, in order, in ``_fields``. __init__ stores each slot
+    from the positional arguments in slot order, the keywords or the
+    class's ``_defaults``; a missing, unknown or repeated field raises
+    TypeError. Instances compare equal only to instances of the same class
     with equal ``_key()``, which is the ``_fields`` values unless the
     subclass overrides it, and hash by ``_key()``. The repr reads
     ``Class(field=value, ...)`` and to_dict() gives ``{field: value}``,
@@ -33,6 +36,25 @@ class _Value:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        slots = self.__slots__
+        if len(args) == len(slots) and not kwargs:  # the common call: every field by position
+            for name, value in zip(slots, args):
+                _set(self, name, value)
+            return
+        cls = self.__class__.__qualname__
+        if len(args) > len(slots):
+            raise TypeError(f"{cls} takes {len(slots)} fields, got {len(args)} positional arguments")
+        for name in kwargs:
+            if name not in slots[len(args):]:
+                raise TypeError(f"{cls} got an unknown or repeated field {name!r}")
+        fields = {**self._defaults, **dict(zip(slots, args)), **kwargs}
+        for name in slots:
+            if name not in fields:
+                raise TypeError(f"{cls} missing field {name!r}")
+            _set(self, name, fields[name])
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

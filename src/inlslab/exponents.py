@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, HypothesisViolation, _set, _Value
+from .errors import DomainError, HypothesisViolation, _Value
 
 EQ_TOL = 1e-12
 
@@ -38,14 +38,8 @@ class Params(_Value):
     _fields = __slots__[:-1]
 
     def __init__(self, N: int, b: float, q: float, p: float, delta: float, a: float, ell: float):
-        _set(self, "N", N)
-        _set(self, "b", b)
-        _set(self, "q", q)
-        _set(self, "p", p)
-        _set(self, "delta", delta)
-        _set(self, "a", a)
-        _set(self, "ell", ell)
-        _set(self, "_values", (N, b, q, p, delta, a, ell))
+        values = (N, b, q, p, delta, a, ell)
+        _Value.__init__(self, *values, values)
 
     # Params keys the regimes row cache: every lookup hashes it, and
     # compares it with the cached key when it is an equal Params built apart

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ZeroProfileError, _set, _Value
+from .errors import DomainError, ZeroProfileError, _Value
 from .exponents import Params, _bisect, _scan
 from .grid import RadialGrid, RadialProfile, dirichlet_energy, scale, weighted_integral
 
@@ -51,20 +51,11 @@ class TermSpec(_Value):
             raise DomainError(f"term power r must be finite and > 1, got {r}")
         if not 0 <= eta < 2:
             raise DomainError(f"term weight eta must lie in [0, 2), got {eta}")
-        _set(self, "c", c)
-        _set(self, "eta", eta)
-        _set(self, "r", r)
+        _Value.__init__(self, c, eta, r)
 
 
 class FunctionalReport(_Value):
     __slots__ = _fields = ("I", "J", "rayleigh", "phi", "grad_norm")
-
-    def __init__(self, I: float, J: float, rayleigh: float, phi: float, grad_norm: float):
-        _set(self, "I", I)
-        _set(self, "J", J)
-        _set(self, "rayleigh", rayleigh)
-        _set(self, "phi", phi)
-        _set(self, "grad_norm", grad_norm)
 
 
 def energy_terms(params: Params, lam: float, terms: list[TermSpec]) -> list[tuple[float, float, float]]:

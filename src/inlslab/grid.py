@@ -96,7 +96,8 @@ class Quadrature:
     dirich(v)       = sum_cells cw_i slope_i^2,   cw_i = omega h smid_i^N
 
     with a = |v|, w the trapezoid weights, slope_i = (v_{i+1} - v_i) / ds_i
-    and smid the geometric cell midpoint. w s^(N-eta) is cached per eta;
+    and smid the geometric cell midpoint; wint_rows(a^r, eta) and
+    dirich_rows(v) take each row's sum. w s^(N-eta) is cached per eta;
     w is 0.5 or 1, so every grouping of these products rounds alike.
     The kernels set no np.errstate, which costs about 1 us a call and every
     Newton step calls them: their callers set it once (weighted_integral,
@@ -129,11 +130,17 @@ class Quadrature:
         return self.omega_h * self._w_pow(eta)
 
     def wint(self, a: np.ndarray, r: float, eta: float) -> float:
-        return self.omega_h * float(np.add.reduce(a ** r * self._w_pow(eta)))
+        return float(self.wint_rows(a ** r, eta))
+
+    def wint_rows(self, ar: np.ndarray, eta: float) -> np.ndarray:
+        return self.omega_h * np.add.reduce(ar * self._w_pow(eta), axis=-1)
 
     def dirich(self, vals: np.ndarray) -> float:
-        slopes = (vals[1:] - vals[:-1]) / self.ds
-        return float(np.add.reduce(self.cw * slopes * slopes))
+        return float(self.dirich_rows(vals))
+
+    def dirich_rows(self, vals: np.ndarray) -> np.ndarray:
+        slopes = (vals[..., 1:] - vals[..., :-1]) / self.ds
+        return np.add.reduce(self.cw * slopes * slopes, axis=-1)
 
     def grad_dirich(self, vals: np.ndarray) -> np.ndarray:
         """Gradient of dirich with respect to the nodal values."""

@@ -48,7 +48,7 @@ from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import lru_cache
 
-from .errors import DomainError, EmptyGridError, SearchFailed, _set, _Value
+from .errors import DomainError, EmptyGridError, SearchFailed, _Value
 from .exponents import EQ_TOL, INF, Params, _bisect, _close, _scan, critical_exponent
 
 
@@ -69,8 +69,7 @@ class WeightedPair(_Value):
             raise DomainError(f"eta must be finite and >= 0, got {eta}")
         if not (math.isfinite(r) and r > 0):
             raise DomainError(f"r must be finite and > 0, got {r}")
-        _set(self, "eta", eta)
-        _set(self, "r", r)
+        _Value.__init__(self, eta, r)
 
 
 class EmbeddingInterval(_Value):
@@ -82,25 +81,9 @@ class EmbeddingInterval(_Value):
     __slots__ = _fields = ("lower", "upper", "lower_included", "upper_included", "radial",
                            "compact_interior")
 
-    def __init__(self, lower: float, upper: float, lower_included: bool, upper_included: bool,
-                 radial: bool, compact_interior: bool):
-        _set(self, "lower", lower)
-        _set(self, "upper", upper)
-        _set(self, "lower_included", lower_included)
-        _set(self, "upper_included", upper_included)
-        _set(self, "radial", radial)
-        _set(self, "compact_interior", compact_interior)
-
 
 class RegimeVerdict(_Value):
     __slots__ = _fields = ("admissible", "regime", "interval", "reason")
-
-    def __init__(self, admissible: bool, regime: Regime, interval: EmbeddingInterval | None,
-                 reason: str):
-        _set(self, "admissible", admissible)
-        _set(self, "regime", regime)
-        _set(self, "interval", interval)
-        _set(self, "reason", reason)
 
 
 def scaled_threshold(params: Params, eta: float) -> float:
@@ -220,14 +203,7 @@ def _build_row(params: Params, eta: float, radial: bool) -> _Row:
         compact = True
     else:
         compact = radial_eff or (eta > b and not _close(eta, b))
-    row.interval = iv = EmbeddingInterval(
-        lower=lower,
-        upper=upper,
-        lower_included=lower_inc,
-        upper_included=upper_inc,
-        radial=radial_eff,
-        compact_interior=compact,
-    )
+    row.interval = iv = EmbeddingInterval(lower, upper, lower_inc, upper_inc, radial_eff, compact)
     r_s = scaled_threshold(params, eta)
     row.lower_tol, row.upper_tol = _tol(lower), _tol(upper)
     row.r_s, row.r_s_tol = r_s, _tol(r_s)

@@ -63,11 +63,12 @@ import sys
 import warnings
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, NotCoerciveConfig, SingularHessian, ZeroProfileError, _set, _Value
+from .errors import DomainError, NotCoerciveConfig, SingularHessian, ZeroProfileError, _Value
 from .exponents import Params, critical_exponent, ell_of
 from .functionals import Energy, TermSpec, _phi_energy, _pow, _residuals
-from .grid import RadialGrid, RadialProfile, sample_function, shift_values
+from .grid import RadialGrid, RadialProfile, sample_function
 
 
 class SolveOptions(_Value):
@@ -84,8 +85,7 @@ class SolveOptions(_Value):
             raise DomainError(f"max_iters must be an integer >= 1, got {max_iters}")
         if not 0 < grad_tol < math.inf:
             raise DomainError(f"grad_tol must be positive and finite, got {grad_tol}")
-        _set(self, "max_iters", int(max_iters))
-        _set(self, "grad_tol", grad_tol)
+        _Value.__init__(self, int(max_iters), grad_tol)
 
 
 class SolveReport(_Value):
@@ -96,18 +96,7 @@ class SolveReport(_Value):
     __slots__ = ("value", "iters", "el_res", "pohozaev_res", "eigen_rel_res", "converged",
                  "profile_path", "profile")
     _fields = __slots__[:-1]  # all but profile
-
-    def __init__(self, value: float, iters: int, el_res: float, pohozaev_res: float,
-                 eigen_rel_res: float, converged: bool, profile_path: str | None = None,
-                 profile: RadialProfile | None = None):
-        _set(self, "value", value)
-        _set(self, "iters", iters)
-        _set(self, "el_res", el_res)
-        _set(self, "pohozaev_res", pohozaev_res)
-        _set(self, "eigen_rel_res", eigen_rel_res)
-        _set(self, "converged", converged)
-        _set(self, "profile_path", profile_path)
-        _set(self, "profile", profile)
+    _defaults = {"profile_path": None, "profile": None}
 
     def _key(self) -> tuple:
         return (*_Value._key(self), self.profile)
@@ -250,11 +239,16 @@ def _newton(obj, vals, pre, opts, critical=False):
     values. nu grows 4x on a rejected step and halves on an accepted one
     (not below 1e-12, so it cannot underflow to a shift that never grows
     again); the solve stops unconverged when no nu below 1e30 gives an
-    acceptable step. An init out of float range raises DomainError.
+    acceptable step. An init out of float range raises DomainError, as does
+    a free node whose weight mass(0) underflows to 0: the dual norm divides by it.
     Returns (vals, value, res, iters, converged).
     """
     quad = obj.quad
     free = quad.free
+    zero = np.flatnonzero(quad.mass(0.0)[free] == 0.0) + 1
+    if zero.size:
+        raise DomainError(f"the weight of free node {zero[0]} (s = {float(quad.nodes[zero[0]])!r}) "
+                          "underflows to 0, so the residual's dual norm is undefined")
     stiff = obj.stiff_weight * quad.stiff
     # an init past the float range is rejected below; a trial past it fails the step tests
     with np.errstate(over="ignore", invalid="ignore"):
@@ -373,27 +367,33 @@ def _coercive_init(grid: RadialGrid, terms) -> np.ndarray:
     sum_k coeff_k wint(r_k, eta_k) over the Gaussian shifted by every 8th
     cell, times 25 amplitudes from 1e-3 to 1e3. The first minimum wins,
     shifts first; an energy that is NaN never does. terms is a (coeff,
-    eta, r) list as Energy takes it."""
-    quad = grid.quad
+    eta, r) list as Energy takes it. The shifts are windows of the Gaussian
+    extended as shift_values extends it, scanned about 2^14 values at a time;
+    a window of the extension's power is the window's power, bit for bit."""
+    quad, M = grid.quad, grid.M
     base = sample_function(grid, "Gaussian", sigma=1.0).values
-    best = (math.inf, None)
     amps = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 25))
     # A ** r by numpy's scalar power, once per term: the array power may
     # round differently, and the scan's winner must not move
     powers = [np.array([A ** r for A in amps]) for (_, _, r) in terms]
-    for k in range(-(grid.M - 2), grid.M - 1, 8):
-        sv = _pin(shift_values(grid, base, k))
-        if not np.any(sv):
-            continue
-        d = 0.5 * quad.dirich(sv)  # sv >= 0, so it is its own |sv| for wint
-        energies = d * amps * amps + sum(c * quad.wint(sv, r, eta) * pw
-                                         for (c, eta, r), pw in zip(terms, powers))
-        i = np.argmin(np.where(np.isnan(energies), math.inf, energies))
-        if energies[i] < best[0]:
-            best = (energies[i], amps[i] * sv)
-    if best[1] is None:
+    ext = np.concatenate((np.full(M - 2, base[0]), base, np.zeros(M - 2)))  # >= 0: its own |ext|
+    windows = [sliding_window_view(e, M)[::8] for e in [ext] + [ext ** r for (_, _, r) in terms]]
+    step = max(1, 2 ** 14 // M)
+    energies = []
+    for lo in range(0, len(windows[0]), step):
+        sv, *svr = [w[lo:lo + step].copy() for w in windows]
+        for w in (sv, *svr):
+            w[:, 0] = w[:, -1] = 0.0
+        d = 0.5 * quad.dirich_rows(sv)
+        e = d[:, None] * amps * amps + sum((c * quad.wint_rows(ar, eta))[:, None] * pw
+                                           for (c, eta, _), ar, pw in zip(terms, svr, powers))
+        e[np.isnan(e) | ~sv.any(axis=1)[:, None]] = math.inf  # an all-zero row is skipped
+        energies.append(e)
+    energies = np.concatenate(energies)
+    row, i = divmod(int(np.argmin(energies)), len(amps))  # the first least, shifts first
+    if not energies[row, i] < math.inf:
         raise ZeroProfileError("initialization scan found no usable profile")
-    return _pin(best[1])
+    return amps[i] * _pin(windows[0][row])
 
 
 def minimize_coercive(

@@ -59,6 +59,16 @@ def test_classify_validation_error(capsys):
     assert json.loads(err)["error"] == "HYPOTHESIS_VIOLATION"
 
 
+def test_a_derived_exponent_on_its_bound_is_a_validation_error(capsys):
+    # p is the float after 2: a = 2 - delta (p - 2) rounds to 2
+    code, out, err = run_cli(
+        capsys, "classify", "--N", "2", "--b", "1", "--q", "1e6", "--p", "2.0000000000000004",
+        "--eta", "1", "--r", "3",
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "HYPOTHESIS_VIOLATION", "message": "derived a = 2.0 outside (b, 2)"}
+
+
 def test_region_map_csv(tmp_path, capsys):
     out_csv = tmp_path / "atlas.csv"
     code, out, _ = run_cli(
@@ -364,6 +374,8 @@ def _thresholds(*args):
 
 
 _WINDOW = ("--b", "1", "--q", "3.5", "--p", "3", "--eta", "1.8", "--r", "2.2")
+#: a window whose inner nodes' weights s^3 underflow to 0
+_UNDERFLOW = ("--s-min", "1e-110", "--s-max", "1", "--M", "257")
 
 
 @pytest.mark.parametrize(
@@ -418,6 +430,9 @@ _WINDOW = ("--b", "1", "--q", "3.5", "--p", "3", "--eta", "1.8", "--r", "2.2")
         lambda d: ["eigen", *PARAMS, "--s-min", "1e-160", "--s-max", "1e160", "--M", "257"],
         lambda d: ["eigen", *PARAMS, "--s-min", "1e-120", "--s-max", "1e120", "--M", "257"],
         lambda d: ["probe", "--N", "3", "--eta", "0.5", "--s-min", "1e-120", "--s-max", "1e120", "--M", "257"],
+        lambda d: ["eigen", *PARAMS, *_UNDERFLOW],
+        lambda d: ["minimize", *PARAMS, *_UNDERFLOW, "--term", "1.0,1.8,2.2"],
+        lambda d: ["probe", "--N", "3", "--eta", "0.5", *_UNDERFLOW],
     ],
     ids=["missing-profile", "directory-profile", "header-not-json", "header-missing-keys",
          "row-not-numeric", "rows-swapped", "s-column-scaled", "verify-dimension-mismatch",
@@ -431,7 +446,8 @@ _WINDOW = ("--b", "1", "--q", "3.5", "--p", "3", "--eta", "1.8", "--r", "2.2")
          "no-metadata-line", "wrong-column-header", "short-profile", "thresholds-C-without-C1",
          "thresholds-C1-without-C", "thresholds-eta2-without-S2", "thresholds-S2-without-eta2",
          "eigen-nodes-past-float-range", "eigen-weights-past-float-range",
-         "probe-weights-past-float-range"],
+         "probe-weights-past-float-range", "eigen-inner-weights-underflow",
+         "minimize-inner-weights-underflow", "probe-inner-weights-underflow"],
 )
 def test_bad_input_is_a_json_error(tmp_path, capsys, make_argv):
     # bad files and arguments are validation errors: one JSON document on

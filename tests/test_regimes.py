@@ -3,6 +3,7 @@ nonexistence, interpolation pairs, and threshold constants."""
 
 import hashlib
 import math
+import re
 from bisect import bisect_right
 
 import numpy as np
@@ -56,12 +57,20 @@ def test_derive_rejects_critical_q():
 
 
 @pytest.mark.parametrize(
-    "args",
-    [(1, 1.0, 3.5, 3.0), (3, 0.0, 3.5, 3.0), (3, 2.0, 3.5, 3.0),
-     (3, 1.0, 3.5, 2.0), (3, 1.0, 3.0, 3.0), (3, 1.0, 4.5, 3.0)],
+    "args, message",
+    [((1, 1.0, 3.5, 3.0), "N >= 2 required"),
+     ((3, 0.0, 3.5, 3.0), "0 < b < 2 required"),
+     ((3, 2.0, 3.5, 3.0), "0 < b < 2 required"),
+     ((3, 1.0, 3.5, 2.0), "p > 2 required"),
+     ((3, 1.0, 3.0, 3.0), "q > p required"),
+     ((3, 1.0, 4.5, 3.0), "q < 2(N-b)/(N-2) = 4.0 required"),
+     # inputs that pass every hypothesis but whose derived exponents round onto the bound
+     ((2, 1.0, 1e6, math.nextafter(2.0, 3.0)), "derived a = 2.0 outside (b, 2)"),
+     ((3, 1.0, math.nextafter(4.0, 0.0), 2.5), "derived ell = 0.0 not positive")],
+    ids=[f"args{i}" for i in range(8)],
 )
-def test_derive_rejects_bad_inputs(args):
-    with pytest.raises(il.HypothesisViolation):
+def test_derive_rejects_bad_inputs(args, message):
+    with pytest.raises(il.HypothesisViolation, match=re.escape(message)):
         il.derive_params(*args)
 
 

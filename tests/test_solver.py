@@ -240,20 +240,34 @@ def _coercive_init_loop(grid, terms):
     return None if best[1] is None else _pin(best[1])
 
 
-@pytest.mark.parametrize("terms", [
-    [(1.0 / 3.5, 1.0, 3.5), (-1.0 / 2.2, 1.8, 2.2)],
-    [(1.0 / 3.5, 1.0, 3.5), (-0.5 / 3.0, 4.0 / 3.0, 3.0), (-1.0 / 2.2, 1.8, 2.2),
-     (0.3 / 2.9, 1.5, 2.9)],
+#: the energy terms of acceptance criterion 7: Phi of the reference params with TermSpec(1, 1.8, 2.2)
+_CRITERION_7 = [(1.0 / 3.5, 1.0, 3.5), (-1.0 / 2.2, 1.8, 2.2)]
+
+
+@pytest.mark.parametrize("window, terms", [
+    ((1e-3, 1e3, 257), _CRITERION_7),
+    ((1e-3, 1e3, 257), [(1.0 / 3.5, 1.0, 3.5), (-0.5 / 3.0, 4.0 / 3.0, 3.0), (-1.0 / 2.2, 1.8, 2.2),
+                        (0.3 / 2.9, 1.5, 2.9)]),
     # energies that overflow to inf - inf = NaN at the large amplitudes, past
     # the least energy of the best shifts; below the overflow the first two
     # terms cancel exactly, so the energy is 1/2 dirichlet + the last two
-    [(1e200, 1.8, 40.0), (-1e200, 1.8, 40.0), (1.0, 1.0, 8.0), (-1.0, 1.8, 3.0)],
+    ((1e-3, 1e3, 257), [(1e200, 1.8, 40.0), (-1e200, 1.8, 40.0), (1.0, 1.0, 8.0), (-1.0, 1.8, 3.0)]),
     # NaN at every amplitude: no usable profile
-    [(1.0, 1.0, 3.5), (math.inf, 1.8, 2.2), (-math.inf, 1.8, 2.2)],
-])
+    ((1e-3, 1e3, 257), [(1.0, 1.0, 3.5), (math.inf, 1.8, 2.2), (-math.inf, 1.8, 2.2)]),
+    # every energy positive or 0: the shifts that leave only the Gaussian's underflowing
+    # tail on the free nodes tie at 0, and the first of them wins
+    ((1e-3, 1e3, 257), [(1.0, 1.0, 3.5)]),
+    # every energy positive, and no Gaussian value below 1e-22: the last shift, by
+    # M - 2 cells, vanishes on the free nodes, and its energy 0 must not win
+    ((1e-3, 10.0, 258), [(1.0, 1.0, 3.5)]),
+    # the criterion's own window at three sizes: one block holds 31, 15 and 3 shifts
+    ((2e-5, 1e4, 513), _CRITERION_7),
+    ((2e-5, 1e4, 1025), _CRITERION_7),
+    ((2e-5, 1e4, 4097), _CRITERION_7),
+], ids=[f"terms{i}" for i in range(4)] + ["ties", "positive"] + [f"criterion7-x{M}" for M in (513, 1025, 4097)])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_coercive_init_matches_the_amplitude_loop(terms):
-    grid = il.make_grid(1e-3, 1e3, 257, 3)
+def test_coercive_init_matches_the_amplitude_loop(window, terms):
+    grid = il.make_grid(*window, 3)
     want = _coercive_init_loop(grid, terms)
     if want is None:
         with pytest.raises(il.ZeroProfileError):
@@ -443,6 +457,19 @@ def test_probe_rejects_a_foreign_init():
     for other in (il.make_grid(1e-3, 2e3, 257, 3), il.make_grid(1e-3, 1e3, 129, 3)):
         with pytest.raises(il.DomainError):
             il.probe_best_constant(g, 3, 0.0, init=il.sample_function(other, "AubinTalenti", scale=1.0))
+
+
+def test_solvers_reject_a_grid_whose_inner_weights_underflow(ref_params):
+    # mass(0) = omega h w s^3 is 0 on nodes 0-4 of this window, and the
+    # dual norm divides by it: each solve used to stop after 0 steps at a NaN residual
+    g = il.make_grid(1e-110, 1.0, 257, 3)
+    underflow = r"the weight of free node 1 \(s = 2\.68959878557\d*e-110\) underflows to 0"
+    with pytest.raises(il.DomainError, match=underflow):
+        il.minimize_rayleigh(g, ref_params, il.sample_function(g, "Gaussian", sigma=1.0))
+    with pytest.raises(il.DomainError, match=underflow):
+        il.minimize_coercive(g, ref_params, [il.TermSpec(1.0, 1.8, 2.2)])
+    with pytest.raises(il.DomainError, match=underflow):
+        il.probe_best_constant(g, 3, 0.5)
 
 
 def test_probe_domain():
