@@ -9,13 +9,22 @@ their fields once, in __slots__. It supplies the one constructor, value
 equality, hashing, the repr, to_dict and frozen attributes; a record that
 checks its arguments does so in its own __init__, then calls _Value's.
 Generated dataclass code would do the same, but building it costs every
-CLI command about a millisecond per class at start-up.
+CLI command about a millisecond per class at start-up. Every check for a
+whole-number argument (node count, dimension, iteration budget) is _whole.
 """
 
 from __future__ import annotations
 
 #: stores a field past _Value's frozen __setattr__, in __init__ and __setstate__
 _set = object.__setattr__
+
+
+def _whole(x, low) -> bool:
+    """Whether x is a whole number >= low; False for NaN, +-inf and non-numbers."""
+    try:
+        return x >= low and int(x) == x
+    except (TypeError, ValueError, ArithmeticError):
+        return False
 
 
 class _Value:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, HypothesisViolation, _Value
+from .errors import DomainError, HypothesisViolation, _Value, _whole
 
 EQ_TOL = 1e-12
 
@@ -60,7 +60,7 @@ def derive_params(N: int, b: float, q: float, p: float) -> Params:
     Raises HypothesisViolation naming the first failed inequality of
     N >= 2, 0 < b < 2 < p < q < 2*_b.
     """
-    if int(N) != N or N < 2:
+    if not _whole(N, 2):
         raise HypothesisViolation(f"N >= 2 required, got N = {N}")
     N = int(N)
     if not 0 < b < 2:

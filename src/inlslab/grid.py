@@ -12,7 +12,8 @@ the quadratic form positive definite on every mesh mode and makes its
 Hessian tridiagonal. Both sums, their nodal gradients, the stiffness
 band and the dual norm are written once, in the Quadrature each grid
 builds when it is made (RadialGrid.quad); every energy and solver
-evaluates through it.
+evaluates through it. The solvers pin both boundary nodes to zero
+(_pin, per row of a block) and move the nodes Quadrature.free names.
 
 The scaling u_t(x) = t^delta u(tx) acts on the log grid as a pure index
 shift when ln t is a multiple of h (exact up to window truncation) and
@@ -29,64 +30,64 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, _set, _Value
+from .errors import DomainError, _set, _Value, _whole
 from .reports import fmt_float
 
-#: outer node is pinned to zero after every construction
+#: the fewest nodes a grid may have
 _MIN_NODES = 16
 
 
 def sphere_area(N: int) -> float:
-    """Surface measure of the unit sphere, 2 pi^(N/2) / Gamma(N/2).
+    """Surface measure of the unit sphere in R^N, 2 pi^(N/2) / Gamma(N/2).
 
-    Computed through the half-integer factorial recurrence so integer
-    dimensions need no special-function calls.
+    Gamma(N/2) is one product, 1 * 2 * ... or sqrt(pi) * 1/2 * 3/2 * ...
+    for even or odd N, so integer dimensions need no special functions.
     """
-    if int(N) != N or N < 1:
+    if not _whole(N, 1):
         raise DomainError(f"dimension must be a positive integer, got {N}")
     N = int(N)
-    if N % 2 == 0:
-        gamma = 1.0
-        for k in range(1, N // 2):
-            gamma *= k
-    else:
-        gamma = math.sqrt(math.pi)
-        k = 0.5
-        while k < N / 2.0 - 0.25:
-            gamma *= k
-            k += 1.0
+    gamma, k = (1.0, 1.0) if N % 2 == 0 else (math.sqrt(math.pi), 0.5)
+    while k < N / 2.0 - 0.25:
+        gamma *= k
+        k += 1.0
     return 2.0 * math.pi ** (N / 2.0) / gamma
 
 
 class RadialGrid(_Value):
-    """Log-uniform radial mesh on [s_min, s_max] with M nodes.
+    """Log-uniform radial mesh on [s_min, s_max] with M nodes, in R^N; make_grid is this class.
 
-    h, the read-only nodes, the sphere area omega and the grid's
-    Quadrature quad are derived from the four arguments; the repr shows h
-    but not nodes, omega or quad.
+    Needs 0 < s_min < s_max < inf, whole M >= 16 and N >= 2, and nodes and
+    weights inside the float range, or raises DomainError. h, the read-only
+    nodes, the sphere area omega and the grid's Quadrature quad are derived;
+    the repr shows h but not nodes, omega or quad.
     """
 
     __slots__ = ("s_min", "s_max", "M", "N", "h", "nodes", "omega", "quad")
     _fields = ("s_min", "s_max", "M", "N", "h")
 
     def __init__(self, s_min: float, s_max: float, M: int, N: int):
-        _set(self, "s_min", s_min)
-        _set(self, "s_max", s_max)
-        _set(self, "M", M)
-        _set(self, "N", N)
-        _set(self, "omega", sphere_area(N))
+        if not 0 < s_min < s_max < math.inf:
+            raise DomainError(f"require 0 < s_min < s_max < inf, got [{s_min}, {s_max}]")
+        if not _whole(M, _MIN_NODES):
+            raise DomainError(f"require M >= {_MIN_NODES}, got {M}")
+        if not _whole(N, 2):
+            raise DomainError(f"require integer N >= 2, got {N}")
+        s_min, s_max, M, N = float(s_min), float(s_max), int(M), int(N)
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             h = math.log(s_max / s_min) / (M - 1)
             nodes = s_min * np.exp(h * np.arange(M))
             nodes.flags.writeable = False
-            _set(self, "h", h)
-            _set(self, "nodes", nodes)
+            # quad is set last: Quadrature reads the other fields
+            _Value.__init__(self, s_min, s_max, M, N, h, nodes, sphere_area(N), None)
             quad = Quadrature(self)
         # a weight that underflows to 0 is kept; an infinite or NaN node or weight is not
         if not all(np.isfinite(a).all() for a in (nodes, quad.cw, quad.mass(0.0))):
             raise DomainError(f"window [{s_min!r}, {s_max!r}] at N = {N} takes the grid's nodes "
                               "or weights outside the float range")
         _set(self, "quad", quad)
+
+
+make_grid = RadialGrid
 
 
 class Quadrature:
@@ -114,7 +115,7 @@ class Quadrature:
         self.ds = s[1:] - s[:-1]
         self.cw = self.omega_h * np.sqrt(s[:-1] * s[1:]) ** grid.N
         self._cw2 = 2.0 * self.cw
-        #: interior nodes; both boundary nodes are pinned by the solvers
+        #: interior nodes; the solvers pin both boundary nodes (_pin)
         self.free = slice(1, grid.M - 1)
         self._wpow = {}
         self._mu_free = self.mass(0.0)[self.free]
@@ -170,14 +171,12 @@ class Quadrature:
         return math.sqrt(float(np.add.reduce(gf * gf / self._mu_free)))
 
 
-def make_grid(s_min: float, s_max: float, M: int, N: int) -> RadialGrid:
-    if not 0 < s_min < s_max < math.inf:
-        raise DomainError(f"require 0 < s_min < s_max < inf, got [{s_min}, {s_max}]")
-    if int(M) != M or M < _MIN_NODES:
-        raise DomainError(f"require M >= {_MIN_NODES}, got {M}")
-    if int(N) != N or N < 2:
-        raise DomainError(f"require integer N >= 2, got {N}")
-    return RadialGrid(s_min=float(s_min), s_max=float(s_max), M=int(M), N=int(N))
+def _pin(vals: np.ndarray) -> np.ndarray:
+    """A float copy of nodal values, or of each row of a 2-D array, with
+    both boundary nodes zero: the solvers' search space."""
+    out = np.array(vals, dtype=float)
+    out[..., 0] = out[..., -1] = 0.0
+    return out
 
 
 class RadialProfile(_Value):
@@ -201,8 +200,7 @@ class RadialProfile(_Value):
             raise DomainError("profile values must be finite")
         vals[-1] = 0.0
         vals.flags.writeable = False
-        _set(self, "grid", grid)
-        _set(self, "values", vals)
+        _Value.__init__(self, grid, vals)
 
     def _key(self) -> tuple:
         return self.grid, self.values.tobytes()

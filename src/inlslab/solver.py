@@ -65,10 +65,10 @@ import warnings
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, NotCoerciveConfig, SingularHessian, ZeroProfileError, _Value
+from .errors import DomainError, NotCoerciveConfig, SingularHessian, ZeroProfileError, _Value, _whole
 from .exponents import Params, critical_exponent, ell_of
 from .functionals import Energy, TermSpec, _phi_energy, _pow, _residuals
-from .grid import RadialGrid, RadialProfile, sample_function
+from .grid import RadialGrid, RadialProfile, _pin, sample_function
 
 
 class SolveOptions(_Value):
@@ -81,7 +81,7 @@ class SolveOptions(_Value):
     __slots__ = _fields = ("max_iters", "grad_tol")
 
     def __init__(self, max_iters: int = 50_000, grad_tol: float = 1e-8):
-        if not (max_iters >= 1 and max_iters != math.inf and int(max_iters) == max_iters):
+        if not _whole(max_iters, 1):
             raise DomainError(f"max_iters must be an integer >= 1, got {max_iters}")
         if not 0 < grad_tol < math.inf:
             raise DomainError(f"grad_tol must be positive and finite, got {grad_tol}")
@@ -144,13 +144,6 @@ def _solve_tridiag(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgtsv")
     return x
-
-
-def _pin(vals: np.ndarray) -> np.ndarray:
-    out = np.array(vals, dtype=float)
-    out[0] = 0.0
-    out[-1] = 0.0
-    return out
 
 
 def _with_diag(band: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -310,8 +303,6 @@ def minimize_rayleigh(
     continuum radial infimum from above only while the window error
     exceeds the O(h^2) error.
     """
-    if init.is_zero():
-        raise ZeroProfileError("minimize_rayleigh needs a nonzero initial profile")
     if init.grid != grid:
         raise DomainError("init profile lives on a different grid")
 
@@ -381,9 +372,7 @@ def _coercive_init(grid: RadialGrid, terms) -> np.ndarray:
     step = max(1, 2 ** 14 // M)
     energies = []
     for lo in range(0, len(windows[0]), step):
-        sv, *svr = [w[lo:lo + step].copy() for w in windows]
-        for w in (sv, *svr):
-            w[:, 0] = w[:, -1] = 0.0
+        sv, *svr = [_pin(w[lo:lo + step]) for w in windows]
         d = 0.5 * quad.dirich_rows(sv)
         e = d[:, None] * amps * amps + sum((c * quad.wint_rows(ar, eta))[:, None] * pw
                                            for (c, eta, _), ar, pw in zip(terms, svr, powers))

@@ -30,10 +30,15 @@ def test_make_grid_step():
 
 
 @pytest.mark.parametrize("args", [(1.0, 1.0, 100, 3), (1e-4, 1e4, 2, 3), (0.0, 1.0, 64, 3), (1e-4, 1e4, 64, 1),
-                                  (1e-3, math.inf, 257, 3), (math.nan, 1.0, 64, 3), (1e-3, math.nan, 64, 3)])
+                                  (1e-3, math.inf, 257, 3), (math.nan, 1.0, 64, 3), (1e-3, math.nan, 64, 3),
+                                  (1.0, 0.5, 64, 3), (1e-2, 1e2, 5, 3), (1e-2, 1e2, 64.5, 3),
+                                  (1e-2, 1e2, math.nan, 3), (1e-2, 1e2, math.inf, 3), (1e-2, 1e2, 64, math.nan),
+                                  (1e-2, 1e2, 64, math.inf), (-1.0, 1e2, 64, 3), (1e-3, 1e3, "257", 3)])
 def test_make_grid_domain(args):
-    with pytest.raises(il.DomainError):
-        il.make_grid(*args)
+    assert il.make_grid is il.RadialGrid  # one constructor, so one set of checks
+    for make in (il.make_grid, il.RadialGrid):
+        with pytest.raises(il.DomainError):
+            make(*args)
 
 
 @pytest.mark.filterwarnings("error")
@@ -46,7 +51,7 @@ def test_make_grid_rejects_a_window_past_the_float_range(s_min, s_max):
         il.make_grid(s_min, s_max, 257, 3)
 
 
-@pytest.mark.parametrize("N", [0, 2.5])
+@pytest.mark.parametrize("N", [0, 2.5, math.nan, math.inf])
 def test_sphere_area_domain(N):
     with pytest.raises(il.DomainError, match="dimension must be a positive integer"):
         il.sphere_area(N)
@@ -57,6 +62,24 @@ def test_sphere_area_values():
     assert il.sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-15)
     assert il.sphere_area(4) == pytest.approx(2 * math.pi ** 2, rel=1e-15)
     assert il.sphere_area(5) == pytest.approx(8 * math.pi ** 2 / 3, rel=1e-14)
+
+
+def test_sphere_area_keeps_the_two_branch_recurrence_bits():
+    def two_branch(N):
+        if N % 2 == 0:
+            gamma = 1.0
+            for k in range(1, N // 2):
+                gamma *= k
+        else:
+            gamma = math.sqrt(math.pi)
+            k = 0.5
+            while k < N / 2.0 - 0.25:
+                gamma *= k
+                k += 1.0
+        return 2.0 * math.pi ** (N / 2.0) / gamma
+
+    for N in range(1, 80):
+        assert il.sphere_area(N).hex() == two_branch(N).hex(), N
 
 
 # -------------------------------------------------------------- quadrature

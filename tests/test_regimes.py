@@ -66,8 +66,10 @@ def test_derive_rejects_critical_q():
      ((3, 1.0, 4.5, 3.0), "q < 2(N-b)/(N-2) = 4.0 required"),
      # inputs that pass every hypothesis but whose derived exponents round onto the bound
      ((2, 1.0, 1e6, math.nextafter(2.0, 3.0)), "derived a = 2.0 outside (b, 2)"),
-     ((3, 1.0, math.nextafter(4.0, 0.0), 2.5), "derived ell = 0.0 not positive")],
-    ids=[f"args{i}" for i in range(8)],
+     ((3, 1.0, math.nextafter(4.0, 0.0), 2.5), "derived ell = 0.0 not positive"),
+     ((math.nan, 1.0, 3.5, 3.0), "N >= 2 required"),
+     ((math.inf, 1.0, 3.5, 3.0), "N >= 2 required")],
+    ids=[f"args{i}" for i in range(10)],
 )
 def test_derive_rejects_bad_inputs(args, message):
     with pytest.raises(il.HypothesisViolation, match=re.escape(message)):

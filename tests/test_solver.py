@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import inlslab as il
-from inlslab.functionals import Energy
+from inlslab.functionals import Energy, _residuals
 from inlslab.solver import _coercive_init, _pin, _solve_tridiag, _with_diag
 
 
@@ -587,6 +587,34 @@ def test_solve_options_validation():
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(il.DomainError):
             il.SolveOptions(grad_tol=tol)
+
+
+def test_reports_carry_python_float_residuals(ref_params, small_grid, eigen_run):
+    # a numpy scalar residual would show as np.float64(...) in every report's repr
+    coercive_grid = il.make_grid(2e-5, 1e4, 513, 3)
+    reports = [
+        eigen_run,
+        il.minimize_coercive(coercive_grid, ref_params, [il.TermSpec(1.0, 1.8, 2.2)]),
+        il.minimize_coercive(small_grid, ref_params, []),  # the zero profile, solved without a step
+        il.newton_refine(eigen_run.profile, ref_params, eigen_run.value, []),
+    ]
+    docs = [r.to_dict() for r in reports]
+    docs.append(_residuals(eigen_run.profile, ref_params, eigen_run.value, [il.TermSpec(-1.0, 1.8, 2.2)]))
+    for doc in docs:
+        for name in ("el_res", "pohozaev_res", "eigen_rel_res"):
+            assert type(doc[name]) is float, name
+    for r in reports:
+        assert "np.float64" not in repr(r)
+    assert type(il.probe_best_constant(il.make_grid(1e-3, 1e3, 257, 3), 3, 0.5)) is float
+
+
+def test_pin_zeroes_the_boundary_nodes_of_each_row():
+    rows = np.random.default_rng(0).standard_normal((5, 64))
+    pinned = _pin(rows)
+    assert pinned.shape == rows.shape and rows[:, 0].all()  # a copy: rows keep their values
+    for got, row in zip(pinned, rows):
+        assert got.tobytes() == _pin(row).tobytes()
+    assert not pinned[:, [0, -1]].any() and np.array_equal(pinned[:, 1:-1], rows[:, 1:-1])
 
 
 def test_solve_report_serialization(eigen_run):
