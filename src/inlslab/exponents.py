@@ -75,6 +75,7 @@ def derive_params(N: int, b: float, q: float, p: float) -> Params:
             raise HypothesisViolation(
                 f"q < 2(N-b)/(N-2) = {qcrit!r} required, got q = {q}"
             )
+    b, q, p = float(b), float(q), float(p)  # so every derived exponent is a float, not a numpy scalar
     delta = (2.0 - b) / (q - 2.0)
     a1 = 2.0 - delta * (p - 2.0)
     a2 = b + delta * (q - p)

@@ -56,10 +56,11 @@ def sphere_area(N: int) -> float:
 class RadialGrid(_Value):
     """Log-uniform radial mesh on [s_min, s_max] with M nodes, in R^N; make_grid is this class.
 
-    Needs 0 < s_min < s_max < inf, whole M >= 16 and N >= 2, and nodes and
-    weights inside the float range, or raises DomainError. h, the read-only
-    nodes, the sphere area omega and the grid's Quadrature quad are derived;
-    the repr shows h but not nodes, omega or quad.
+    Needs 0 < s_min < s_max < inf, whole M >= 16 within numpy's array size
+    limit and N >= 2, and nodes and weights inside the float range, or
+    raises DomainError. h, the read-only nodes, the sphere area omega and
+    the grid's Quadrature quad are derived; the repr shows h but not
+    nodes, omega or quad.
     """
 
     __slots__ = ("s_min", "s_max", "M", "N", "h", "nodes", "omega", "quad")
@@ -74,8 +75,11 @@ class RadialGrid(_Value):
             raise DomainError(f"require integer N >= 2, got {N}")
         s_min, s_max, M, N = float(s_min), float(s_max), int(M), int(N)
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            h = math.log(s_max / s_min) / (M - 1)
-            nodes = s_min * np.exp(h * np.arange(M))
+            try:  # an M past numpy's array size or the float range fails here, before allocating
+                h = math.log(s_max / s_min) / (M - 1)
+                nodes = s_min * np.exp(h * np.arange(M))
+            except (ValueError, OverflowError) as exc:
+                raise DomainError(f"M = {M} nodes exceed numpy's array size limit ({exc})") from None
             nodes.flags.writeable = False
             # quad is set last: Quadrature reads the other fields
             _Value.__init__(self, s_min, s_max, M, N, h, nodes, sphere_area(N), None)

@@ -20,19 +20,19 @@ All solvers share one strategy, validated on the reference problems:
   it is an upper bound only while the window error exceeds it.
 * one engine (_newton, shared by all four drivers): shifted Newton
   steps. Each step solves (H + nu P) d = -g with one LAPACK tridiagonal
-  solve, where H is the objective's tridiagonal-plus-diagonal Hessian
-  and P a fixed positive definite band (gradient stiffness + weighted
-  mass diagonal). A large shift nu gives a short preconditioned
-  gradient step, and nu -> 0 Newton's step, which crosses the
-  near-neutral scaling-orbit direction that stalls plain descent. For
-  the minimizing drivers the value is the merit (Armijo); only at its
-  roundoff floor does a smaller residual decide. Every objective
-  depends on u through |u| and the cell slopes, which |u| does not
-  steepen, so their trials are replaced by their absolute values: the
-  value cannot rise, and a full Newton step that overshoots through
-  zero cannot carry the iterate to a sign-changing critical point
-  (without it, the acceptance suite's subscaled minimization ends at
-  the energy -3.934 instead of -9.654).
+  solve (_Steps), where H is the objective's tridiagonal-plus-diagonal
+  Hessian and P a fixed positive definite band (stiffness + 1/2 mass of
+  Phi's operator term, or the stiffness alone for the probe). A large
+  shift nu gives a short preconditioned gradient step, and nu -> 0
+  Newton's step, which crosses the near-neutral scaling-orbit direction
+  that stalls plain descent. For the minimizing drivers the value is the
+  merit (Armijo); only at its roundoff floor does a smaller residual
+  decide. Every objective depends on u through |u| and the cell slopes,
+  which |u| does not steepen, so their trials are replaced by their
+  absolute values: the value cannot rise, and a full Newton step that
+  overshoots through zero cannot carry the iterate to a sign-changing
+  critical point (without it, the acceptance suite's subscaled
+  minimization ends at the energy -3.934 instead of -9.654).
 * newton_refine sharpens a critical point of Phi with lambda fixed,
   which need not be a minimum (a minimax eigenvalue, or a fiber
   maximum), so it runs the engine in its critical-point mode: the first
@@ -146,19 +146,6 @@ def _solve_tridiag(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _with_diag(band: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """band + diag(diag) as a new (1, 1) band."""
-    out = band.copy()
-    out[1, :] += diag
-    return out
-
-
-def _shift_operator(grid: RadialGrid, params: Params) -> np.ndarray:
-    """_newton's shift operator P = stiffness + 1/2 mass(b) on the free nodes."""
-    quad = grid.quad
-    return _with_diag(quad.stiff, 0.5 * quad.mass(params.b)[quad.free])
-
-
 class _Quotient:
     """Scale-free quotient R = A / D, D = B^(2/gamma), B = wint(r, eta) / div,
     whose numerator A is an Energy whose terms have coefficient 1/r_k,
@@ -178,7 +165,6 @@ class _Quotient:
     def __init__(self, num: Energy, r: float, eta: float, div: float, gamma: float):
         self.num = num
         self.quad = num.quad
-        self.stiff_weight = num.stiff_weight
         self.r, self.eta, self.div, self.gamma = r, eta, div, gamma
         self.mass = self.quad.mass(eta)
         # (r_k - 1), not Energy's c_k r_k (r_k - 1): with c_k = 1/r_k the
@@ -209,17 +195,52 @@ class _Quotient:
         return out - (self.r - 1.0) * self._k(R, D) * self.mass * _pow(a, self.r - 2.0)
 
 
-def _newton(obj, vals, pre, opts, critical=False):
+class _Steps:
+    """The linear algebra of _newton's steps on the objective obj, an
+    Energy or a _Quotient, whose energy is then its numerator.
+
+    solve(nu, rhs) solves (H + nu P) d = rhs on the free nodes with one
+    tridiagonal solve, raising its ValueError or SingularHessian. H, set
+    by linearize, is obj's Hessian less its rank-one terms, which vanish
+    at a critical point: the energy's stiff_weight times the stiffness
+    plus diag(hess_diag). The positive definite shift operator P is the
+    stiffness plus 1/2 the mass of the energy's first term, Phi's
+    operator term |x|^-b, or the stiffness alone when the energy has no
+    terms, as the probe's. dual_norm divides by each free node's weight
+    mass(0), so a weight that underflows to 0 raises DomainError here.
+    """
+
+    def __init__(self, obj):
+        quad = obj.quad
+        zero = np.flatnonzero(quad.mass(0.0)[quad.free] == 0.0) + 1
+        if zero.size:
+            raise DomainError(f"the weight of free node {zero[0]} (s = {float(quad.nodes[zero[0]])!r}) "
+                              "underflows to 0, so the residual's dual norm is undefined")
+        energy = obj.num if isinstance(obj, _Quotient) else obj
+        self.obj, self.free, self.dual_norm = obj, quad.free, quad.dual_norm
+        self.band = energy.stiff_weight * quad.stiff
+        self.shift = quad.stiff.copy()
+        self.shift[1] += 0.5 * energy.masses[0][quad.free] if energy.terms else 0.0
+
+    def linearize(self, vals: np.ndarray, value: float, scale: float) -> None:
+        """Set H to the Hessian at (vals, value, scale)."""
+        self.hess = self.band.copy()
+        self.hess[1] += self.obj.hess_diag(vals, value, scale)[self.free]
+
+    def solve(self, nu: float, rhs: np.ndarray) -> np.ndarray:
+        """d with (H + nu P) d = rhs."""
+        return _solve_tridiag(self.hess + nu * self.shift, rhs)
+
+
+def _newton(obj, vals, opts, critical=False):
     """Shifted Newton iteration on obj from pinned nodal values.
 
     obj gives evaluate(vals) = (value, slope scale), and grad and
     hess_diag at (vals, value, scale): the stationarity gradient (scale
-    times the value's gradient) and the diagonal of its Hessian, whose
-    tridiagonal part is obj.stiff_weight * stiffness. The Hessian's
-    rank-one terms are left out; they vanish at a critical point.
-    Each step solves (H + nu pre) d = -g with one tridiagonal solve:
-    nu -> 0 is Newton's step, a large nu a short step along the
-    gradient preconditioned by the positive definite band pre.
+    times the value's gradient) and the diagonal of its Hessian.
+    Each step solves (H + nu P) d = -g through the step system
+    _Steps(obj): nu -> 0 is Newton's step, a large nu a short step along
+    the gradient preconditioned by the positive definite band P.
     A minimizer (critical=False) starts at nu = 1 and tries |vals + d|
     (see the module docstring); it accepts on Armijo decrease of the
     value and, once the value sits at its roundoff floor, on a smaller
@@ -232,33 +253,26 @@ def _newton(obj, vals, pre, opts, critical=False):
     values. nu grows 4x on a rejected step and halves on an accepted one
     (not below 1e-12, so it cannot underflow to a shift that never grows
     again); the solve stops unconverged when no nu below 1e30 gives an
-    acceptable step. An init out of float range raises DomainError, as does
-    a free node whose weight mass(0) underflows to 0: the dual norm divides by it.
+    acceptable step. An init out of float range raises DomainError.
     Returns (vals, value, res, iters, converged).
     """
-    quad = obj.quad
-    free = quad.free
-    zero = np.flatnonzero(quad.mass(0.0)[free] == 0.0) + 1
-    if zero.size:
-        raise DomainError(f"the weight of free node {zero[0]} (s = {float(quad.nodes[zero[0]])!r}) "
-                          "underflows to 0, so the residual's dual norm is undefined")
-    stiff = obj.stiff_weight * quad.stiff
+    steps, free = _Steps(obj), obj.quad.free
     # an init past the float range is rejected below; a trial past it fails the step tests
     with np.errstate(over="ignore", invalid="ignore"):
         f0, scale = obj.evaluate(vals)
         if not (math.isfinite(f0) and 0 < scale < math.inf):
             raise DomainError(f"init out of float range: objective {f0}, slope scale {scale}")
         g = obj.grad(vals, f0, scale)
-        res = quad.dual_norm(g)
+        res = steps.dual_norm(g)
         nu = 1e-8 if critical else 1.0
         it = 0
         while res > opts.grad_tol and it < opts.max_iters:
-            hess = _with_diag(stiff, obj.hess_diag(vals, f0, scale)[free])
+            steps.linearize(vals, f0, scale)
             rhs = -g[free]
             accepted = False
             while not accepted and nu < 1e30:
                 try:
-                    d = _solve_tridiag(hess + nu * pre, rhs)
+                    d = steps.solve(nu, rhs)
                 except (ValueError, SingularHessian):
                     nu *= 4.0
                     continue
@@ -270,7 +284,7 @@ def _newton(obj, vals, pre, opts, critical=False):
                 armijo = not critical and slope < 0 and fv - f0 <= _ARMIJO_C * slope
                 if armijo or critical or fv <= f0 + _FLOOR * abs(f0):
                     gv = obj.grad(trial, fv, sv)
-                    rv = quad.dual_norm(gv)
+                    rv = steps.dual_norm(gv)
                     accepted = armijo or rv < res
                 if not accepted:
                     nu *= 4.0
@@ -310,7 +324,7 @@ def minimize_rayleigh(
     vals = _pin(init.values)
     if not np.any(vals):
         raise ZeroProfileError("initial profile vanishes on the interior nodes")
-    vals, lam, _, iters, converged = _newton(obj, vals, _shift_operator(grid, params), opts)
+    vals, lam, _, iters, converged = _newton(obj, vals, opts)
     return _report(grid, params, vals, lam, iters, converged, lam)
 
 
@@ -397,7 +411,9 @@ def minimize_coercive(
     Requires every positive-coefficient term to classify Subscaled (and
     lambda <= 0), or the mixed sign configuration with superscaled
     negative terms for lambda > 0. The minimizer sits at a negative
-    energy level; the report's value field is that level.
+    energy level; the report's value field is that level. The descent
+    starts from _coercive_init's scan, or from the unit Gaussian when no
+    scanned profile has a negative energy.
     """
     obj = _phi_energy(grid, params, lam, terms)  # bad grid or lambda: before the regime checks
     _check_coercive(params, terms, lam)
@@ -405,7 +421,9 @@ def minimize_coercive(
         return _report(grid, params, np.zeros(grid.M), 0.0, 0, True, lam, terms)
 
     vals = _coercive_init(grid, obj.terms)
-    vals, value, _, iters, converged = _newton(obj, vals, _shift_operator(grid, params), opts)
+    if not obj.value(vals) < 0:  # a far shift whose tiny energy and gradient round to 0
+        vals = _pin(sample_function(grid, "Gaussian", sigma=1.0).values)
+    vals, value, _, iters, converged = _newton(obj, vals, opts)
     return _report(grid, params, vals, value, iters, converged, lam, terms)
 
 
@@ -429,9 +447,7 @@ def newton_refine(
     """
     obj = _phi_energy(u.grid, params, lam, terms)
     budget = SolveOptions(min(opts.max_iters, 500), min(opts.grad_tol, 1e-10))
-    vals, value, _, iters, converged = _newton(
-        obj, _pin(u.values), _shift_operator(u.grid, params), budget, critical=True
-    )
+    vals, value, _, iters, converged = _newton(obj, _pin(u.values), budget, critical=True)
     return _report(u.grid, params, vals, value, iters, converged, lam, terms)
 
 
@@ -489,7 +505,7 @@ def _probe(
     vals = vals / B ** (1.0 / c)
 
     obj = _Quotient(Energy(grid, [], stiff_weight=1.0), c, eta, 1.0, c)
-    _, S, res, iters, converged = _newton(obj, vals, grid.quad.stiff, opts)
+    _, S, res, iters, converged = _newton(obj, vals, opts)
     if converged:
         return S, None
     return S, (f"probe_best_constant stopped after {iters} of at most {opts.max_iters} iterations "

@@ -433,6 +433,8 @@ _UNDERFLOW = ("--s-min", "1e-110", "--s-max", "1", "--M", "257")
         lambda d: ["eigen", *PARAMS, *_UNDERFLOW],
         lambda d: ["minimize", *PARAMS, *_UNDERFLOW, "--term", "1.0,1.8,2.2"],
         lambda d: ["probe", "--N", "3", "--eta", "0.5", *_UNDERFLOW],
+        # past numpy's array size limit: rejected before anything is allocated
+        lambda d: ["eigen", *PARAMS, "--s-min", "1e-3", "--s-max", "1e3", "--M", "100000000000000000000"],
     ],
     ids=["missing-profile", "directory-profile", "header-not-json", "header-missing-keys",
          "row-not-numeric", "rows-swapped", "s-column-scaled", "verify-dimension-mismatch",
@@ -447,7 +449,7 @@ _UNDERFLOW = ("--s-min", "1e-110", "--s-max", "1", "--M", "257")
          "thresholds-C1-without-C", "thresholds-eta2-without-S2", "thresholds-S2-without-eta2",
          "eigen-nodes-past-float-range", "eigen-weights-past-float-range",
          "probe-weights-past-float-range", "eigen-inner-weights-underflow",
-         "minimize-inner-weights-underflow", "probe-inner-weights-underflow"],
+         "minimize-inner-weights-underflow", "probe-inner-weights-underflow", "eigen-M-past-array-size"],
 )
 def test_bad_input_is_a_json_error(tmp_path, capsys, make_argv):
     # bad files and arguments are validation errors: one JSON document on

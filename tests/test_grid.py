@@ -33,7 +33,9 @@ def test_make_grid_step():
                                   (1e-3, math.inf, 257, 3), (math.nan, 1.0, 64, 3), (1e-3, math.nan, 64, 3),
                                   (1.0, 0.5, 64, 3), (1e-2, 1e2, 5, 3), (1e-2, 1e2, 64.5, 3),
                                   (1e-2, 1e2, math.nan, 3), (1e-2, 1e2, math.inf, 3), (1e-2, 1e2, 64, math.nan),
-                                  (1e-2, 1e2, 64, math.inf), (-1.0, 1e2, 64, 3), (1e-3, 1e3, "257", 3)])
+                                  (1e-2, 1e2, 64, math.inf), (-1.0, 1e2, 64, 3), (1e-3, 1e3, "257", 3),
+                                  # node counts past numpy's array size limit, refused before allocating
+                                  (1e-3, 1e3, 1e300, 3), (1e-3, 1e3, 10 ** 20, 3), (1e-3, 1e3, 10 ** 400, 3)])
 def test_make_grid_domain(args):
     assert il.make_grid is il.RadialGrid  # one constructor, so one set of checks
     for make in (il.make_grid, il.RadialGrid):

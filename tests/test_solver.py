@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import inlslab as il
-from inlslab.functionals import Energy, _residuals
-from inlslab.solver import _coercive_init, _pin, _solve_tridiag, _with_diag
+from inlslab import solver
+from inlslab.functionals import Energy, _phi_energy, _residuals
+from inlslab.solver import _coercive_init, _pin, _solve_tridiag
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +166,21 @@ def test_coercive_negative_level(ref_params):
     assert rep.value == pytest.approx(-9.653662119594074, rel=1e-9)
     # the benchmark's coercive solve, pinned to the bit
     assert (rep.iters, rep.value) == (20, -9.653662119593818)
+
+
+@pytest.mark.parametrize("lam, level", [(-0.7, -1.1389834415233349), (-0.9, -0.7611359894101986),
+                                         (-1.5, -0.26393108389884157)])
+def test_coercive_starts_from_the_gaussian_when_no_scanned_energy_is_negative(ref_params, lam, level):
+    # no scanned profile has a negative energy here, and the least was a far
+    # shift whose values (about 1e-273) have an energy and residual that round
+    # to 0: the solve reported the level 0 as converged after 0 steps
+    grid = il.make_grid(1e-3, 1e3, 257, 3)
+    terms = [il.TermSpec(1.0, 1.8, 2.2)]
+    energy = _phi_energy(grid, ref_params, lam, terms)
+    assert not energy.value(_coercive_init(grid, energy.terms)) < 0
+    rep = il.minimize_coercive(grid, ref_params, terms, lam)
+    assert rep.converged and rep.el_res <= 1e-8
+    assert (rep.iters, rep.value) == (14, level)
 
 
 def test_coercive_rejects_scaled_borderline(ref_params, small_grid):
@@ -517,20 +533,87 @@ def _assert_same_bits(ab, rhs):
     assert ab.tobytes() == ab_in.tobytes() and rhs.tobytes() == rhs_in.tobytes()
 
 
-def test_preconditioner_solve_matches_solve_banded():
-    # the descent preconditioner, stiffness + 1/2 mass on the free nodes,
-    # built as minimize_rayleigh does, on the reference grid against
-    # right-hand sides spread over 24 decades
-    q = il.make_grid(1e-4, 1e4, 1025, 3).quad
-    mass_diag = 0.5 * q.mass(1.0)
-    pre = _with_diag(q.stiff, mass_diag[q.free])
-    ab = q.stiff.copy()
-    ab[1, :] += mass_diag[q.free]
-    np.testing.assert_array_equal(pre, ab)
+def _driver_runs(P, g, opts):
+    """A run of each driver on g. The first three solve for Phi, whose
+    operator term makes their shift operator stiffness + 1/2 mass(b);
+    the probe's numerator has no terms, so its shift is the stiffness."""
+    gauss = il.sample_function(g, "Gaussian", sigma=1.0)
+    bump = il.sample_function(g, "Bump", lo=1.0, hi=2.0)  # its Rayleigh solve rejects shifts
+    return {
+        "rayleigh": lambda: il.minimize_rayleigh(g, P, bump, opts),
+        "coercive": lambda: il.minimize_coercive(g, P, [il.TermSpec(1.0, 1.8, 2.2)], 0.0, opts),
+        "refine": lambda: il.newton_refine(gauss, P, 1.0, [], opts),
+        "probe": lambda: solver._probe(g, 3, 0.0, opts, None),
+    }
+
+
+def test_preconditioner_solve_matches_solve_banded(ref_params, monkeypatch):
+    # each driver's shift operator, derived from its objective, is the band
+    # the drivers built themselves before: stiffness + 1/2 mass(b) on the
+    # free nodes, or the stiffness alone for the probe, bit for bit; solved
+    # on the reference grid against right-hand sides spread over 24 decades
+    g = il.make_grid(1e-4, 1e4, 1025, 3)
+    q = g.quad
+    made = []
+
+    class Recording(solver._Steps):
+        def __init__(self, obj):
+            super().__init__(obj)
+            made.append(self)
+
+    monkeypatch.setattr(solver, "_Steps", Recording)
+    phi_shift = q.stiff.copy()
+    phi_shift[1, :] += 0.5 * q.mass(ref_params.b)[q.free]
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        rhs = rng.standard_normal(len(ab[1])) * 10.0 ** rng.uniform(-12, 12, len(ab[1]))
-        _assert_same_bits(pre, rhs)
+    for name, run in _driver_runs(ref_params, g, il.SolveOptions(max_iters=1)).items():
+        run()
+        shift = made.pop().shift
+        assert not made
+        assert shift.tobytes() == (q.stiff if name == "probe" else phi_shift).tobytes(), name
+        for _ in range(50 if name == "rayleigh" else 5):
+            rhs = rng.standard_normal(len(shift[1])) * 10.0 ** rng.uniform(-12, 12, len(shift[1]))
+            _assert_same_bits(shift, rhs)
+
+
+def test_every_trial_solve_goes_through_the_step_system(ref_params, monkeypatch):
+    # a counting step system sees every trial's solve: each LAPACK call of
+    # a run is made inside its solve, the rejected shifts' too, and the
+    # runs keep their bits
+    g = il.make_grid(1e-3, 1e3, 257, 3)
+    runs = _driver_runs(ref_params, g, il.SolveOptions())
+    before = {name: run() for name, run in runs.items()}
+    inside, steps, seam, lapack = [False], [], [], []
+    solve_tridiag = solver._solve_tridiag
+
+    def counted_tridiag(ab, rhs):
+        lapack.append(inside[0])
+        return solve_tridiag(ab, rhs)
+
+    class Counting(solver._Steps):
+        def linearize(self, vals, value, scale):
+            steps.append(1)
+            super().linearize(vals, value, scale)
+
+        def solve(self, nu, rhs):
+            seam.append(nu)
+            inside[0] = True
+            try:
+                return super().solve(nu, rhs)
+            finally:
+                inside[0] = False
+
+    monkeypatch.setattr(solver, "_solve_tridiag", counted_tridiag)
+    monkeypatch.setattr(solver, "_Steps", Counting)
+    rejected = 0
+    for name, run in runs.items():
+        for counts in (steps, seam, lapack):
+            counts.clear()
+        after = run()
+        assert after == before[name], name  # a report's equality covers its profile's bits
+        assert len(seam) == len(lapack) >= len(steps) > 0 and all(lapack), name
+        assert name == "probe" or len(steps) >= after.iters
+        rejected += len(seam) - len(steps)
+    assert rejected > 0
 
 
 def test_tridiag_matches_solve_banded_with_pivoting():
@@ -592,11 +675,16 @@ def test_solve_options_validation():
 def test_reports_carry_python_float_residuals(ref_params, small_grid, eigen_run):
     # a numpy scalar residual would show as np.float64(...) in every report's repr
     coercive_grid = il.make_grid(2e-5, 1e4, 513, 3)
+    # numpy scalar parameters are stored as floats, so they derive float exponents
+    numpy_params = il.derive_params(np.int64(3), np.float64(1.0), np.float64(3.5), np.float64(3.0))
+    assert numpy_params == ref_params
+    assert all(type(getattr(numpy_params, f)) is float for f in ("b", "q", "p", "delta", "a", "ell"))
     reports = [
         eigen_run,
         il.minimize_coercive(coercive_grid, ref_params, [il.TermSpec(1.0, 1.8, 2.2)]),
         il.minimize_coercive(small_grid, ref_params, []),  # the zero profile, solved without a step
         il.newton_refine(eigen_run.profile, ref_params, eigen_run.value, []),
+        il.newton_refine(eigen_run.profile, numpy_params, eigen_run.value, []),
     ]
     docs = [r.to_dict() for r in reports]
     docs.append(_residuals(eigen_run.profile, ref_params, eigen_run.value, [il.TermSpec(-1.0, 1.8, 2.2)]))
