@@ -238,12 +238,12 @@ def _run(args) -> int:
 
     if args.command == "eigen":
         from .grid import make_grid, sample_function
-        from .solver import minimize_rayleigh
+        from .solver import _centred_gaussian, minimize_rayleigh
 
         params = derive_params(args.N, args.b, args.q, args.p)
         grid = make_grid(args.s_min, args.s_max, args.M, args.N)
         if args.init == "gaussian":
-            init = sample_function(grid, "Gaussian", sigma=1.0)
+            init = _centred_gaussian(grid)
         else:
             init = sample_function(grid, "Bump", lo=1.0, hi=2.0)
         report = minimize_rayleigh(grid, params, init, _opts(args))

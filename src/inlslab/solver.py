@@ -63,7 +63,6 @@ import sys
 import warnings
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NotCoerciveConfig, SingularHessian, ZeroProfileError, _Value, _whole
 from .exponents import Params, critical_exponent, ell_of
@@ -367,36 +366,32 @@ def _check_coercive(params: Params, terms: list[TermSpec], lam: float) -> None:
                 )
 
 
+def _centred_gaussian(grid: RadialGrid) -> RadialProfile:
+    """The Gaussian of width sqrt(s_min s_max), a float as s_max / s_min is, centred
+    on the window in ln s: the unit Gaussian on windows symmetric about s = 1. A
+    sample that is 0 / 0 (s^2 and sigma^2 underflow) is a DomainError."""
+    with np.errstate(invalid="ignore"):
+        return sample_function(grid, "Gaussian", sigma=grid.s_min * math.sqrt(grid.s_max / grid.s_min))
+
+
 def _coercive_init(grid: RadialGrid, terms) -> np.ndarray:
-    """minimize_coercive's init: the most negative energy 1/2 dirichlet +
-    sum_k coeff_k wint(r_k, eta_k) over the Gaussian shifted by every 8th
-    cell, times 25 amplitudes from 1e-3 to 1e3. The first minimum wins,
-    shifts first; an energy that is NaN never does. terms is a (coeff,
-    eta, r) list as Energy takes it. The shifts are windows of the Gaussian
-    extended as shift_values extends it, scanned about 2^14 values at a time;
-    a window of the extension's power is the window's power, bit for bit."""
-    quad, M = grid.quad, grid.M
-    base = sample_function(grid, "Gaussian", sigma=1.0).values
+    """minimize_coercive's init: of the Gaussians A exp(-s^2 / (2 sigma^2)), 25
+    amplitudes A from 1e-3 to 1e3 by the widths sigma from e^-2 s_min to e^2 s_max
+    in steps of e^(1/2), widened to at most 64 widths, the first of least energy
+    if that is negative (a NaN energy, an overflow, never wins), or else the
+    centred Gaussian. terms is a (coeff, eta, r) list as Energy takes it."""
+    quad, s = grid.quad, grid.nodes
+    lo, span = math.log(grid.s_min) - 2.0, math.log(grid.s_max / grid.s_min) + 4.0
+    sigma = np.exp(lo + max(0.5, span / 63.0) * np.arange(min(64, int(2.0 * span) + 1)))
     amps = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 25))
-    # A ** r by numpy's scalar power, once per term: the array power may
-    # round differently, and the scan's winner must not move
-    powers = [np.array([A ** r for A in amps]) for (_, _, r) in terms]
-    ext = np.concatenate((np.full(M - 2, base[0]), base, np.zeros(M - 2)))  # >= 0: its own |ext|
-    windows = [sliding_window_view(e, M)[::8] for e in [ext] + [ext ** r for (_, _, r) in terms]]
-    step = max(1, 2 ** 14 // M)
-    energies = []
-    for lo in range(0, len(windows[0]), step):
-        sv, *svr = [_pin(w[lo:lo + step]) for w in windows]
-        d = 0.5 * quad.dirich_rows(sv)
-        e = d[:, None] * amps * amps + sum((c * quad.wint_rows(ar, eta))[:, None] * pw
-                                           for (c, eta, _), ar, pw in zip(terms, svr, powers))
-        e[np.isnan(e) | ~sv.any(axis=1)[:, None]] = math.inf  # an all-zero row is skipped
-        energies.append(e)
-    energies = np.concatenate(energies)
-    row, i = divmod(int(np.argmin(energies)), len(amps))  # the first least, shifts first
-    if not energies[row, i] < math.inf:
-        raise ZeroProfileError("initialization scan found no usable profile")
-    return amps[i] * _pin(windows[0][row])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # such energies lose below
+        rows = _pin(np.exp(-(s ** 2) / (2.0 * sigma[:, None] ** 2)))
+        e = 0.5 * quad.dirich_rows(rows)[:, None] * amps * amps
+        for c, eta, r in terms:
+            e += (c * quad.wint_rows(rows ** r, eta))[:, None] * amps ** r
+    e = np.where(e < 0, e, 0.0)  # a NaN or an energy >= 0 never wins
+    k, i = divmod(int(np.argmin(e)), len(amps))  # the first least, widths first
+    return amps[i] * rows[k] if e[k, i] < 0 else _pin(_centred_gaussian(grid).values)
 
 
 def minimize_coercive(
@@ -406,24 +401,23 @@ def minimize_coercive(
     lam: float = 0.0,
     opts: SolveOptions = SolveOptions(),
 ) -> SolveReport:
-    """Global minimization of the coercive subscaled energy.
+    """Descent on the coercive subscaled energy to a negative level.
 
     Requires every positive-coefficient term to classify Subscaled (and
     lambda <= 0), or the mixed sign configuration with superscaled
-    negative terms for lambda > 0. The minimizer sits at a negative
-    energy level; the report's value field is that level. The descent
-    starts from _coercive_init's scan, or from the unit Gaussian when no
-    scanned profile has a negative energy.
+    negative terms for lambda > 0. The descent starts from the profile of
+    least energy among amplitudes and dilations of the Gaussian
+    (_coercive_init), or from the Gaussian centred on the window when
+    none of their energies is negative. The report's value field is the
+    level the descent reaches; a value >= 0 means the scan found no
+    negative level.
     """
     obj = _phi_energy(grid, params, lam, terms)  # bad grid or lambda: before the regime checks
     _check_coercive(params, terms, lam)
     if not any(t.c > 0 for t in terms) and lam <= 0:
         return _report(grid, params, np.zeros(grid.M), 0.0, 0, True, lam, terms)
 
-    vals = _coercive_init(grid, obj.terms)
-    if not obj.value(vals) < 0:  # a far shift whose tiny energy and gradient round to 0
-        vals = _pin(sample_function(grid, "Gaussian", sigma=1.0).values)
-    vals, value, _, iters, converged = _newton(obj, vals, opts)
+    vals, value, _, iters, converged = _newton(obj, _coercive_init(grid, obj.terms), opts)
     return _report(grid, params, vals, value, iters, converged, lam, terms)
 
 

@@ -1,6 +1,7 @@
 """CLI behavior: JSON documents, files, exit codes, round-trips."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import inlslab as il
+from inlslab import solver
 from inlslab.cli import _linspace, build_parser, main
+from inlslab.functionals import Energy
 
 
 def run_cli(capsys, *argv):
@@ -309,7 +312,13 @@ def test_one_command_parser_matches_the_full_parser(argv, capsys):
      ['"upper": "inf"']),
     (["eigen", *PARAMS, "--s-min", "1e-3", "--s-max", "1e3", "--M", "257", "--init", "bump"],
      ['"value": 1.3458659777074762', '"iters": 19']),
-], ids=["classify-N2-infinite-upper", "eigen-bump-init"])
+    # the Gaussian init is centred on the window; sigma = 1 vanished on every node here
+    (["eigen", *PARAMS, "--s-min", "100", "--s-max", "1e6", "--M", "257"],
+     ['"value": 1.4237571289801176', '"iters": 38']),
+    # the coercive scan dilates the Gaussian; it used to end at +1.09e-14 here
+    (["minimize", *PARAMS, "--s-min", "3", "--s-max", "1e5", "--M", "257", "--term", "1.0,1.8,2.2"],
+     ['"value": -2.8954512847270912', '"iters": 18']),
+], ids=["classify-N2-infinite-upper", "eigen-bump-init", "eigen-outer-window", "minimize-outer-window"])
 def test_command_prints_pinned_lines(argv, lines, capsys):
     # outputs the README commands do not reach; the eigen lines are the ones CI greps
     code, out, err = run_cli(capsys, *argv)
@@ -331,6 +340,19 @@ def test_capped_solve_prints_its_result_then_diverges(argv, capsys):
     assert code == 3
     assert json.loads(out)
     assert json.loads(err)["error"] == "DIVERGED"
+
+
+def test_minimize_with_no_finite_scanned_energy_is_a_json_error(capsys, monkeypatch):
+    # every scanned energy is NaN, so the solve starts from the centred
+    # Gaussian, whose energy is NaN too: an init out of float range
+    terms = [(1.0, 1.0, 3.5), (math.inf, 1.8, 2.2), (-math.inf, 1.8, 2.2)]
+    monkeypatch.setattr(solver, "_phi_energy", lambda grid, *_: Energy(grid, terms))
+    code, out, err = run_cli(capsys, "minimize", *PARAMS, "--s-min", "1e-3", "--s-max", "1e3", "--M", "257",
+                             "--term", "1.0,1.8,2.2")
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "DOMAIN" and doc["message"].startswith("init out of float range: objective nan")
 
 
 def _malformed_profile(tmp_path, first_line=None, bad_row=False, swap_rows=False, s_times=None,
@@ -431,6 +453,8 @@ _UNDERFLOW = ("--s-min", "1e-110", "--s-max", "1", "--M", "257")
         lambda d: ["eigen", *PARAMS, "--s-min", "1e-120", "--s-max", "1e120", "--M", "257"],
         lambda d: ["probe", "--N", "3", "--eta", "0.5", "--s-min", "1e-120", "--s-max", "1e120", "--M", "257"],
         lambda d: ["eigen", *PARAMS, *_UNDERFLOW],
+        # the centred Gaussian's s^2 / sigma^2 is 0 / 0 on the inner nodes
+        lambda d: ["eigen", *PARAMS, "--s-min", "1e-250", "--s-max", "1e-80", "--M", "257"],
         lambda d: ["minimize", *PARAMS, *_UNDERFLOW, "--term", "1.0,1.8,2.2"],
         lambda d: ["probe", "--N", "3", "--eta", "0.5", *_UNDERFLOW],
         # past numpy's array size limit: rejected before anything is allocated
@@ -448,7 +472,7 @@ _UNDERFLOW = ("--s-min", "1e-110", "--s-max", "1", "--M", "257")
          "no-metadata-line", "wrong-column-header", "short-profile", "thresholds-C-without-C1",
          "thresholds-C1-without-C", "thresholds-eta2-without-S2", "thresholds-S2-without-eta2",
          "eigen-nodes-past-float-range", "eigen-weights-past-float-range",
-         "probe-weights-past-float-range", "eigen-inner-weights-underflow",
+         "probe-weights-past-float-range", "eigen-inner-weights-underflow", "eigen-centred-gaussian-underflow",
          "minimize-inner-weights-underflow", "probe-inner-weights-underflow", "eigen-M-past-array-size"],
 )
 def test_bad_input_is_a_json_error(tmp_path, capsys, make_argv):

@@ -2,6 +2,7 @@
 in the acceptance suite."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -165,7 +166,7 @@ def test_coercive_negative_level(ref_params):
     # the global minimum, not another local one (-3.934 sits on a sign-changing profile)
     assert rep.value == pytest.approx(-9.653662119594074, rel=1e-9)
     # the benchmark's coercive solve, pinned to the bit
-    assert (rep.iters, rep.value) == (20, -9.653662119593818)
+    assert (rep.iters, rep.value) == (20, -9.65366211959347)
 
 
 @pytest.mark.parametrize("lam, level", [(-0.7, -1.1389834415233349), (-0.9, -0.7611359894101986),
@@ -238,22 +239,20 @@ def test_coercive_reported_residual_is_the_public_one(ref_params):
 
 
 def _coercive_init_loop(grid, terms):
-    # minimize_coercive's init scan one amplitude at a time, as it was written
-    quad = grid.quad
-    base = il.sample_function(grid, "Gaussian", sigma=1.0).values
-    best = (math.inf, None)
-    amps = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 25))
-    for k in range(-(grid.M - 2), grid.M - 1, 8):
-        sv = _pin(il.grid.shift_values(grid, base, k))
-        if not np.any(sv):
-            continue
-        d = 0.5 * quad.dirich(sv)
-        ints = [(c, quad.wint(sv, r, eta)) for (c, eta, r) in terms]
-        for A in amps:
-            val = d * A * A + sum(c * iv * A ** r for (c, iv), (_, _, r) in zip(ints, terms))
-            if val < best[0]:
-                best = (val, A * sv)
-    return None if best[1] is None else _pin(best[1])
+    # minimize_coercive's init one candidate A exp(-s^2 / (2 sigma^2)) at a time, by Energy.value
+    energy = Energy(grid, terms)
+    lo, span = math.log(grid.s_min) - 2.0, math.log(grid.s_max / grid.s_min) + 4.0
+    n = min(64, int(2.0 * span) + 1)
+    best, init = 0.0, None
+    for sigma in np.exp(lo + max(0.5, span / 63.0) * np.arange(n)):
+        row = _pin(il.sample_function(grid, "Gaussian", sigma=float(sigma)).values)
+        for A in np.exp(np.linspace(math.log(1e-3), math.log(1e3), 25)):
+            val = energy.value(A * row)
+            if val < best:  # strict: the first of equal energies wins, and a NaN never does
+                best, init = val, A * row
+    if init is None:  # no negative energy: the Gaussian centred on the window
+        init = _pin(il.sample_function(grid, "Gaussian", sigma=math.sqrt(grid.s_min * grid.s_max)).values)
+    return init
 
 
 #: the energy terms of acceptance criterion 7: Phi of the reference params with TermSpec(1, 1.8, 2.2)
@@ -265,18 +264,16 @@ _CRITERION_7 = [(1.0 / 3.5, 1.0, 3.5), (-1.0 / 2.2, 1.8, 2.2)]
     ((1e-3, 1e3, 257), [(1.0 / 3.5, 1.0, 3.5), (-0.5 / 3.0, 4.0 / 3.0, 3.0), (-1.0 / 2.2, 1.8, 2.2),
                         (0.3 / 2.9, 1.5, 2.9)]),
     # energies that overflow to inf - inf = NaN at the large amplitudes, past
-    # the least energy of the best shifts; below the overflow the first two
-    # terms cancel exactly, so the energy is 1/2 dirichlet + the last two
+    # the least energy; below the overflow the first two terms cancel
+    # exactly, so the energy is 1/2 dirichlet + the last two
     ((1e-3, 1e3, 257), [(1e200, 1.8, 40.0), (-1e200, 1.8, 40.0), (1.0, 1.0, 8.0), (-1.0, 1.8, 3.0)]),
-    # NaN at every amplitude: no usable profile
+    # NaN at every candidate: the centred Gaussian
     ((1e-3, 1e3, 257), [(1.0, 1.0, 3.5), (math.inf, 1.8, 2.2), (-math.inf, 1.8, 2.2)]),
-    # every energy positive or 0: the shifts that leave only the Gaussian's underflowing
-    # tail on the free nodes tie at 0, and the first of them wins
-    ((1e-3, 1e3, 257), [(1.0, 1.0, 3.5)]),
-    # every energy positive, and no Gaussian value below 1e-22: the last shift, by
-    # M - 2 cells, vanishes on the free nodes, and its energy 0 must not win
+    # energies that overflow to -inf tie, and the first of them wins
+    ((1e-3, 1e3, 257), [(1.0, 1.0, 3.5), (-1e300, 1.8, 2.2)]),
+    # every energy positive: the centred Gaussian, of width 0.1 on this window
     ((1e-3, 10.0, 258), [(1.0, 1.0, 3.5)]),
-    # the criterion's own window at three sizes: one block holds 31, 15 and 3 shifts
+    # the criterion's own window at three sizes
     ((2e-5, 1e4, 513), _CRITERION_7),
     ((2e-5, 1e4, 1025), _CRITERION_7),
     ((2e-5, 1e4, 4097), _CRITERION_7),
@@ -284,13 +281,38 @@ _CRITERION_7 = [(1.0 / 3.5, 1.0, 3.5), (-1.0 / 2.2, 1.8, 2.2)]
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_coercive_init_matches_the_amplitude_loop(window, terms):
     grid = il.make_grid(*window, 3)
-    want = _coercive_init_loop(grid, terms)
-    if want is None:
-        with pytest.raises(il.ZeroProfileError):
-            _coercive_init(grid, terms)
-    else:
-        got = _coercive_init(grid, terms)
-        assert got.tobytes() == want.tobytes()
+    assert _coercive_init(grid, terms).tobytes() == _coercive_init_loop(grid, terms).tobytes()
+
+
+@pytest.mark.parametrize("window, term", [
+    ((3.0, 1e5, 257), (1.0, 1.8, 2.2)),
+    ((10.0, 1e6, 257), (1.0, 1.8, 2.2)),
+    ((100.0, 1e6, 257), (1.0, 1.8, 2.2)),
+    ((30.0, 1e3, 257), (2.0, 1.9, 2.1)),
+], ids=["3-1e5", "10-1e6", "100-1e6", "30-1e3"])
+def test_coercive_reaches_a_negative_level_on_windows_away_from_one(ref_params, window, term):
+    # the init scan used to miss the negative level on these windows: it
+    # ended at +1.09e-14 and +8.8e-45 as converged, exited with "Gaussian with
+    # sigma=1.0 vanishes", and ended at 0.0 after 0 steps. Each window cuts
+    # the minimizer at its inner end, so the Pohozaev identity misses by the
+    # pin's boundary term: 0.7 % to 1.5 %, the same at M = 1025, not 1e-3
+    rep = il.minimize_coercive(il.make_grid(*window, 3), ref_params, [il.TermSpec(*term)], 0.0)
+    assert rep.converged and rep.el_res <= 1e-8
+    assert rep.value < 0
+    assert rep.pohozaev_res <= 2e-2
+
+
+def test_coercive_init_scans_at_most_64_widths():
+    # a 200-decade window: the step between widths grows, so each array the
+    # scan makes holds at most 64 x M values
+    grid = il.make_grid(1e-100, 1e100, 4097, 3)
+    tracemalloc.start()
+    try:
+        _coercive_init(grid, _CRITERION_7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 64 * grid.M * 8
 
 
 # --------------------------------------------------------------- newton
