@@ -70,15 +70,26 @@ def energy_terms(params: Params, lam: float, terms: list[TermSpec]) -> list[tupl
     return out
 
 
-def _pow(a: np.ndarray, e: float) -> np.ndarray:
-    """a^e for a = |v| >= 0, with 0^e = 0 also for e <= 0 (term powers < 2)."""
-    if e >= 0:
-        return a ** e
-    out = np.zeros_like(a)
-    nz = a != 0
-    with np.errstate(over="ignore"):  # a tiny node gives inf, which the callers reject
-        out[nz] = a[nz] ** e
-    return out
+class _Point:
+    """What an energy's value, gradient and Hessian diagonal at nodal values v
+    share: a = |v|, sign(v), the cell slopes and t_k = a^(r_k - 1) for each
+    power r_k of its terms, so that a^r_k = t_k a and a^(r_k - 2) = t_k / a."""
+
+    __slots__ = ("a", "sign", "slopes", "t", "_a_or_1")
+
+    def __init__(self, quad, vals: np.ndarray, powers: list[float]):
+        self.a, self.sign = np.abs(vals), np.sign(vals)
+        self.slopes = quad.slopes(vals)
+        self.t = [self.a ** (r - 1.0) for r in powers]
+        self._a_or_1 = None
+
+    def curv(self, k: int, r: float) -> np.ndarray | float:
+        """a^(r - 2) = t_k / a for the k-th power r: 0 at a = 0 (1 for r = 2), inf where it overflows."""
+        if r == 2.0:
+            return 1.0
+        if self._a_or_1 is None:
+            self._a_or_1 = self.a + (self.a == 0.0)  # t_k / 1 = 0 where a = 0
+        return self.t[k] / self._a_or_1
 
 
 class Energy:
@@ -87,49 +98,51 @@ class Energy:
 
     terms is a (coeff, eta, r) list as built by energy_terms. The
     Dirichlet weight stiff_weight is 1/2 in Phi; the embedding-constant
-    probe's numerator is Energy(grid, [], stiff_weight=1.0). The
-    solvers read it through evaluate(vals) = (value, slope scale),
-    grad(vals, value, scale) and hess_diag(vals, value, scale); an
+    probe's numerator is Energy(grid, [], stiff_weight=1.0). value(x) and
+    the solvers' interface, evaluate(x) = (value, slope scale), grad and
+    hess_diag at (x, value, scale), take nodal values or their point; an
     energy's slope scale is 1. hess_diag is the diagonal part of the
     Hessian, whose tridiagonal part is stiff_weight times the stiffness
-    band quad.stiff. _value and _grad take |vals| and sign(vals) from the caller.
+    band quad.stiff. grad adds its terms one by one, left to right.
     """
 
     def __init__(self, grid: RadialGrid, terms: list[tuple[float, float, float]], stiff_weight: float = 0.5):
         self.quad = grid.quad
         self.terms = terms
         self.stiff_weight = stiff_weight
+        self.powers = [r for _, _, r in terms]
         self.masses = [self.quad.mass(eta) for _, eta, _ in terms]
-        # grad's and hess_diag's factors c r mass and c r (r-1) mass, left to right
-        self._gmass = [c * r * m for (c, _, r), m in zip(terms, self.masses)]
-        self._hmass = [c * r * (r - 1.0) * m for (c, _, r), m in zip(terms, self.masses)]
+        # grad's and hess_diag's factors c r mass, c r (r-1) mass; a huge c makes them inf (_newton rejects)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._gmass = [c * r * m for (c, _, r), m in zip(terms, self.masses)]
+            self._hmass = [c * r * (r - 1.0) * m for (c, _, r), m in zip(terms, self.masses)]
 
-    def value(self, vals: np.ndarray) -> float:
-        return self._value(vals, np.abs(vals))
+    def point(self, vals: np.ndarray | _Point) -> _Point:
+        """The point at vals (vals if it is one)."""
+        return vals if isinstance(vals, _Point) else _Point(self.quad, vals, self.powers)
 
-    def _value(self, vals: np.ndarray, a: np.ndarray) -> float:
-        out = self.stiff_weight * self.quad.dirich(vals)
-        for (c, eta, r) in self.terms:
-            out += c * self.quad.wint(a, r, eta)
+    def value(self, x: np.ndarray | _Point) -> float:
+        pt = self.point(x)
+        out = self.stiff_weight * float(self.quad.dirich_rows(pt.slopes))
+        for (c, eta, _), t in zip(self.terms, pt.t):
+            out += c * float(self.quad.wint_rows(t * pt.a, eta))
         return out
 
-    def evaluate(self, vals: np.ndarray) -> tuple[float, float]:
-        return self.value(vals), 1.0
+    def evaluate(self, x: np.ndarray | _Point) -> tuple[float, float]:
+        return self.value(x), 1.0
 
-    def grad(self, vals: np.ndarray, value: float | None = None, scale: float | None = None) -> np.ndarray:
-        return self._grad(vals, np.abs(vals), np.sign(vals))
-
-    def _grad(self, vals: np.ndarray, a: np.ndarray, sign: np.ndarray) -> np.ndarray:
-        out = self.stiff_weight * self.quad.grad_dirich(vals)
-        for (_, _, r), gm in zip(self.terms, self._gmass):
-            out += gm * _pow(a, r - 1.0) * sign
+    def grad(self, x: np.ndarray | _Point, value=None, scale=None) -> np.ndarray:
+        pt = self.point(x)
+        out = self.stiff_weight * self.quad.grad_dirich(pt.slopes)
+        for gm, t in zip(self._gmass, pt.t):
+            out += gm * t * pt.sign
         return out
 
-    def hess_diag(self, vals: np.ndarray, value: float, scale: float) -> np.ndarray:
-        a = np.abs(vals)
-        out = np.zeros(len(vals))
-        for (_, _, r), hm in zip(self.terms, self._hmass):
-            out += hm * _pow(a, r - 2.0)
+    def hess_diag(self, x: np.ndarray | _Point, value=None, scale=None) -> np.ndarray:
+        pt = self.point(x)
+        out = np.zeros(len(pt.a))
+        for k, (r, hm) in enumerate(zip(self.powers, self._hmass)):
+            out += hm * pt.curv(k, r)
         return out
 
 

@@ -97,16 +97,19 @@ make_grid = RadialGrid
 class Quadrature:
     """The discrete sums of one grid on raw nodal values.
 
-    wint(a, r, eta) = omega h sum_i w_i a_i^r s_i^(N-eta)   (trapezoid in ln s)
-    dirich(v)       = sum_cells cw_i slope_i^2,   cw_i = omega h smid_i^N
+    wint(a, r, eta)  = omega h sum_i w_i a_i^r s_i^(N-eta)   (trapezoid in ln s)
+    dirich_rows(sl)  = sum_cells cw_i sl_i^2,   cw_i = omega h smid_i^N
 
-    with a = |v|, w the trapezoid weights, slope_i = (v_{i+1} - v_i) / ds_i
-    and smid the geometric cell midpoint; wint_rows(a^r, eta) and
-    dirich_rows(v) take each row's sum. w s^(N-eta) is cached per eta;
-    w is 0.5 or 1, so every grouping of these products rounds alike.
-    The kernels set no np.errstate, which costs about 1 us a call and every
-    Newton step calls them: their callers set it once (weighted_integral,
-    dirichlet_energy, the public functionals and the Newton engine).
+    with a = |v|, sl = slopes(v), slope_i = (v_{i+1} - v_i) / ds_i, w the
+    trapezoid weights and smid the geometric cell midpoint. wint_rows takes
+    a^r and dirich_rows and grad_dirich the slopes (of each row of a
+    block), so an energy forms them once for its value and gradient. Every
+    sum is numpy's pairwise add.reduce, not a BLAS dot, whose bits depend
+    on the CPU. w s^(N-eta) is cached per eta; w is 0.5 or 1, so every
+    grouping of these products rounds alike. The kernels set no
+    np.errstate, which costs about 1 us a call and every Newton trial calls
+    them: their callers set it once (weighted_integral, dirichlet_energy,
+    the public functionals and the Newton engine).
     """
 
     def __init__(self, grid: RadialGrid):
@@ -140,25 +143,24 @@ class Quadrature:
     def wint_rows(self, ar: np.ndarray, eta: float) -> np.ndarray:
         return self.omega_h * np.add.reduce(ar * self._w_pow(eta), axis=-1)
 
-    def dirich(self, vals: np.ndarray) -> float:
-        return float(self.dirich_rows(vals))
+    def slopes(self, vals: np.ndarray) -> np.ndarray:
+        """The cell slopes (v_{i+1} - v_i) / ds_i, of each row of a block."""
+        return (vals[..., 1:] - vals[..., :-1]) / self.ds
 
-    def dirich_rows(self, vals: np.ndarray) -> np.ndarray:
-        slopes = (vals[..., 1:] - vals[..., :-1]) / self.ds
+    def dirich_rows(self, slopes: np.ndarray) -> np.ndarray:
         return np.add.reduce(self.cw * slopes * slopes, axis=-1)
 
-    def grad_dirich(self, vals: np.ndarray) -> np.ndarray:
-        """Gradient of dirich with respect to the nodal values."""
-        slopes = (vals[1:] - vals[:-1]) / self.ds
+    def grad_dirich(self, slopes: np.ndarray) -> np.ndarray:
+        """Gradient of the Dirichlet sum with respect to the nodal values."""
         f = self._cw2 * slopes / self.ds
-        out = np.zeros(len(vals))
+        out = np.zeros(len(self.w))
         out[1:] += f
         out[:-1] -= f
         return out
 
     @cached_property
     def stiff(self) -> np.ndarray:
-        """Hessian of dirich on the interior nodes, a read-only tridiagonal
+        """Hessian of the Dirichlet sum on the interior nodes, a read-only tridiagonal
         band in scipy.linalg.solve_banded's (1, 1) layout."""
         k = 2.0 * self.cw / self.ds ** 2
         ab = np.zeros((3, len(self.w) - 2))
@@ -227,7 +229,7 @@ def weighted_integral(u: RadialProfile, r: float, eta: float) -> float:
 def dirichlet_energy(u: RadialProfile) -> float:
     """omega_{N-1} * sum_cells (slope_i)^2 smid_i^N h, smid geometric midpoint."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return u.grid.quad.dirich(u.values)
+        return float(u.grid.quad.dirich_rows(u.grid.quad.slopes(u.values)))
 
 
 def shift_values(grid: RadialGrid, vals: np.ndarray, k: int) -> np.ndarray:

@@ -38,14 +38,15 @@ All solvers share one strategy, validated on the reference problems:
   maximum), so it runs the engine in its critical-point mode: the first
   shift is tiny, so the first trial is Newton's step; trials keep their
   signs; and a smaller dual-norm residual alone accepts a step.
-* each matrix is solved once, by one LAPACK dgtsv call from scipy's
-  compiled wrapper module scipy/linalg/_flapack, loaded from its file on
-  the first solve (_lapack). Importing the scipy.linalg package instead
-  would run its array-API set-up, which pulls in numpy.testing,
-  numpy.f2py, numpy.ma and numpy.random and costs more start-up time
-  than numpy and this package together. The wrapper functions are the
-  objects scipy.linalg.lapack re-exports, so every solve has the same
-  bits either way.
+* each matrix is solved once, in place, by one LAPACK dgtsv call with
+  its overwrite flags, from scipy's compiled wrapper module
+  scipy/linalg/_flapack, loaded from its file on the first solve
+  (_lapack). Importing the scipy.linalg package instead would run its
+  array-API set-up, which pulls in numpy.testing, numpy.f2py, numpy.ma
+  and numpy.random and costs more start-up time than numpy and this
+  package together. The wrapper functions are the objects
+  scipy.linalg.lapack re-exports, so every solve has the same bits
+  either way.
 
 The quotient drivers do not renormalize iterates: both quotients are
 scale-free, and for the Rayleigh quotient interpolated rescaling onto
@@ -66,7 +67,7 @@ import numpy as np
 
 from .errors import DomainError, NotCoerciveConfig, SingularHessian, ZeroProfileError, _Value, _whole
 from .exponents import Params, critical_exponent, ell_of
-from .functionals import Energy, TermSpec, _phi_energy, _pow, _residuals
+from .functionals import Energy, TermSpec, _phi_energy, _Point, _residuals
 from .grid import RadialGrid, RadialProfile, _pin, sample_function
 
 
@@ -132,12 +133,12 @@ def _solve_tridiag(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     One LAPACK dgtsv call, as in scipy.linalg.solve_banded, so x has its
     bits, and its checks: non-finite input raises ValueError and an
-    exactly zero pivot SingularHessian. dgtsv works on copies, so ab and
-    rhs are left as they were and a retried shift can reuse rhs.
+    exactly zero pivot SingularHessian. dgtsv works in ab's bands, so ab
+    is consumed; rhs is left as it was, so a retried shift can reuse it.
     """
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    *_, x, info = _lapack().dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    *_, x, info = _lapack().dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1)
     if info > 0:
         raise SingularHessian("singular matrix")
     if info < 0:
@@ -147,14 +148,14 @@ def _solve_tridiag(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 class _Quotient:
     """Scale-free quotient R = A / D, D = B^(2/gamma), B = wint(r, eta) / div,
-    whose numerator A is an Energy whose terms have coefficient 1/r_k,
-    in the solver interface of Energy.
+    whose numerator A is an Energy, in the solver interface of Energy.
 
     The Rayleigh quotient lambda = I/J is A = I with (r, eta, div, gamma)
     = (p, a, p, 2); the embedding-constant probe is A = dirichlet with
-    (c, eta, 1, c). evaluate returns D as the slope scale, so the Armijo
-    test is a sufficient-decrease test for R, and grad is D times R's
-    gradient, gA - R gD = gA - k mass |v|^(r-1) sign(v) with
+    (c, eta, 1, c). Its point is the numerator's with the power r added
+    last. evaluate returns D as the slope scale, so the Armijo test is a
+    sufficient-decrease test for R, and grad is D times R's gradient,
+    gA - R gD = gA - k mass |v|^(r-1) sign(v) with
     k = (2r/(gamma div)) R D^(1-gamma/2) (B = D^(gamma/2)), which is
     lambda for the Rayleigh quotient. Its factor is written k/div * div,
     as Energy writes the eigen term, so the Rayleigh grad is the gradient
@@ -166,13 +167,13 @@ class _Quotient:
         self.quad = num.quad
         self.r, self.eta, self.div, self.gamma = r, eta, div, gamma
         self.mass = self.quad.mass(eta)
-        # (r_k - 1), not Energy's c_k r_k (r_k - 1): with c_k = 1/r_k the
-        # product (1/q) q is not 1 for every q, and would move the iterates
-        self._hmass = [(rk - 1.0) * m for (_, _, rk), m in zip(num.terms, num.masses)]
+        self.powers = num.powers + [r]
 
-    def evaluate(self, vals: np.ndarray) -> tuple[float, float]:
-        a = np.abs(vals)
-        A, B = self.num._value(vals, a), self.quad.wint(a, self.r, self.eta) / self.div
+    point = Energy.point  # on self.quad and self.powers
+
+    def evaluate(self, pt: _Point) -> tuple[float, float]:
+        A = self.num.value(pt)
+        B = float(self.quad.wint_rows(pt.t[-1] * pt.a, self.eta)) / self.div
         if B <= 0 or not math.isfinite(B):
             return math.inf, B
         D = B ** (2.0 / self.gamma)
@@ -181,17 +182,12 @@ class _Quotient:
     def _k(self, R: float, D: float) -> float:
         return 2.0 * self.r / (self.gamma * self.div) * R * D ** (1.0 - self.gamma / 2.0)
 
-    def grad(self, vals: np.ndarray, R: float, D: float) -> np.ndarray:
-        a, sign = np.abs(vals), np.sign(vals)
+    def grad(self, pt: _Point, R: float, D: float) -> np.ndarray:
         k = self._k(R, D) / self.div * self.div
-        return self.num._grad(vals, a, sign) - k * self.mass * _pow(a, self.r - 1.0) * sign
+        return self.num.grad(pt) - k * self.mass * pt.t[-1] * pt.sign
 
-    def hess_diag(self, vals: np.ndarray, R: float, D: float) -> np.ndarray:
-        a = np.abs(vals)
-        out = np.zeros(len(vals))
-        for (_, _, rk), hm in zip(self.num.terms, self._hmass):
-            out += hm * _pow(a, rk - 2.0)
-        return out - (self.r - 1.0) * self._k(R, D) * self.mass * _pow(a, self.r - 2.0)
+    def hess_diag(self, pt: _Point, R: float, D: float) -> np.ndarray:
+        return self.num.hess_diag(pt) - (self.r - 1.0) * self._k(R, D) * self.mass * pt.curv(-1, self.r)
 
 
 class _Steps:
@@ -205,8 +201,9 @@ class _Steps:
     plus diag(hess_diag). The positive definite shift operator P is the
     stiffness plus 1/2 the mass of the energy's first term, Phi's
     operator term |x|^-b, or the stiffness alone when the energy has no
-    terms, as the probe's. dual_norm divides by each free node's weight
-    mass(0), so a weight that underflows to 0 raises DomainError here.
+    terms, as the probe's. H + nu P is formed in a work band made once.
+    dual_norm divides by each free node's weight mass(0), so a weight
+    that underflows to 0 raises DomainError here.
     """
 
     def __init__(self, obj):
@@ -217,26 +214,29 @@ class _Steps:
                               "underflows to 0, so the residual's dual norm is undefined")
         energy = obj.num if isinstance(obj, _Quotient) else obj
         self.obj, self.free, self.dual_norm = obj, quad.free, quad.dual_norm
-        self.band = energy.stiff_weight * quad.stiff
+        self.hess = energy.stiff_weight * quad.stiff
+        self.diag = self.hess[1].copy()
         self.shift = quad.stiff.copy()
         self.shift[1] += 0.5 * energy.masses[0][quad.free] if energy.terms else 0.0
+        self.work = np.empty_like(self.shift)
 
-    def linearize(self, vals: np.ndarray, value: float, scale: float) -> None:
-        """Set H to the Hessian at (vals, value, scale)."""
-        self.hess = self.band.copy()
-        self.hess[1] += self.obj.hess_diag(vals, value, scale)[self.free]
+    def linearize(self, pt: _Point, value: float, scale: float) -> None:
+        """Set H to the Hessian at (pt, value, scale)."""
+        np.add(self.diag, self.obj.hess_diag(pt, value, scale)[self.free], out=self.hess[1])
 
     def solve(self, nu: float, rhs: np.ndarray) -> np.ndarray:
         """d with (H + nu P) d = rhs."""
-        return _solve_tridiag(self.hess + nu * self.shift, rhs)
+        ab = np.multiply(self.shift, nu, out=self.work)
+        ab += self.hess
+        return _solve_tridiag(ab, rhs)
 
 
 def _newton(obj, vals, opts, critical=False):
     """Shifted Newton iteration on obj from pinned nodal values.
 
-    obj gives evaluate(vals) = (value, slope scale), and grad and
-    hess_diag at (vals, value, scale): the stationarity gradient (scale
-    times the value's gradient) and the diagonal of its Hessian.
+    Each trial is evaluated once, into obj.point(vals) = pt, shared by
+    obj's evaluate(pt) = (value, slope scale), grad (scale times the
+    value's gradient) and hess_diag (its Hessian's diagonal) at (pt, value, scale).
     Each step solves (H + nu P) d = -g through the step system
     _Steps(obj): nu -> 0 is Newton's step, a large nu a short step along
     the gradient preconditioned by the positive definite band P.
@@ -252,21 +252,23 @@ def _newton(obj, vals, opts, critical=False):
     values. nu grows 4x on a rejected step and halves on an accepted one
     (not below 1e-12, so it cannot underflow to a shift that never grows
     again); the solve stops unconverged when no nu below 1e30 gives an
-    acceptable step. An init out of float range raises DomainError.
+    acceptable step. An init out of float range (its value, scale or
+    residual) raises DomainError.
     Returns (vals, value, res, iters, converged).
     """
     steps, free = _Steps(obj), obj.quad.free
-    # an init past the float range is rejected below; a trial past it fails the step tests
+    # an init past the float range is rejected below; a trial or a Hessian past it fails the step tests
     with np.errstate(over="ignore", invalid="ignore"):
-        f0, scale = obj.evaluate(vals)
-        if not (math.isfinite(f0) and 0 < scale < math.inf):
-            raise DomainError(f"init out of float range: objective {f0}, slope scale {scale}")
-        g = obj.grad(vals, f0, scale)
-        res = steps.dual_norm(g)
+        pt = obj.point(vals)
+        f0, scale = obj.evaluate(pt)
+        ok = math.isfinite(f0) and 0 < scale < math.inf  # else grad is undefined
+        res = steps.dual_norm(g := obj.grad(pt, f0, scale)) if ok else math.nan
+        if not math.isfinite(res):
+            raise DomainError(f"init out of float range: objective {f0}, slope scale {scale}, residual {res}")
         nu = 1e-8 if critical else 1.0
         it = 0
         while res > opts.grad_tol and it < opts.max_iters:
-            steps.linearize(vals, f0, scale)
+            steps.linearize(pt, f0, scale)
             rhs = -g[free]
             accepted = False
             while not accepted and nu < 1e30:
@@ -277,23 +279,24 @@ def _newton(obj, vals, opts, critical=False):
                     continue
                 trial = vals.copy()
                 trial[free] = vals[free] + d if critical else np.abs(vals[free] + d)
-                fv, sv = (f0, scale) if critical else obj.evaluate(trial)
+                tp = obj.point(trial)
+                fv, sv = (f0, scale) if critical else obj.evaluate(tp)
                 slope = float(np.dot(g[free], d)) / scale
                 # fv - f0, not f0 + c slope: that sum rounds to f0 once slope is tiny
                 armijo = not critical and slope < 0 and fv - f0 <= _ARMIJO_C * slope
                 if armijo or critical or fv <= f0 + _FLOOR * abs(f0):
-                    gv = obj.grad(trial, fv, sv)
+                    gv = obj.grad(tp, fv, sv)
                     rv = steps.dual_norm(gv)
                     accepted = armijo or rv < res
                 if not accepted:
                     nu *= 4.0
             if not accepted:  # then res > grad_tol, so the solve is unconverged
                 break
-            vals, f0, scale, g, res = trial, fv, sv, gv, rv
+            vals, pt, f0, scale, g, res = trial, tp, fv, sv, gv, rv
             nu = max(0.5 * nu, 1e-12)
             it += 1
         if critical:
-            f0 = obj.evaluate(vals)[0]
+            f0 = obj.evaluate(pt)[0]
     return vals, f0, res, it, res <= opts.grad_tol
 
 
@@ -386,7 +389,7 @@ def _coercive_init(grid: RadialGrid, terms) -> np.ndarray:
     amps = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 25))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # such energies lose below
         rows = _pin(np.exp(-(s ** 2) / (2.0 * sigma[:, None] ** 2)))
-        e = 0.5 * quad.dirich_rows(rows)[:, None] * amps * amps
+        e = 0.5 * quad.dirich_rows(quad.slopes(rows))[:, None] * amps * amps
         for c, eta, r in terms:
             e += (c * quad.wint_rows(rows ** r, eta))[:, None] * amps ** r
     e = np.where(e < 0, e, 0.0)  # a NaN or an energy >= 0 never wins

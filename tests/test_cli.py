@@ -355,6 +355,20 @@ def test_minimize_with_no_finite_scanned_energy_is_a_json_error(capsys, monkeypa
     assert doc["error"] == "DOMAIN" and doc["message"].startswith("init out of float range: objective nan")
 
 
+def test_overflowing_term_coefficients_are_a_json_error():
+    # c r mass overflows to inf for c = +-1e300, so the init's residual is not
+    # finite: a domain error in one JSON document, with no numpy warning (it
+    # printed two overflow warnings, then "el_res": "nan", and exited 3)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "inlslab.cli", "minimize", *PARAMS,
+         "--s-min", "1e50", "--s-max", "1e100", "--M", "257", "--term", "1e300,1.8,2.2", "--term=-1e300,1.5,2.7"],
+        capture_output=True, text=True, env=_fresh_env(),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    doc = json.loads(proc.stderr)
+    assert doc["error"] == "DOMAIN" and doc["message"].startswith("init out of float range")
+
+
 def _malformed_profile(tmp_path, first_line=None, bad_row=False, swap_rows=False, s_times=None,
                        columns=None, short=False):
     path = tmp_path / "profile.csv"

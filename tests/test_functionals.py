@@ -5,8 +5,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import inlslab as il
+from inlslab.functionals import Energy
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +199,61 @@ def test_sublinear_derivative_terms(ref_params, fun_grid):
     zeroed[::7] = 0.0
     hd = _phi_energy(g, P, 0.4, terms).hess_diag(zeroed, 0.0, 1.0)
     assert np.all(np.isfinite(hd)) and np.all(hd[::7] == 0.0)
+
+
+def _pow(a, e):
+    # a^e for a = |v| >= 0, where the Hessian takes 0^e = 0 also for e < 0
+    with np.errstate(divide="ignore"):
+        return np.where(a > 0, a ** e, 0.0 if e < 0 else 0.0 ** e)
+
+
+_PROP_GRID = il.make_grid(1e-2, 1e2, 48, 3)
+#: signed nodal values: zeros, tiny ones (a^(r-1) stays a normal float, so t / a keeps
+#: its precision; subnormal nodes are test_newton_stops_on_a_non_finite_hessian's) and ordinary ones
+_node = st.tuples(st.sampled_from([-1.0, 1.0]),
+                  st.one_of(st.just(0.0), st.floats(1e-40, 1e-20), st.floats(1e-3, 1e3))).map(lambda p: p[0] * p[1])
+_term = st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 2.0, exclude_max=True),
+                  st.one_of(st.just(2.0), st.floats(1.0, 8.0, exclude_min=True, exclude_max=True)))
+
+
+def _direct(q, terms, stiff_weight, v):
+    """Phi's value, gradient and Hessian diagonal at v as sums of a^r,
+    a^(r-1) sign(v) and a^(r-2), and each one's sum of absolute terms."""
+    a, sign = np.abs(v), np.sign(v)
+    f = stiff_weight * q.grad_dirich(q.slopes(v))
+    value = [stiff_weight * float(q.dirich_rows(q.slopes(v)))]
+    grad, hess = [f], [np.zeros(len(v))]
+    for c, eta, r in terms:
+        m = q.mass(eta)
+        value.append(c * float(np.sum(m * _pow(a, r))))
+        grad.append(c * r * m * _pow(a, r - 1.0) * sign)
+        hess.append(c * r * (r - 1.0) * m * _pow(a, r - 2.0))
+    abs_cells = np.zeros(len(v))  # each node's two cell terms of the Dirichlet gradient
+    abs_cells[1:] += np.abs(f[1:])
+    abs_cells[:-1] += np.abs(f[:-1])
+    return ({"value": sum(value), "grad": sum(grad), "hess": sum(hess)},
+            {"value": sum(map(abs, value)), "grad": abs_cells + sum(np.abs(x) for x in grad[1:]),
+             "hess": sum(np.abs(x) for x in hess)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_node, min_size=48, max_size=48), st.lists(_term, min_size=1, max_size=3),
+       st.sampled_from([0.5, 1.0]))
+def test_one_point_matches_the_direct_sums(nodes, terms, stiff_weight):
+    # the value, gradient and Hessian diagonal share one point, which forms
+    # each a^(r-1) once; they match the direct sums to 1e-12 of the sum of
+    # the absolute terms, node by node, at signed values and at nonnegative
+    # ones (a minimizer's trial)
+    q = _PROP_GRID.quad
+    v = np.array(nodes)
+    v[-1] = 0.0
+    e = Energy(_PROP_GRID, terms, stiff_weight)
+    for vals in (v, np.abs(v)):
+        want, scale = _direct(q, terms, stiff_weight, vals)
+        pt = e.point(vals)
+        got = {"value": e.value(pt), "grad": e.grad(pt), "hess": e.hess_diag(pt, 0.0, 1.0)}
+        for k in got:
+            assert np.all(np.abs(got[k] - want[k]) <= 1e-12 * scale[k]), k
 
 
 def test_grad_I_pairing_is_operator_action(ref_params, fun_grid):
