@@ -27,12 +27,15 @@ All solvers share one strategy, validated on the reference problems:
   Newton's step, which crosses the near-neutral scaling-orbit direction
   that stalls plain descent. For the minimizing drivers the value is the
   merit (Armijo); only at its roundoff floor does a smaller residual
-  decide. Every objective depends on u through |u| and the cell slopes,
-  which |u| does not steepen, so their trials are replaced by their
-  absolute values: the value cannot rise, and a full Newton step that
-  overshoots through zero cannot carry the iterate to a sign-changing
-  critical point (without it, the acceptance suite's subscaled
-  minimization ends at the energy -3.934 instead of -9.654).
+  decide. The shift follows each Armijo step's gain ratio, the actual
+  decrease over the one the quadratic model with H predicted: above 3/4
+  nu shrinks 8x, otherwise it halves. Every objective depends on u
+  through |u| and the cell slopes, which |u| does not steepen, so their
+  trials are replaced by their absolute values: the value cannot rise,
+  and a full Newton step that overshoots through zero cannot carry the
+  iterate to a sign-changing critical point (without it, the acceptance
+  suite's subscaled minimization ends at the energy -3.934 instead of
+  -9.654).
 * newton_refine sharpens a critical point of Phi with lambda fixed,
   which need not be a minimum (a minimax eigenvalue, or a fiber
   maximum), so it runs the engine in its critical-point mode: the first
@@ -195,7 +198,8 @@ class _Steps:
     Energy or a _Quotient, whose energy is then its numerator.
 
     solve(nu, rhs) solves (H + nu P) d = rhs on the free nodes with one
-    tridiagonal solve, raising its ValueError or SingularHessian. H, set
+    tridiagonal solve, raising its ValueError or SingularHessian, and
+    curvature(d) gives the model's d^T H d. H, set
     by linearize, is obj's Hessian less its rank-one terms, which vanish
     at a critical point: the energy's stiff_weight times the stiffness
     plus diag(hess_diag). The positive definite shift operator P is the
@@ -230,6 +234,11 @@ class _Steps:
         ab += self.hess
         return _solve_tridiag(ab, rhs)
 
+    def curvature(self, d: np.ndarray) -> float:
+        """d^T H d, a band matvec on H (without nu P)."""
+        h = self.hess
+        return float(np.add.reduce(h[1] * d * d) + 2.0 * np.add.reduce(h[0, 1:] * d[:-1] * d[1:]))
+
 
 def _newton(obj, vals, opts, critical=False):
     """Shifted Newton iteration on obj from pinned nodal values.
@@ -249,11 +258,14 @@ def _newton(obj, vals, opts, critical=False):
     and accepts on a smaller dual-norm residual alone. Its obj's grad and
     hess_diag must not read the value and scale, as an Energy's do not,
     so it evaluates the value only at the start and on the returned
-    values. nu grows 4x on a rejected step and halves on an accepted one
-    (not below 1e-12, so it cannot underflow to a shift that never grows
-    again); the solve stops unconverged when no nu below 1e30 gives an
-    acceptable step. An init out of float range (its value, scale or
-    residual) raises DomainError.
+    values. nu grows 4x on a rejected step. After a step accepted on the
+    Armijo test it shrinks 8x when the step's gain ratio, the decrease
+    f0 - fv over the model's pred = -(g.d + d^T H d / 2) / scale, exceeds
+    3/4 (pred > 0), and halves otherwise, as after every other accepted
+    step; it stays at least 1e-12, so it cannot underflow to a shift that
+    never grows again. The solve stops unconverged when no nu below 1e30
+    gives an acceptable step. An init out of float range (its value,
+    scale or residual) raises DomainError.
     Returns (vals, value, res, iters, converged).
     """
     steps, free = _Steps(obj), obj.quad.free
@@ -292,8 +304,10 @@ def _newton(obj, vals, opts, critical=False):
                     nu *= 4.0
             if not accepted:  # then res > grad_tol, so the solve is unconverged
                 break
+            pred = -(slope + 0.5 * steps.curvature(d) / scale) if armijo else 0.0
+            fast = pred > 0 and f0 - fv > 0.75 * pred
             vals, pt, f0, scale, g, res = trial, tp, fv, sv, gv, rv
-            nu = max(0.5 * nu, 1e-12)
+            nu = max(nu / 8.0 if fast else 0.5 * nu, 1e-12)
             it += 1
         if critical:
             f0 = obj.evaluate(pt)[0]
