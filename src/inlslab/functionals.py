@@ -51,7 +51,7 @@ class TermSpec(_Value):
             raise DomainError(f"term power r must be finite and > 1, got {r}")
         if not 0 <= eta < 2:
             raise DomainError(f"term weight eta must lie in [0, 2), got {eta}")
-        _Value.__init__(self, c, eta, r)
+        _Value.__init__(self, float(c), float(eta), float(r))  # as derive_params: no numpy scalar reaches a report
 
 
 class FunctionalReport(_Value):

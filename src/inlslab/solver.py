@@ -293,7 +293,7 @@ def _newton(obj, vals, opts, critical=False):
                 trial[free] = vals[free] + d if critical else np.abs(vals[free] + d)
                 tp = obj.point(trial)
                 fv, sv = (f0, scale) if critical else obj.evaluate(tp)
-                slope = float(np.dot(g[free], d)) / scale
+                slope = float(np.add.reduce(g[free] * d)) / scale
                 # fv - f0, not f0 + c slope: that sum rounds to f0 once slope is tiny
                 armijo = not critical and slope < 0 and fv - f0 <= _ARMIJO_C * slope
                 if armijo or critical or fv <= f0 + _FLOOR * abs(f0):
@@ -429,6 +429,7 @@ def minimize_coercive(
     level the descent reaches; a value >= 0 means the scan found no
     negative level.
     """
+    lam = float(lam)  # a numpy lambda would make the report's value and residuals numpy scalars
     obj = _phi_energy(grid, params, lam, terms)  # bad grid or lambda: before the regime checks
     _check_coercive(params, terms, lam)
     if not any(t.c > 0 for t in terms) and lam <= 0:
@@ -456,6 +457,7 @@ def newton_refine(
     the iteration stalled above it (no global convergence is claimed).
     A profile whose energy is out of float range raises DomainError.
     """
+    lam = float(lam)  # as in minimize_coercive
     obj = _phi_energy(u.grid, params, lam, terms)
     budget = SolveOptions(min(opts.max_iters, 500), min(opts.grad_tol, 1e-10))
     vals, value, _, iters, converged = _newton(obj, _pin(u.values), budget, critical=True)
@@ -503,6 +505,7 @@ def _probe(
         raise DomainError(f"eta must lie in [0, 2), got {eta}")
     if grid.N != N:
         raise DomainError("grid dimension does not match N")
+    N, eta = grid.N, float(eta)  # a numpy N or eta would make S a numpy scalar
     c = critical_exponent(N, eta)
     if init is None:
         init = sample_function(grid, "AubinTalenti", scale=1.0)

@@ -1,11 +1,13 @@
 """CLI behavior: JSON documents, files, exit codes, round-trips."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -42,10 +44,7 @@ README_CLASSIFY_STDOUT = """\
 
 
 def test_classify_scaled(capsys):
-    code, out, _ = run_cli(
-        capsys, "classify", "--N", "3", "--b", "1", "--q", "3.5", "--p", "3",
-        "--eta", "1.3333333333333333", "--r", "3",
-    )
+    code, out, _ = run_cli(capsys, *PINNED["classify"].argv)
     assert code == 0
     doc = json.loads(out)
     assert doc["regime"] == "Scaled" and doc["admissible"] is True
@@ -233,23 +232,102 @@ def test_solvers_load_no_regimes():
 
 
 PARAMS = ["--N", "3", "--b", "1", "--q", "3.5", "--p", "3"]
+N2_PARAMS = ["--N", "2", "--b", "1", "--q", "3", "--p", "2.5"]
+#: lambda_1 as the README eigen command prints it and writes it to run/report.json
+README_LAMBDA = "1.322663037312654"
 
-README_COMMANDS = [
-    ["classify", *PARAMS, "--eta", "1.3333333333333333", "--r", "3"],
-    ["region-map", *PARAMS,
-     "--eta-min", "0", "--eta-max", "2.4", "--eta-steps", "60",
-     "--r-min", "1.1", "--r-max", "7", "--r-steps", "60", "--out", "atlas.csv"],
-    ["eigen", *PARAMS,
-     "--s-min", "1e-4", "--s-max", "1e4", "--M", "1025", "--out", "run/"],
-    ["minimize", *PARAMS,
-     "--s-min", "2e-5", "--s-max", "1e4", "--M", "1025", "--term", "1.0,1.8,2.2"],
-    ["verify", *PARAMS,
-     "--profile", "run/profile.csv", "--lambda", "1.32266303731265"],
-    ["thresholds", "--N", "3", "--eta1", "0.5", "--S1", "1.0", "--eta2", "1.0", "--S2", "1.0",
-     "--mu", "0.3", "--C", "1", "--C1", "1", "--b", "1", "--q", "3.5", "--p", "3",
-     "--eta", "1.8", "--r", "2.2"],
-    ["probe", "--N", "3", "--eta", "0", "--s-min", "1e-4", "--s-max", "1e4", "--M", "1025"],
-]
+
+def _atlas(params, r_min, r_steps, out, *radial):
+    return ["region-map", *params, "--eta-min", "0", "--eta-max", "2.4", "--eta-steps", "60",
+            "--r-min", r_min, "--r-max", "7", "--r-steps", r_steps, *radial, "--out", out]
+
+
+class Pin(NamedTuple):
+    """A pinned command: its stdout lines, without indentation, and the sha256
+    of each file it writes. README rows are README.md's CLI examples."""
+
+    argv: list
+    lines: tuple = ()
+    files: dict = {}
+    readme: bool = False
+
+
+#: every pinned CLI output, run in this order in one directory: the verify row
+#: reads the profile and the lambda that the eigen row wrote to run/
+PINNED = {
+    "classify": Pin(["classify", *PARAMS, "--eta", "1.3333333333333333", "--r", "3"],
+                    ('"regime": "Scaled",', '"lower": 2.916666666666667,'), readme=True),
+    "region-map": Pin(_atlas(PARAMS, "1.1", "60", "atlas.csv"), files={
+        "atlas.csv": "f933bb00de1f44a4d00ac9424bf50d544309eff00d8ce0bcf7e811fc28b81433"}, readme=True),
+    "region-map-radial": Pin(_atlas(PARAMS, "1.1", "60", "atlas_radial.csv", "--radial"), files={
+        "atlas_radial.csv": "a7ff85fe7566c8742ad874430c12489c87a680a9d32e75e52ef1d5693cb8dc05"}),
+    # N = 2: infinite upper and crit, the N2_ETA_LT_B rows, and an r grid that starts exactly at r = 1
+    "region-map-N2": Pin(_atlas(N2_PARAMS, "1", "61", "atlas_n2.csv"), files={
+        "atlas_n2.csv": "d7d86e5024ba467e3ecb69db7028101150d9c44f51cfc4e60333eea053c1760f"}),
+    "region-map-N2-radial": Pin(_atlas(N2_PARAMS, "1", "61", "atlas_n2_radial.csv", "--radial"), files={
+        "atlas_n2_radial.csv": "e9e113bf8b6315a5b36a3ff229c14212928c899c7bf58824f9a5216154eed4e5"}),
+    "classify-N2-infinite-upper": Pin(["classify", *N2_PARAMS, "--eta", "0.5", "--r", "3", "--radial"],
+                                      ('"upper": "inf",',)),
+    "eigen": Pin(["eigen", *PARAMS, "--s-min", "1e-4", "--s-max", "1e4", "--M", "1025", "--out", "run/"],
+                 (f'"value": {README_LAMBDA},', '"iters": 13,'), readme=True),
+    # --seed is still accepted; it changes nothing, since every init is deterministic
+    "eigen-seed": Pin(["eigen", *PARAMS, "--s-min", "1e-3", "--s-max", "1e3", "--M", "257", "--seed", "0"],
+                      ('"value": 1.3458659777074762,', '"iters": 12,')),
+    "eigen-bump-init": Pin(["eigen", *PARAMS, "--s-min", "1e-3", "--s-max", "1e3", "--M", "257",
+                            "--init", "bump"], ('"value": 1.3458659777074762,', '"iters": 18,')),
+    # the Gaussian init is centred on the window; sigma = 1 vanished on every node here (exit 2)
+    "eigen-outer-window": Pin(["eigen", *PARAMS, "--s-min", "100", "--s-max", "1e6", "--M", "257"],
+                              ('"value": 1.4237571288795705,', '"iters": 37,')),
+    "minimize": Pin(["minimize", *PARAMS, "--s-min", "2e-5", "--s-max", "1e4", "--M", "1025",
+                     "--term", "1.0,1.8,2.2"], ('"value": -9.6536621195920631,',), readme=True),
+    "minimize-M513": Pin(["minimize", *PARAMS, "--s-min", "2e-5", "--s-max", "1e4", "--M", "513",
+                          "--term", "1.0,1.8,2.2"], ('"value": -9.6550976432176938,', '"iters": 11,')),
+    # no scanned init has a negative energy at this lambda, so the solve starts from the
+    # unit Gaussian; it used to report the level 0 after 0 steps
+    "minimize-lambda": Pin(["minimize", *PARAMS, "--s-min", "1e-3", "--s-max", "1e3", "--M", "257",
+                            "--lambda", "-0.9", "--term", "1.0,1.8,2.2"],
+                           ('"value": -0.76113598941020033,', '"iters": 8,')),
+    # the coercive scan dilates the Gaussian; it used to end at +1.09e-14 here
+    "minimize-outer-window": Pin(["minimize", *PARAMS, "--s-min", "3", "--s-max", "1e5", "--M", "257",
+                                  "--term", "1.0,1.8,2.2"], ('"value": -2.8954512878331933,', '"iters": 11,')),
+    "verify": Pin(["verify", *PARAMS, "--profile", "run/profile.csv", "--lambda", README_LAMBDA],
+                  ('"el_res": 2.7863948643048602e-09,', '"pohozaev_res": 2.760631488229864e-13,',
+                   '"eigen_rel_res": 0'), readme=True),
+    "thresholds": Pin(["thresholds", "--N", "3", "--eta1", "0.5", "--S1", "1.0", "--eta2", "1.0", "--S2", "1.0",
+                       "--mu", "0.3", "--C", "1", "--C1", "1", "--b", "1", "--q", "3.5", "--p", "3",
+                       "--eta", "1.8", "--r", "2.2"],
+                      ('"cstar": 0.29999999999999999,', '"tilde_s": 0.82689784042731074,',
+                       '"truncation_R1": 0.0024314572446117841,', '"truncation_R2": 0.77665002448740039'),
+                      readme=True),
+    "probe": Pin(["probe", "--N", "3", "--eta", "0", "--s-min", "1e-4", "--s-max", "1e4", "--M", "1025"],
+                 ('"S": 5.4796067723722297',), readme=True),
+}
+
+README_COMMANDS = [pin.argv for pin in PINNED.values() if pin.readme]
+
+
+@pytest.fixture(scope="module")
+def pinned_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("pinned")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", PINNED)
+def test_command_prints_pinned_lines(name, pinned_dir, monkeypatch, capsys):
+    # the home of every pinned CLI output: a re-pin edits the row here
+    monkeypatch.chdir(pinned_dir)
+    argv, lines, files, _ = PINNED[name]
+    if name == "verify" and not Path("run/profile.csv").exists():  # the row runs alone, as under -k
+        assert run_cli(capsys, *PINNED["eigen"].argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    printed = [line.strip() for line in out.splitlines()]
+    assert [line for line in lines if line not in printed] == []
+    for path, digest in files.items():
+        assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest, path
+    if "--out" in argv and argv[0] != "region-map":  # the report written under --out is the printed one
+        assert Path(argv[argv.index("--out") + 1], "report.json").read_text() == out
+
 
 #: runs one command in a fresh interpreter; the last stderr line lists sys.modules
 _FRESH_MAIN = (
@@ -305,26 +383,6 @@ def test_one_command_parser_matches_the_full_parser(argv, capsys):
     for probe in ([command, "--help"], [command], [*argv, "extra"], [*argv, "--N", "x"]):
         assert (_parser_output(build_parser(command), probe, capsys)
                 == _parser_output(build_parser(), probe, capsys)), probe
-
-
-@pytest.mark.parametrize("argv, lines", [
-    (["classify", "--N", "2", "--b", "1", "--q", "3", "--p", "2.5", "--eta", "0.5", "--r", "3", "--radial"],
-     ['"upper": "inf"']),
-    (["eigen", *PARAMS, "--s-min", "1e-3", "--s-max", "1e3", "--M", "257", "--init", "bump"],
-     ['"value": 1.3458659777074762', '"iters": 18']),
-    # the Gaussian init is centred on the window; sigma = 1 vanished on every node here
-    (["eigen", *PARAMS, "--s-min", "100", "--s-max", "1e6", "--M", "257"],
-     ['"value": 1.4237571288795705', '"iters": 37']),
-    # the coercive scan dilates the Gaussian; it used to end at +1.09e-14 here
-    (["minimize", *PARAMS, "--s-min", "3", "--s-max", "1e5", "--M", "257", "--term", "1.0,1.8,2.2"],
-     ['"value": -2.8954512878331933', '"iters": 11']),
-], ids=["classify-N2-infinite-upper", "eigen-bump-init", "eigen-outer-window", "minimize-outer-window"])
-def test_command_prints_pinned_lines(argv, lines, capsys):
-    # outputs the README commands do not reach; the eigen lines are the ones CI greps
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 0 and err == ""
-    for line in lines:
-        assert line in out
 
 
 @pytest.mark.filterwarnings("error")

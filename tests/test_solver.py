@@ -831,12 +831,27 @@ def test_reports_carry_python_float_residuals(ref_params, small_grid, eigen_run)
     numpy_params = il.derive_params(np.int64(3), np.float64(1.0), np.float64(3.5), np.float64(3.0))
     assert numpy_params == ref_params
     assert all(type(getattr(numpy_params, f)) is float for f in ("b", "q", "p", "delta", "a", "ell"))
+    # so are numpy scalar term fields, and a numpy lambda, N or eta is taken as a Python number
+    numpy_term = il.TermSpec(np.float64(1.0), np.float64(1.8), np.float64(2.2))
+    assert numpy_term == il.TermSpec(1.0, 1.8, 2.2) and all(type(getattr(numpy_term, f)) is float for f in ("c", "eta", "r"))
+    coercive = il.minimize_coercive(coercive_grid, ref_params, [il.TermSpec(1.0, 1.8, 2.2)])
+    refined = il.newton_refine(eigen_run.profile, ref_params, eigen_run.value, [])
+    lam_grid, term = il.make_grid(1e-3, 1e3, 257, 3), [il.TermSpec(1.0, 1.8, 2.2)]
+    numpy_inputs = [
+        (il.minimize_coercive(coercive_grid, ref_params, [numpy_term]), coercive),
+        (il.minimize_coercive(lam_grid, ref_params, term, np.float64(-0.9)),
+         il.minimize_coercive(lam_grid, ref_params, term, -0.9)),
+        (il.newton_refine(eigen_run.profile, ref_params, np.float64(eigen_run.value), []), refined),
+    ]
+    for got, want in numpy_inputs:  # the values keep their bits
+        assert got == want
     reports = [
         eigen_run,
-        il.minimize_coercive(coercive_grid, ref_params, [il.TermSpec(1.0, 1.8, 2.2)]),
+        coercive,
         il.minimize_coercive(small_grid, ref_params, []),  # the zero profile, solved without a step
-        il.newton_refine(eigen_run.profile, ref_params, eigen_run.value, []),
+        refined,
         il.newton_refine(eigen_run.profile, numpy_params, eigen_run.value, []),
+        *(got for got, _ in numpy_inputs),
     ]
     docs = [r.to_dict() for r in reports]
     docs.append(_residuals(eigen_run.profile, ref_params, eigen_run.value, [il.TermSpec(-1.0, 1.8, 2.2)]))
@@ -845,7 +860,11 @@ def test_reports_carry_python_float_residuals(ref_params, small_grid, eigen_run)
             assert type(doc[name]) is float, name
     for r in reports:
         assert "np.float64" not in repr(r)
-    assert type(il.probe_best_constant(il.make_grid(1e-3, 1e3, 257, 3), 3, 0.5)) is float
+    probe_grid = il.make_grid(1e-3, 1e3, 257, 3)
+    S = il.probe_best_constant(probe_grid, 3, 0.5)
+    assert type(S) is float
+    for N, eta in ((np.int64(3), 0.5), (3, np.float64(0.5))):
+        assert type(got := il.probe_best_constant(probe_grid, N, eta)) is float and got == S
 
 
 def test_pin_zeroes_the_boundary_nodes_of_each_row():
