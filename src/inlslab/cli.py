@@ -113,7 +113,6 @@ def _eigen_args(e: argparse.ArgumentParser) -> None:
     _add_params(e)
     _add_grid(e)
     _add_opts(e)
-    e.add_argument("--init", choices=["gaussian", "bump"], default="gaussian")
     e.add_argument("--out", help="directory for report.json and profile.csv")
 
 
@@ -207,7 +206,7 @@ def _finish_solve(args, params, report) -> int:
             fh.write(to_json(doc) + "\n")
     _emit(doc)
     if not report.converged:
-        raise Diverged("solver did not reach grad_tol")
+        raise Diverged(_opts(args)._stopped(report.iters, report.el_res))
     return 0
 
 
@@ -237,16 +236,12 @@ def _run(args) -> int:
         return 0
 
     if args.command == "eigen":
-        from .grid import make_grid, sample_function
-        from .solver import _centred_gaussian, minimize_rayleigh
+        from .grid import make_grid
+        from .solver import minimize_rayleigh
 
         params = derive_params(args.N, args.b, args.q, args.p)
         grid = make_grid(args.s_min, args.s_max, args.M, args.N)
-        if args.init == "gaussian":
-            init = _centred_gaussian(grid)
-        else:
-            init = sample_function(grid, "Bump", lo=1.0, hi=2.0)
-        report = minimize_rayleigh(grid, params, init, _opts(args))
+        report = minimize_rayleigh(grid, params, opts=_opts(args))
         return _finish_solve(args, params, report)
 
     if args.command == "minimize":

@@ -29,13 +29,14 @@ All solvers share one strategy, validated on the reference problems:
   merit (Armijo); only at its roundoff floor does a smaller residual
   decide. The shift follows each Armijo step's gain ratio, the actual
   decrease over the one the quadratic model with H predicted: above 3/4
-  nu shrinks 8x, otherwise it halves. Every objective depends on u
-  through |u| and the cell slopes, which |u| does not steepen, so their
-  trials are replaced by their absolute values: the value cannot rise,
-  and a full Newton step that overshoots through zero cannot carry the
-  iterate to a sign-changing critical point (without it, the acceptance
-  suite's subscaled minimization ends at the energy -3.934 instead of
-  -9.654).
+  nu shrinks 8x, otherwise it halves. A solve stops unconverged once no
+  shift can help (_newton names the two exits and the 1e30 ceiling).
+  Every objective depends on u through |u| and the cell slopes, which
+  |u| does not steepen, so their trials are replaced by their absolute
+  values: the value cannot rise, and a full Newton step that overshoots
+  through zero cannot carry the iterate to a sign-changing critical
+  point (without it, the acceptance suite's subscaled minimization ends
+  at the energy -3.934 instead of -9.654).
 * newton_refine sharpens a critical point of Phi with lambda fixed,
   which need not be a minimum (a minimax eigenvalue, or a fiber
   maximum), so it runs the engine in its critical-point mode: the first
@@ -89,6 +90,11 @@ class SolveOptions(_Value):
         if not 0 < grad_tol < math.inf:
             raise DomainError(f"grad_tol must be positive and finite, got {grad_tol}")
         _Value.__init__(self, int(max_iters), grad_tol)
+
+    def _stopped(self, iters: int, res: float) -> str:
+        """Why a solve ended above grad_tol, as the probe warns and every command's DIVERGED says."""
+        return (f"stopped after {iters} of at most {self.max_iters} iterations "
+                f"at dual-norm residual {res:.3e} > grad_tol {self.grad_tol:.3e}")
 
 
 class SolveReport(_Value):
@@ -263,9 +269,10 @@ def _newton(obj, vals, opts, critical=False):
     f0 - fv over the model's pred = -(g.d + d^T H d / 2) / scale, exceeds
     3/4 (pred > 0), and halves otherwise, as after every other accepted
     step; it stays at least 1e-12, so it cannot underflow to a shift that
-    never grows again. The solve stops unconverged when no nu below 1e30
-    gives an acceptable step. An init out of float range (its value,
-    scale or residual) raises DomainError.
+    never grows again. The solve stops unconverged when no shift can help:
+    at once on a step system that is not finite (a SingularHessian grows nu
+    4x) or on a rejected trial equal to the iterate, which no larger shift
+    moves, and else at nu = 1e30. An init out of float range raises DomainError.
     Returns (vals, value, res, iters, converged).
     """
     steps, free = _Steps(obj), obj.quad.free
@@ -286,9 +293,11 @@ def _newton(obj, vals, opts, critical=False):
             while not accepted and nu < 1e30:
                 try:
                     d = steps.solve(nu, rhs)
-                except (ValueError, SingularHessian):
+                except SingularHessian:
                     nu *= 4.0
                     continue
+                except ValueError:  # a non-finite step system, which no shift makes finite
+                    break
                 trial = vals.copy()
                 trial[free] = vals[free] + d if critical else np.abs(vals[free] + d)
                 tp = obj.point(trial)
@@ -301,6 +310,8 @@ def _newton(obj, vals, opts, critical=False):
                     rv = steps.dual_norm(gv)
                     accepted = armijo or rv < res
                 if not accepted:
+                    if np.array_equal(trial, vals):  # a larger shift cannot move it either
+                        break
                     nu *= 4.0
             if not accepted:  # then res > grad_tol, so the solve is unconverged
                 break
@@ -321,10 +332,20 @@ def _report(grid, params, vals, value, iters, converged, lam, terms=()) -> Solve
                        **_residuals(profile, params, lam, terms))
 
 
+def _centred(grid: RadialGrid, family: str) -> RadialProfile:
+    """Every driver's default start: the Gaussian (sigma) or Aubin-Talenti profile (scale)
+    of width sqrt(s_min s_max), centred on the window in ln s so that it dilates with it:
+    width 1 on windows symmetric about s = 1. A 0 / 0 sample is a DomainError."""
+    width = grid.s_min * math.sqrt(grid.s_max / grid.s_min)
+    with np.errstate(invalid="ignore"):
+        return sample_function(grid, family, **{"sigma" if family == "Gaussian" else "scale": width})
+
+
 def minimize_rayleigh(
-    grid: RadialGrid, params: Params, init: RadialProfile, opts: SolveOptions = SolveOptions()
+    grid: RadialGrid, params: Params, init: RadialProfile | None = None, opts: SolveOptions = SolveOptions()
 ) -> SolveReport:
-    """First-eigenvalue estimate: minimize I/J over interior nodal profiles.
+    """First-eigenvalue estimate: minimize I/J over interior nodal profiles
+    from init, by default the Gaussian centred on the window (_centred).
 
     Reports lambda = I/J at the computed critical point together with
     the Euler-Lagrange, Pohozaev, and eigenvalue-relation residuals.
@@ -333,7 +354,9 @@ def minimize_rayleigh(
     continuum radial infimum from above only while the window error
     exceeds the O(h^2) error.
     """
-    if init.grid != grid:
+    if init is None:
+        init = _centred(grid, "Gaussian")
+    elif init.grid != grid:
         raise DomainError("init profile lives on a different grid")
 
     obj = _Quotient(_phi_energy(grid, params, 0.0, []), params.p, params.a, params.p, 2.0)
@@ -383,14 +406,6 @@ def _check_coercive(params: Params, terms: list[TermSpec], lam: float) -> None:
                 )
 
 
-def _centred_gaussian(grid: RadialGrid) -> RadialProfile:
-    """The Gaussian of width sqrt(s_min s_max), a float as s_max / s_min is, centred
-    on the window in ln s: the unit Gaussian on windows symmetric about s = 1. A
-    sample that is 0 / 0 (s^2 and sigma^2 underflow) is a DomainError."""
-    with np.errstate(invalid="ignore"):
-        return sample_function(grid, "Gaussian", sigma=grid.s_min * math.sqrt(grid.s_max / grid.s_min))
-
-
 def _coercive_init(grid: RadialGrid, terms) -> np.ndarray:
     """minimize_coercive's init: of the Gaussians A exp(-s^2 / (2 sigma^2)), 25
     amplitudes A from 1e-3 to 1e3 by the widths sigma from e^-2 s_min to e^2 s_max
@@ -408,7 +423,7 @@ def _coercive_init(grid: RadialGrid, terms) -> np.ndarray:
             e += (c * quad.wint_rows(rows ** r, eta))[:, None] * amps ** r
     e = np.where(e < 0, e, 0.0)  # a NaN or an energy >= 0 never wins
     k, i = divmod(int(np.argmin(e)), len(amps))  # the first least, widths first
-    return amps[i] * rows[k] if e[k, i] < 0 else _pin(_centred_gaussian(grid).values)
+    return amps[i] * rows[k] if e[k, i] < 0 else _pin(_centred(grid, "Gaussian").values)
 
 
 def minimize_coercive(
@@ -478,14 +493,14 @@ def probe_best_constant(
     engine of the other drivers with the stiffness matrix as the shift
     operator. The quotient is invariant under amplitude scaling, so the
     init is normalized to a unit denominator once and iterates are not
-    renormalized. init defaults to the Aubin-Talenti profile. As for
+    renormalized. init defaults to the centred Aubin-Talenti profile. As for
     minimize_rayleigh's value, the estimate is an upper bound for S_eta
     only while the window error exceeds the O(h^2) discretization error,
     which is negative: fine windows give values below S_eta.
 
     The engine runs at most opts.max_iters steps. When it stops above
-    opts.grad_tol, at that budget or because no shift gives an
-    acceptable step, a RuntimeWarning gives the final dual-norm
+    opts.grad_tol, at that budget or because no step is acceptable,
+    a RuntimeWarning gives the step count and the final dual-norm
     residual; the quotient at the last iterate is returned either way.
     """
     S, stop = _probe(grid, N, eta, opts, init)
@@ -508,7 +523,7 @@ def _probe(
     N, eta = grid.N, float(eta)  # a numpy N or eta would make S a numpy scalar
     c = critical_exponent(N, eta)
     if init is None:
-        init = sample_function(grid, "AubinTalenti", scale=1.0)
+        init = _centred(grid, "AubinTalenti")
     elif init.grid != grid:
         raise DomainError("init profile lives on a different grid")
     vals = _pin(init.values)
@@ -520,7 +535,4 @@ def _probe(
 
     obj = _Quotient(Energy(grid, [], stiff_weight=1.0), c, eta, 1.0, c)
     _, S, res, iters, converged = _newton(obj, vals, opts)
-    if converged:
-        return S, None
-    return S, (f"probe_best_constant stopped after {iters} of at most {opts.max_iters} iterations "
-               f"at dual-norm residual {res:.3e} > grad_tol {opts.grad_tol:.3e}")
+    return S, None if converged else opts._stopped(iters, res)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -273,8 +274,6 @@ PINNED = {
     # --seed is still accepted; it changes nothing, since every init is deterministic
     "eigen-seed": Pin(["eigen", *PARAMS, "--s-min", "1e-3", "--s-max", "1e3", "--M", "257", "--seed", "0"],
                       ('"value": 1.3458659777074762,', '"iters": 12,')),
-    "eigen-bump-init": Pin(["eigen", *PARAMS, "--s-min", "1e-3", "--s-max", "1e3", "--M", "257",
-                            "--init", "bump"], ('"value": 1.3458659777074762,', '"iters": 18,')),
     # the Gaussian init is centred on the window; sigma = 1 vanished on every node here (exit 2)
     "eigen-outer-window": Pin(["eigen", *PARAMS, "--s-min", "100", "--s-max", "1e6", "--M", "257"],
                               ('"value": 1.4237571288795705,', '"iters": 37,')),
@@ -390,14 +389,25 @@ def test_one_command_parser_matches_the_full_parser(argv, capsys):
     ["probe", "--N", "3", "--eta", "0.5", "--s-min", "1e-3", "--s-max", "1e3", "--M", "257", "--max-iters", "1"],
     ["minimize", *PARAMS, "--s-min", "2e-5", "--s-max", "1e4", "--M", "1025", "--term", "1.0,1.8,2.2",
      "--max-iters", "1"],
-], ids=["probe", "minimize"])
+    ["eigen", *PARAMS, "--s-min", "1e-3", "--s-max", "1e3", "--M", "257", "--max-iters", "1"],
+], ids=["probe", "minimize", "eigen"])
 def test_capped_solve_prints_its_result_then_diverges(argv, capsys):
     # the result at the cap goes to stdout; stderr has the DIVERGED document
-    # alone, and no warning is raised
+    # alone, and no warning is raised. Every solver command says why in the
+    # same sentence, with the printed el_res where the command prints one
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
-    assert json.loads(out)
-    assert json.loads(err)["error"] == "DIVERGED"
+    doc, error = json.loads(out), json.loads(err)
+    assert error["error"] == "DIVERGED"
+    res = re.escape(f"{doc['el_res']:.3e}") if "el_res" in doc else r"\d\.\d{3}e[-+]\d\d"
+    assert re.fullmatch(rf"stopped after 1 of at most 1 iterations at dual-norm residual {res} > grad_tol 1\.000e-08",
+                        error["message"]), error["message"]
+
+
+def test_eigen_has_one_start(capsys):
+    # eigen starts from the Gaussian centred on the window; no option picks another
+    code, printed = _parser_output(build_parser("eigen"), ["eigen", "--help"], capsys)
+    assert code == 0 and "--init" not in printed.out
 
 
 def test_minimize_with_no_finite_scanned_energy_is_a_json_error(capsys, monkeypatch):

@@ -140,14 +140,40 @@ def test_rayleigh_rejects_an_init_out_of_float_range(ref_params, small_grid):
             il.minimize_rayleigh(small_grid, ref_params, il.RadialProfile(small_grid, factor * u.values))
 
 
-def test_rayleigh_stops_on_its_own_below_the_roundoff_floor(ref_params):
-    # grad_tol 1e-300 is below el_res's roundoff floor: once no shift below
-    # 1e30 gives an acceptable step the engine stops, long before its budget
+def test_rayleigh_stops_on_its_own_below_the_roundoff_floor(ref_params, monkeypatch):
+    # grad_tol 1e-300 is below el_res's roundoff floor: once a rejected trial
+    # equals the iterate, which no larger shift moves, the engine stops, long
+    # before its budget and without raising nu to 1e30
     g = il.make_grid(1e-3, 1e3, 257, 3)
     init = il.sample_function(g, "Gaussian", sigma=1.0)
+    solves = _count_solves(monkeypatch)
     rep = il.minimize_rayleigh(g, ref_params, init, il.SolveOptions(grad_tol=1e-300))
-    assert not rep.converged and rep.iters == 19
+    assert not rep.converged and (rep.iters, rep.value) == (19, 1.3458659777074762)
+    assert len(solves) <= 45
     assert rep.el_res == il.el_residual(rep.profile, ref_params, rep.value, [])
+
+
+def test_rayleigh_defaults_to_the_centred_gaussian(ref_params):
+    # on a window away from s = 1 the default start is the Gaussian of width
+    # sqrt(s_min s_max) = 1e4, and the solve from it is the same, bit for bit
+    g = il.make_grid(100.0, 1e6, 257, 3)
+    explicit = il.minimize_rayleigh(g, ref_params, il.sample_function(g, "Gaussian", sigma=1e4))
+    assert il.minimize_rayleigh(g, ref_params) == explicit  # equality covers the profile's bits
+    assert explicit.converged and (explicit.iters, explicit.value) == (37, 1.4237571288795705)
+
+
+@pytest.mark.parametrize("family", ["Gaussian", "AubinTalenti"])
+def test_centred_start_dilates_with_the_window(family):
+    # the default start on a window and on its dilates by 4 decades up and down
+    # agree node for node to 1e-13 relative; in the Gaussian's tail below
+    # e^-99, exp scales the last-bit rounding of s^2 / (2 sigma^2) by ln(1/u)
+    u = solver._centred(il.make_grid(1e-3, 1e3, 257, 3), family).values
+    for window in ((10.0, 1e7), (1e-7, 1e-1)):
+        v = solver._centred(il.make_grid(*window, 257, 3), family).values
+        assert np.array_equal(u == 0, v == 0), window
+        nz = u != 0
+        assert (np.abs(u[nz] - v[nz]) <= 1e-15 * (1.0 - np.log(u[nz])) * u[nz]).all(), window
+        assert (np.abs(u - v) <= 1e-13 * u)[u > math.exp(-99.0)].all(), window
 
 
 # ------------------------------------------------------------- coercive
@@ -352,14 +378,17 @@ def test_newton_reports_the_public_residuals(ref_params, small_grid):
 
 
 @pytest.mark.filterwarnings("error")
-def test_newton_stops_on_a_non_finite_hessian(ref_params):
+def test_newton_stops_on_a_non_finite_hessian(ref_params, monkeypatch):
     # |u|^(r-2) overflows at a subnormal node for r = 1.01, so no shift
-    # gives a finite step matrix: the solve reports where it started
+    # gives a finite step matrix: the first solve ends the search, and the
+    # solve reports where it started
     g = il.make_grid(1e-3, 1e3, 257, 3)
     vals = np.array(il.sample_function(g, "Gaussian", sigma=1.0).values)
     vals[100] = 5e-324
+    solves = _count_solves(monkeypatch)
     rep = il.newton_refine(il.RadialProfile(g, vals), ref_params, 0.0, [il.TermSpec(-1.0, 1.8, 1.01)])
     assert not rep.converged and rep.iters == 0
+    assert len(solves) == 1
     assert np.array_equal(rep.profile.values, _pin(vals))
 
 
@@ -521,6 +550,13 @@ def test_probe_init_scaling_invariance():
     assert v2 == pytest.approx(v1, rel=1e-6)
 
 
+def test_probe_default_dilates_with_the_window():
+    # the default start is the Aubin-Talenti profile centred on the window, so
+    # a window and its dilate by 4 decades give the same S to roundoff
+    S = il.probe_best_constant(il.make_grid(100.0, 1e6, 257, 3), 3, 0.0)
+    assert S == pytest.approx(il.probe_best_constant(il.make_grid(1e-2, 1e2, 257, 3), 3, 0.0), rel=1e-15, abs=0)
+
+
 def test_probe_exact():
     # pinned to the last bit, as test_rayleigh_small_window_exact
     assert il.probe_best_constant(il.make_grid(1e-3, 1e3, 257, 3), 3, 0.0) == 5.495065542814473
@@ -585,6 +621,19 @@ def test_eigenvalue_refinement_trend(ref_params, capsys):
 
 
 # --------------------------------------------------------------- kernels
+
+
+def _count_solves(monkeypatch):
+    """The shifts of every step-system solve made after this call."""
+    shifts = []
+
+    class Counting(solver._Steps):
+        def solve(self, nu, rhs):
+            shifts.append(nu)
+            return super().solve(nu, rhs)
+
+    monkeypatch.setattr(solver, "_Steps", Counting)
+    return shifts
 
 
 def _assert_same_bits(ab, rhs):
@@ -746,14 +795,7 @@ def test_newton_refine_keeps_its_shift_schedule_and_bits(ref_params, monkeypatch
     # each report and its profile are pinned to the bit
     g = il.make_grid(1e-3, 1e3, 257, 3)
     gauss = il.sample_function(g, "Gaussian", sigma=1.0).values
-    shifts = []
-
-    class Recording(solver._Steps):
-        def solve(self, nu, rhs):
-            shifts.append(nu)
-            return super().solve(nu, rhs)
-
-    monkeypatch.setattr(solver, "_Steps", Recording)
+    shifts = _count_solves(monkeypatch)
     # each shift as 1e-8 times a power of 2, one exponent per trial
     for amp, (iters, value, el_res, exponents, digest) in {
         1.0: (11, -6.394884621840902e-14, 1.7217963470910343e-11, range(0, -11, -1),
