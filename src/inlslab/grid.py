@@ -400,6 +400,9 @@ def load_profile(path) -> RadialProfile:
             if cols != "s,u":
                 raise DomainError(f"{path}: expected 's,u' header, got {cols!r}")
             rows = [line.split(",") for line in map(str.strip, fh) if line]
+            bad = next((i for i, row in enumerate(rows) if len(row) != 2), None)
+            if bad is not None:
+                raise DomainError(f"{path}: row {bad + 1} is {','.join(rows[bad])!r}, not 's,u'")
             s = np.array([float(row[0]) for row in rows])
             vals = np.array([float(row[1]) for row in rows])
     except OSError as exc:

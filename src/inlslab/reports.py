@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 
+#: the JSON escapes of '"', '\\' and the control characters U+0000-U+001F, which a JSON string may not hold
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(32)} | {ord('"'): '\\"', ord("\\"): "\\\\"}
+
 
 def fmt_float(x: float) -> str:
     """17 significant digits; NaN of either sign prints nan, infinities
@@ -19,10 +22,10 @@ def fmt_float(x: float) -> str:
 def to_json(obj, indent: int = 0) -> str:
     """Minimal JSON writer with deterministic float formatting.
 
-    Handles dicts (insertion order preserved), strings, bools, None,
-    ints and floats. Floats print with 17 significant digits;
-    infinities appear as the strings "inf"/"-inf" and NaN as "nan" to
-    keep the output parseable.
+    Handles dicts (insertion order preserved), strings (control
+    characters as \\u00XX escapes), bools, None, ints and floats.
+    Floats print with 17 significant digits; infinities appear as the
+    strings "inf"/"-inf" and NaN as "nan" to keep the output parseable.
     """
     pad = " " * indent
     if isinstance(obj, dict):
@@ -43,5 +46,5 @@ def to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return '"' + obj.translate(_ESCAPES) + '"'
     raise TypeError(f"cannot serialize {type(obj)}")

@@ -332,20 +332,25 @@ def _report(grid, params, vals, value, iters, converged, lam, terms=()) -> Solve
                        **_residuals(profile, params, lam, terms))
 
 
-def _centred(grid: RadialGrid, family: str) -> RadialProfile:
-    """Every driver's default start: the Gaussian (sigma) or Aubin-Talenti profile (scale)
-    of width sqrt(s_min s_max), centred on the window in ln s so that it dilates with it:
-    width 1 on windows symmetric about s = 1. A 0 / 0 sample is a DomainError."""
-    width = grid.s_min * math.sqrt(grid.s_max / grid.s_min)
-    with np.errstate(invalid="ignore"):
-        return sample_function(grid, family, **{"sigma" if family == "Gaussian" else "scale": width})
+def _start(grid: RadialGrid, init: RadialProfile | None, family: str) -> np.ndarray:
+    """A driver's pinned start values: init's, or by default the Gaussian (sigma) or
+    Aubin-Talenti profile (scale) of width sqrt(s_min s_max), centred on the window in
+    ln s so that it dilates with it: width 1 on windows symmetric about s = 1. An init
+    on another grid, or a 0 / 0 sample, is a DomainError."""
+    if init is None:
+        width = grid.s_min * math.sqrt(grid.s_max / grid.s_min)
+        with np.errstate(invalid="ignore"):
+            init = sample_function(grid, family, **{"sigma" if family == "Gaussian" else "scale": width})
+    elif init.grid != grid:
+        raise DomainError("init profile lives on a different grid")
+    return _pin(init.values)
 
 
 def minimize_rayleigh(
     grid: RadialGrid, params: Params, init: RadialProfile | None = None, opts: SolveOptions = SolveOptions()
 ) -> SolveReport:
     """First-eigenvalue estimate: minimize I/J over interior nodal profiles
-    from init, by default the Gaussian centred on the window (_centred).
+    from init, by default the Gaussian centred on the window (_start).
 
     Reports lambda = I/J at the computed critical point together with
     the Euler-Lagrange, Pohozaev, and eigenvalue-relation residuals.
@@ -354,13 +359,8 @@ def minimize_rayleigh(
     continuum radial infimum from above only while the window error
     exceeds the O(h^2) error.
     """
-    if init is None:
-        init = _centred(grid, "Gaussian")
-    elif init.grid != grid:
-        raise DomainError("init profile lives on a different grid")
-
+    vals = _start(grid, init, "Gaussian")
     obj = _Quotient(_phi_energy(grid, params, 0.0, []), params.p, params.a, params.p, 2.0)
-    vals = _pin(init.values)
     if not np.any(vals):
         raise ZeroProfileError("initial profile vanishes on the interior nodes")
     vals, lam, _, iters, converged = _newton(obj, vals, opts)
@@ -368,42 +368,29 @@ def minimize_rayleigh(
 
 
 def _check_coercive(params: Params, terms: list[TermSpec], lam: float) -> None:
+    """Raise NotCoerciveConfig for the first term with c != 0 that breaks a rule of a
+    coercive energy, the positive terms first and then the negative ones, each in list
+    order, and then if lam > 0 and no term is positive."""
     # imported here: of the drivers only minimize_coercive needs regimes
     from .regimes import Regime, WeightedPair, classify_pair
 
     pos = [t for t in terms if t.c > 0]
-    neg = [t for t in terms if t.c < 0]
-    verdicts = {}
-    for t in pos + neg:
+    lmin = min((ell_of(params, t.eta, t.r) for t in pos), default=-math.inf)
+    for t in pos + [t for t in terms if t.c < 0]:
         v = classify_pair(params, WeightedPair(t.eta, t.r))
         if not v.admissible:
-            raise NotCoerciveConfig(
-                f"term (c={t.c}, eta={t.eta}, r={t.r}) is not an admissible pair ({v.reason})"
-            )
-        verdicts[(t.eta, t.r)] = v.regime
-    for t in pos:
-        if verdicts[(t.eta, t.r)] is not Regime.SUBSCALED:
-            raise NotCoerciveConfig(
-                f"positive term (eta={t.eta}, r={t.r}) is {verdicts[(t.eta, t.r)].value}, "
-                "need Subscaled for a coercive energy"
-            )
-    if lam > 0:
-        if not pos:
-            raise NotCoerciveConfig("lambda > 0 requires a positive subscaled term")
-        for t in neg:
-            if verdicts[(t.eta, t.r)] is not Regime.SUPERSCALED:
-                raise NotCoerciveConfig(
-                    f"lambda > 0 requires sign-negative terms to be Superscaled, "
-                    f"got {verdicts[(t.eta, t.r)].value} for (eta={t.eta}, r={t.r})"
-                )
-    if pos and neg:
-        lmin = min(ell_of(params, t.eta, t.r) for t in pos)
-        for t in neg:
-            if not ell_of(params, t.eta, t.r) > lmin:
-                raise NotCoerciveConfig(
-                    f"negative term (eta={t.eta}, r={t.r}) must scale faster than the "
-                    "dominant subscaled term near zero"
-                )
+            raise NotCoerciveConfig(f"term (c={t.c}, eta={t.eta}, r={t.r}) is not an admissible pair ({v.reason})")
+        if t.c > 0 and v.regime is not Regime.SUBSCALED:
+            raise NotCoerciveConfig(f"positive term (eta={t.eta}, r={t.r}) is {v.regime.value}, "
+                                    "need Subscaled for a coercive energy")
+        if t.c < 0 and lam > 0 and v.regime is not Regime.SUPERSCALED:
+            raise NotCoerciveConfig("lambda > 0 requires sign-negative terms to be Superscaled, "
+                                    f"got {v.regime.value} for (eta={t.eta}, r={t.r})")
+        if t.c < 0 and not ell_of(params, t.eta, t.r) > lmin:
+            raise NotCoerciveConfig(f"negative term (eta={t.eta}, r={t.r}) must scale faster than the "
+                                    "dominant subscaled term near zero")
+    if lam > 0 and not pos:
+        raise NotCoerciveConfig("lambda > 0 requires a positive subscaled term")
 
 
 def _coercive_init(grid: RadialGrid, terms) -> np.ndarray:
@@ -423,7 +410,7 @@ def _coercive_init(grid: RadialGrid, terms) -> np.ndarray:
             e += (c * quad.wint_rows(rows ** r, eta))[:, None] * amps ** r
     e = np.where(e < 0, e, 0.0)  # a NaN or an energy >= 0 never wins
     k, i = divmod(int(np.argmin(e)), len(amps))  # the first least, widths first
-    return amps[i] * rows[k] if e[k, i] < 0 else _pin(_centred(grid, "Gaussian").values)
+    return amps[i] * rows[k] if e[k, i] < 0 else _start(grid, None, "Gaussian")
 
 
 def minimize_coercive(
@@ -459,7 +446,7 @@ def newton_refine(
     params: Params,
     lam: float,
     terms: list[TermSpec],
-    opts: SolveOptions = SolveOptions(),
+    opts: SolveOptions = SolveOptions(500, 1e-10),
 ) -> SolveReport:
     """Sharpen a near-critical profile of Phi(.; lambda, terms).
 
@@ -467,15 +454,14 @@ def newton_refine(
     shifted Newton engine in its critical-point mode: Newton steps with
     the exact tridiagonal-plus-diagonal Hessian of the discrete energy,
     shifted only as far as needed to lower the stationarity residual,
-    on signed values. It runs at most min(max_iters, 500) steps to the
-    target min(grad_tol, 1e-10); a report with converged = False means
-    the iteration stalled above it (no global convergence is claimed).
+    on signed values, for at most opts.max_iters steps to opts.grad_tol;
+    a report with converged = False means the iteration stalled above it
+    (no global convergence is claimed).
     A profile whose energy is out of float range raises DomainError.
     """
     lam = float(lam)  # as in minimize_coercive
     obj = _phi_energy(u.grid, params, lam, terms)
-    budget = SolveOptions(min(opts.max_iters, 500), min(opts.grad_tol, 1e-10))
-    vals, value, _, iters, converged = _newton(obj, _pin(u.values), budget, critical=True)
+    vals, value, _, iters, converged = _newton(obj, _pin(u.values), opts, critical=True)
     return _report(u.grid, params, vals, value, iters, converged, lam, terms)
 
 
@@ -522,11 +508,7 @@ def _probe(
         raise DomainError("grid dimension does not match N")
     N, eta = grid.N, float(eta)  # a numpy N or eta would make S a numpy scalar
     c = critical_exponent(N, eta)
-    if init is None:
-        init = _centred(grid, "AubinTalenti")
-    elif init.grid != grid:
-        raise DomainError("init profile lives on a different grid")
-    vals = _pin(init.values)
+    vals = _start(grid, init, "AubinTalenti")
     with np.errstate(over="ignore", invalid="ignore"):  # an inf B is rejected below
         B = grid.quad.wint(np.abs(vals), c, eta)
     if not 0 < B < math.inf:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ import inlslab as il
 from inlslab import solver
 from inlslab.cli import _linspace, build_parser, main
 from inlslab.functionals import Energy
+from inlslab.reports import to_json
 
 
 def run_cli(capsys, *argv):
@@ -384,6 +386,21 @@ def test_one_command_parser_matches_the_full_parser(argv, capsys):
                 == _parser_output(build_parser(), probe, capsys)), probe
 
 
+def _readme_block(heading):
+    """The first fenced block under README.md's `## heading`, without its fence lines."""
+    section = (Path(__file__).resolve().parents[1] / "README.md").read_text().split(f"\n## {heading}\n", 1)[1]
+    return section.split("```", 2)[1].split("\n", 1)[1]
+
+
+def test_readme_shows_the_pinned_commands_and_a_sketch_that_runs(capsys):
+    # README's CLI examples, continuations joined, are the README rows of PINNED
+    text = _readme_block("CLI examples").replace("\\\n", " ")
+    commands = [shlex.split(line) for line in text.splitlines() if line and not line.startswith("#")]
+    assert [argv[0] for argv in commands] == ["inlslab"] * len(README_COMMANDS)
+    assert [argv[1:] for argv in commands] == README_COMMANDS
+    exec(_readme_block("Library sketch"), {})
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     ["probe", "--N", "3", "--eta", "0.5", "--s-min", "1e-3", "--s-max", "1e3", "--M", "257", "--max-iters", "1"],
@@ -564,6 +581,20 @@ def test_bad_input_is_a_json_error(tmp_path, capsys, make_argv):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "DOMAIN"
+
+
+def test_json_strings_escape_control_characters():
+    s = "".join(map(chr, range(32))) + '"\\'
+    assert json.loads(to_json({"k": s}))["k"] == s
+
+
+def test_error_document_escapes_a_control_character_in_a_path(tmp_path, capsys, monkeypatch):
+    # the path is echoed in the message, so its tab and newline are escaped
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "verify", *PARAMS, "--profile", "no\tsuch\nfile.csv")
+    assert (code, out) == (2, "")
+    doc = json.loads(err)  # exactly one document: json.loads rejects trailing data
+    assert doc["error"] == "DOMAIN" and doc["message"].startswith("no\tsuch\nfile.csv: cannot read profile")
 
 
 _finite = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))

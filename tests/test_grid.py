@@ -445,6 +445,16 @@ def test_profile_roundtrip(tmp_path):
     assert v.grid.s_min == g.s_min and v.grid.s_max == g.s_max
 
 
+def test_load_profile_rejects_a_row_that_is_not_s_u(tmp_path):
+    path = tmp_path / "p.csv"
+    il.save_profile(il.sample_function(il.make_grid(1e-2, 1e2, 64, 3), "Gaussian", sigma=1.0), path)
+    lines = path.read_text().split("\n")
+    lines[4] += ",7"  # the third row, after the metadata and column lines
+    path.write_text("\n".join(lines))
+    with pytest.raises(il.DomainError, match=r"row 3 is '[^,]+,[^,]+,7', not 's,u'"):
+        il.load_profile(path)
+
+
 def test_profile_file_header(tmp_path):
     g = il.make_grid(1e-2, 1e2, 64, 3)
     u = il.sample_function(g, "Gaussian", sigma=2.0)

@@ -167,9 +167,9 @@ def test_centred_start_dilates_with_the_window(family):
     # the default start on a window and on its dilates by 4 decades up and down
     # agree node for node to 1e-13 relative; in the Gaussian's tail below
     # e^-99, exp scales the last-bit rounding of s^2 / (2 sigma^2) by ln(1/u)
-    u = solver._centred(il.make_grid(1e-3, 1e3, 257, 3), family).values
+    u = solver._start(il.make_grid(1e-3, 1e3, 257, 3), None, family)
     for window in ((10.0, 1e7), (1e-7, 1e-1)):
-        v = solver._centred(il.make_grid(*window, 257, 3), family).values
+        v = solver._start(il.make_grid(*window, 257, 3), None, family)
         assert np.array_equal(u == 0, v == 0), window
         nz = u != 0
         assert (np.abs(u[nz] - v[nz]) <= 1e-15 * (1.0 - np.log(u[nz])) * u[nz]).all(), window
@@ -233,10 +233,23 @@ def test_coercive_rejects_positive_lambda_without_subscaled(ref_params, small_gr
      "sign-negative terms to be Superscaled, got Subscaled"),
     ([il.TermSpec(1.0, 1.8, 2.25), il.TermSpec(-1.0, 1.8, 2.2)], 0.0,
      "must scale faster than the dominant subscaled term"),
-], ids=["inadmissible", "negative-not-superscaled", "negative-not-faster"])
+    # one pass in list order: the first faulty term names the error, not the second's R_ABOVE_UPPER
+    ([il.TermSpec(1.0, 0.5, 5.0), il.TermSpec(1.0, 1.8, 10.0)], 0.0,
+     r"positive term \(eta=0.5, r=5.0\) is Superscaled"),
+    # the positive terms are checked before any negative term is held against them
+    ([il.TermSpec(-1.0, 1.8, 2.2), il.TermSpec(1.0, 0.5, 5.0)], 0.0,
+     r"positive term \(eta=0.5, r=5.0\) is Superscaled"),
+], ids=["inadmissible", "negative-not-superscaled", "negative-not-faster", "first-fault-names-the-error",
+        "positive-terms-first"])
 def test_coercive_rejects_a_non_coercive_term_list(ref_params, small_grid, terms, lam, message):
     with pytest.raises(il.NotCoerciveConfig, match=message):
         il.minimize_coercive(small_grid, ref_params, terms, lam)
+
+
+def test_coercive_leaves_zero_coefficient_terms_unclassified(ref_params, small_grid):
+    # (1.8, 10) is not an admissible pair, but a term with c = 0 is not classified
+    rep = il.minimize_coercive(small_grid, ref_params, [il.TermSpec(0.0, 1.8, 10.0)], 0.0)
+    assert rep.converged and (rep.iters, rep.value) == (0, 0.0) and rep.profile.is_zero()
 
 
 def test_coercive_mixed_signs(ref_params):
@@ -439,6 +452,15 @@ def test_newton_refines_a_perturbed_reference_solution(ref_params):
     assert rep.el_res <= 1e-10
 
 
+def test_newton_refine_runs_on_the_options_it_is_given(ref_params):
+    # the refinement stops at the caller's grad_tol: the converged eigen
+    # profile meets 1e-6 already, so no step is taken
+    g = il.make_grid(1e-3, 1e3, 257, 3)
+    base = il.minimize_rayleigh(g, ref_params)
+    rep = il.newton_refine(base.profile, ref_params, base.value, [], il.SolveOptions(grad_tol=1e-6))
+    assert rep.converged and rep.iters == 0 and rep.profile == base.profile
+
+
 def test_newton_evaluates_the_energy_at_the_start_and_on_return(ref_params, monkeypatch):
     # a critical-point search accepts on the residual alone, so it computes
     # no trial's value: inside the engine the energy's value is taken at the
@@ -497,7 +519,7 @@ def test_engine_residual_is_the_reported_el_res(ref_params, monkeypatch, grad_to
         ray = il.minimize_rayleigh(g, ref_params, init, opts)
         reports = [ray, il.minimize_coercive(g, ref_params, term, 0.0, opts),
                    il.minimize_coercive(g, ref_params, term, -0.9, opts),
-                   il.newton_refine(ray.profile, ref_params, ray.value, [], opts)]
+                   il.newton_refine(ray.profile, ref_params, ray.value, [], il.SolveOptions(500, 1e-10))]
         assert [rep.el_res.hex() for rep in reports] == finals[-4:], window
     assert len(finals) == 20
 
