@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .errors import Diverged, DomainError, InlsError
@@ -27,9 +28,8 @@ from .regimes import (
 )
 from .reports import to_json
 
-# grid, functionals and solver (numpy, and LAPACK for the solvers) are
-# imported in the branches of _run that use them, so classify,
-# region-map and thresholds start without numpy
+# grid, functionals and solver (numpy, and LAPACK for the solvers) are imported in the
+# handlers that use them, so classify, region-map and thresholds start without numpy
 
 
 def _add_params(ap: argparse.ArgumentParser) -> None:
@@ -90,46 +90,32 @@ def _linspace(start: float, stop: float, n: int) -> list:
     return vals
 
 
+def _add_terms(ap: argparse.ArgumentParser) -> None:
+    ap.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    ap.add_argument("--term", action="append", default=[], help="c,eta,r (repeatable)")
+
+
+def _add_out_dir(ap: argparse.ArgumentParser) -> None:
+    ap.add_argument("--out", help="directory for report.json and profile.csv")
+
+
 def _classify_args(c: argparse.ArgumentParser) -> None:
-    _add_params(c)
     c.add_argument("--eta", type=float, required=True)
     c.add_argument("--r", type=float, required=True)
     c.add_argument("--radial", action="store_true")
 
 
 def _region_map_args(rm: argparse.ArgumentParser) -> None:
-    _add_params(rm)
-    rm.add_argument("--eta-min", type=float, required=True)
-    rm.add_argument("--eta-max", type=float, required=True)
-    rm.add_argument("--eta-steps", type=int, required=True)
-    rm.add_argument("--r-min", type=float, required=True)
-    rm.add_argument("--r-max", type=float, required=True)
-    rm.add_argument("--r-steps", type=int, required=True)
+    for axis in ("eta", "r"):
+        rm.add_argument(f"--{axis}-min", type=float, required=True)
+        rm.add_argument(f"--{axis}-max", type=float, required=True)
+        rm.add_argument(f"--{axis}-steps", type=int, required=True)
     rm.add_argument("--radial", action="store_true")
     rm.add_argument("--out", required=True, help="CSV output path")
 
 
-def _eigen_args(e: argparse.ArgumentParser) -> None:
-    _add_params(e)
-    _add_grid(e)
-    _add_opts(e)
-    e.add_argument("--out", help="directory for report.json and profile.csv")
-
-
-def _minimize_args(m: argparse.ArgumentParser) -> None:
-    _add_params(m)
-    _add_grid(m)
-    _add_opts(m)
-    m.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    m.add_argument("--term", action="append", default=[], help="c,eta,r (repeatable)")
-    m.add_argument("--out", help="directory for report.json and profile.csv")
-
-
-def _verify_args(v: argparse.ArgumentParser) -> None:
-    _add_params(v)
+def _add_profile(v: argparse.ArgumentParser) -> None:
     v.add_argument("--profile", required=True, help="profile CSV path")
-    v.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    v.add_argument("--term", action="append", default=[], help="c,eta,r (repeatable)")
 
 
 def _thresholds_args(t: argparse.ArgumentParser) -> None:
@@ -151,19 +137,122 @@ def _thresholds_args(t: argparse.ArgumentParser) -> None:
 def _probe_args(pr: argparse.ArgumentParser) -> None:
     pr.add_argument("--N", type=int, required=True)
     pr.add_argument("--eta", type=float, required=True)
-    _add_grid(pr)
-    _add_opts(pr)
 
 
-#: subcommand -> (its help line, the function that adds its arguments)
+def _emit(doc) -> None:
+    sys.stdout.write(to_json(doc) + "\n")
+
+
+def _params(args):
+    return derive_params(args.N, args.b, args.q, args.p)
+
+
+def _grid(args):
+    from .grid import make_grid
+
+    return make_grid(args.s_min, args.s_max, args.M, args.N)
+
+
+def _finish_solve(args, params, report) -> None:
+    """Write profile.csv and report.json under --out, if given, then print
+    the report; the printed and written documents name the profile's path."""
+    doc = report.to_dict()
+    if args.out:
+        from .grid import save_profile
+
+        os.makedirs(args.out, exist_ok=True)
+        doc["profile_path"] = os.path.join(args.out, "profile.csv")
+        save_profile(report.profile, doc["profile_path"], family="solution",
+                     params={"N": params.N, "b": params.b, "q": params.q, "p": params.p})
+        with open(os.path.join(args.out, "report.json"), "w") as fh:
+            fh.write(to_json(doc) + "\n")
+    _emit(doc)
+    if not report.converged:
+        raise Diverged(_opts(args)._stopped(report.iters, report.el_res))
+
+
+def _classify(args) -> None:
+    verdict = classify_pair(_params(args), WeightedPair(args.eta, args.r), radial=args.radial)
+    iv = verdict.interval
+    _emit({"admissible": verdict.admissible, "regime": verdict.regime.value,
+           "reason": verdict.reason, "interval": None if iv is None else iv.to_dict()})
+
+
+def _region_map(args) -> None:
+    rows = region_map(_params(args), _linspace(args.eta_min, args.eta_max, args.eta_steps),
+                      _linspace(args.r_min, args.r_max, args.r_steps), radial=args.radial)
+    with open(args.out, "w") as fh:
+        fh.write(region_map_csv(rows))
+    _emit({"rows": len(rows), "out": args.out})
+
+
+def _eigen(args) -> None:
+    from .solver import minimize_rayleigh
+
+    params = _params(args)
+    _finish_solve(args, params, minimize_rayleigh(_grid(args), params, opts=_opts(args)))
+
+
+def _minimize(args) -> None:
+    from .solver import minimize_coercive
+
+    params, grid, terms = _params(args), _grid(args), [_parse_term(t) for t in args.term]
+    _finish_solve(args, params, minimize_coercive(grid, params, terms, args.lam, _opts(args)))
+
+
+def _verify(args) -> None:
+    from .functionals import _residuals
+    from .grid import load_profile
+
+    params, u = _params(args), load_profile(args.profile)
+    _emit(_residuals(u, params, args.lam, [_parse_term(t) for t in args.term]))
+
+
+def _thresholds(args) -> None:
+    for given, needed in (("eta2", "S2"), ("S2", "eta2"), ("C", "C1"), ("C1", "C")):
+        if getattr(args, given) is not None and getattr(args, needed) is None:
+            raise DomainError(f"--{given} needs --{needed}")
+    doc = {"cstar": ps_threshold(args.N, args.eta1, args.S1)}
+    if args.eta2 is not None:
+        doc["tilde_s"] = tilde_s_root(args.mu, args.S1, args.S2, args.N, args.eta1, args.eta2)
+    if args.C is not None:
+        for name in ("b", "q", "p", "eta", "r"):
+            if getattr(args, name) is None:
+                raise DomainError(f"--{name} is required for truncation radii")
+        params = _params(args)
+        e_low = ell_of(params, args.eta, args.r) / params.ell
+        e_high = ell_of(params, args.eta1, critical_exponent(args.N, args.eta1)) / params.ell
+        doc["truncation_R1"], doc["truncation_R2"] = gamma_mu_roots(
+            args.mu, args.C, args.C1, e_low, e_high)
+    _emit(doc)
+
+
+def _probe(args) -> None:
+    from .solver import _probe as probe
+
+    value, stop = probe(_grid(args), args.N, args.eta, _opts(args), None)
+    _emit({"S": value})
+    if stop:
+        raise Diverged(stop)
+
+
+#: subcommand -> (help line, argument adders, handler); each handler builds the params,
+#: then the grid, then the terms, so the same error wins when several inputs are bad
 _COMMANDS = {
-    "classify": ("admissibility and regime of one (eta, r) pair", _classify_args),
-    "region-map": ("CSV atlas of verdicts over an (eta, r) grid", _region_map_args),
-    "eigen": ("first eigenvalue by Rayleigh minimization", _eigen_args),
-    "minimize": ("negative-level minimizer of the coercive energy", _minimize_args),
-    "verify": ("recompute residuals for a stored profile", _verify_args),
-    "thresholds": ("compactness levels c*, S-tilde, truncation radii", _thresholds_args),
-    "probe": ("estimate of the embedding constant S_eta on the window", _probe_args),
+    "classify": ("admissibility and regime of one (eta, r) pair",
+                 (_add_params, _classify_args), _classify),
+    "region-map": ("CSV atlas of verdicts over an (eta, r) grid",
+                   (_add_params, _region_map_args), _region_map),
+    "eigen": ("first eigenvalue by Rayleigh minimization",
+              (_add_params, _add_grid, _add_opts, _add_out_dir), _eigen),
+    "minimize": ("negative-level minimizer of the coercive energy",
+                 (_add_params, _add_grid, _add_opts, _add_terms, _add_out_dir), _minimize),
+    "verify": ("recompute residuals for a stored profile",
+               (_add_params, _add_profile, _add_terms), _verify),
+    "thresholds": ("compactness levels c*, S-tilde, truncation radii",
+                   (_thresholds_args,), _thresholds),
+    "probe": ("estimate of the embedding constant S_eta on the window",
+              (_probe_args, _add_grid, _add_opts), _probe),
 }
 
 
@@ -182,120 +271,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
     sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_line, add_args = _COMMANDS[name]
-        add_args(sub.add_parser(name, help=help_line))
+        help_line, adders, _ = _COMMANDS[name]
+        cmd = sub.add_parser(name, help=help_line)
+        # "-" then a digit or ".digit" is a value (--term -1,0.5,4.9), not only -1 and -.5;
+        # no inlslab option has that form. The attribute is argparse's, private: test_cli pins it
+        cmd._negative_number_matcher = re.compile(r"-\.?\d")
+        for add in adders:
+            add(cmd)
     return ap
-
-
-def _emit(doc) -> None:
-    sys.stdout.write(to_json(doc) + "\n")
-
-
-def _finish_solve(args, params, report) -> int:
-    """Write profile.csv and report.json under --out, if given, then print
-    the report; the printed and written documents name the profile's path."""
-    doc = report.to_dict()
-    if args.out:
-        from .grid import save_profile
-
-        os.makedirs(args.out, exist_ok=True)
-        doc["profile_path"] = os.path.join(args.out, "profile.csv")
-        save_profile(report.profile, doc["profile_path"], family="solution",
-                     params={"N": params.N, "b": params.b, "q": params.q, "p": params.p})
-        with open(os.path.join(args.out, "report.json"), "w") as fh:
-            fh.write(to_json(doc) + "\n")
-    _emit(doc)
-    if not report.converged:
-        raise Diverged(_opts(args)._stopped(report.iters, report.el_res))
-    return 0
-
-
-def _run(args) -> int:
-    if args.command == "classify":
-        params = derive_params(args.N, args.b, args.q, args.p)
-        verdict = classify_pair(params, WeightedPair(args.eta, args.r), radial=args.radial)
-        iv = verdict.interval
-        _emit(
-            {
-                "admissible": verdict.admissible,
-                "regime": verdict.regime.value,
-                "reason": verdict.reason,
-                "interval": None if iv is None else iv.to_dict(),
-            }
-        )
-        return 0
-
-    if args.command == "region-map":
-        params = derive_params(args.N, args.b, args.q, args.p)
-        etas = _linspace(args.eta_min, args.eta_max, args.eta_steps)
-        rs = _linspace(args.r_min, args.r_max, args.r_steps)
-        rows = region_map(params, etas, rs, radial=args.radial)
-        with open(args.out, "w") as fh:
-            fh.write(region_map_csv(rows))
-        _emit({"rows": len(rows), "out": args.out})
-        return 0
-
-    if args.command == "eigen":
-        from .grid import make_grid
-        from .solver import minimize_rayleigh
-
-        params = derive_params(args.N, args.b, args.q, args.p)
-        grid = make_grid(args.s_min, args.s_max, args.M, args.N)
-        report = minimize_rayleigh(grid, params, opts=_opts(args))
-        return _finish_solve(args, params, report)
-
-    if args.command == "minimize":
-        from .grid import make_grid
-        from .solver import minimize_coercive
-
-        params = derive_params(args.N, args.b, args.q, args.p)
-        grid = make_grid(args.s_min, args.s_max, args.M, args.N)
-        terms = [_parse_term(t) for t in args.term]
-        report = minimize_coercive(grid, params, terms, args.lam, _opts(args))
-        return _finish_solve(args, params, report)
-
-    if args.command == "verify":
-        from .functionals import _residuals
-        from .grid import load_profile
-
-        params = derive_params(args.N, args.b, args.q, args.p)
-        u = load_profile(args.profile)
-        terms = [_parse_term(t) for t in args.term]
-        _emit(_residuals(u, params, args.lam, terms))
-        return 0
-
-    if args.command == "thresholds":
-        for given, needed in (("eta2", "S2"), ("S2", "eta2"), ("C", "C1"), ("C1", "C")):
-            if getattr(args, given) is not None and getattr(args, needed) is None:
-                raise DomainError(f"--{given} needs --{needed}")
-        doc = {"cstar": ps_threshold(args.N, args.eta1, args.S1)}
-        if args.eta2 is not None:
-            doc["tilde_s"] = tilde_s_root(args.mu, args.S1, args.S2, args.N, args.eta1, args.eta2)
-        if args.C is not None:
-            for name in ("b", "q", "p", "eta", "r"):
-                if getattr(args, name) is None:
-                    raise DomainError(f"--{name} is required for truncation radii")
-            params = derive_params(args.N, args.b, args.q, args.p)
-            e_low = ell_of(params, args.eta, args.r) / params.ell
-            e_high = ell_of(params, args.eta1, critical_exponent(args.N, args.eta1)) / params.ell
-            r1, r2 = gamma_mu_roots(args.mu, args.C, args.C1, e_low, e_high)
-            doc["truncation_R1"] = r1
-            doc["truncation_R2"] = r2
-        _emit(doc)
-        return 0
-
-    if args.command == "probe":
-        from .grid import make_grid
-        from .solver import _probe
-
-        grid = make_grid(args.s_min, args.s_max, args.M, args.N)
-        value, stop = _probe(grid, args.N, args.eta, _opts(args), None)
-        _emit({"S": value})
-        if stop:
-            raise Diverged(stop)
-        return 0
-
-    raise InlsError(f"unknown command {args.command!r}")  # pragma: no cover
 
 
 def _fail(exc: InlsError, code: int) -> int:
@@ -307,7 +290,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return _run(args)
+        _COMMANDS[args.command][2](args)
+        return 0
     except Diverged as exc:
         return _fail(exc, 3)
     except InlsError as exc:

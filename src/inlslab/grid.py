@@ -138,7 +138,7 @@ class Quadrature:
         return self.omega_h * self._w_pow(eta)
 
     def wint(self, a: np.ndarray, r: float, eta: float) -> float:
-        return float(self.wint_rows(a ** r, eta))
+        return float(self.wint_rows(a ** (r - 1.0) * a, eta))  # a^r as _Point forms it
 
     def wint_rows(self, ar: np.ndarray, eta: float) -> np.ndarray:
         return self.omega_h * np.add.reduce(ar * self._w_pow(eta), axis=-1)

@@ -407,7 +407,7 @@ def _coercive_init(grid: RadialGrid, terms) -> np.ndarray:
         rows = _pin(np.exp(-(s ** 2) / (2.0 * sigma[:, None] ** 2)))
         e = 0.5 * quad.dirich_rows(quad.slopes(rows))[:, None] * amps * amps
         for c, eta, r in terms:
-            e += (c * quad.wint_rows(rows ** r, eta))[:, None] * amps ** r
+            e += (c * quad.wint_rows(rows ** (r - 1.0) * rows, eta))[:, None] * amps ** r
     e = np.where(e < 0, e, 0.0)  # a NaN or an energy >= 0 never wins
     k, i = divmod(int(np.argmin(e)), len(amps))  # the first least, widths first
     return amps[i] * rows[k] if e[k, i] < 0 else _start(grid, None, "Gaussian")

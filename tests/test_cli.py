@@ -301,7 +301,7 @@ PINNED = {
                        '"truncation_R1": 0.0024314572446117841,', '"truncation_R2": 0.77665002448740039'),
                       readme=True),
     "probe": Pin(["probe", "--N", "3", "--eta", "0", "--s-min", "1e-4", "--s-max", "1e4", "--M", "1025"],
-                 ('"S": 5.4796067723722297',), readme=True),
+                 ('"S": 5.4796067723722306',), readme=True),
 }
 
 README_COMMANDS = [pin.argv for pin in PINNED.values() if pin.readme]
@@ -384,6 +384,29 @@ def test_one_command_parser_matches_the_full_parser(argv, capsys):
     for probe in ([command, "--help"], [command], [*argv, "extra"], [*argv, "--N", "x"]):
         assert (_parser_output(build_parser(command), probe, capsys)
                 == _parser_output(build_parser(), probe, capsys)), probe
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["minimize", *PARAMS, "--s-min", "2e-5", "--s-max", "1e4", "--M", "257", "--lambda", "0.5",
+      "--term", "1,1.8,2.2", "--term", "-1,0.5,4.9"], "--term"),
+    (["minimize", *PARAMS, "--s-min", "1e-3", "--s-max", "1e3", "--M", "257", "--lambda", "-1e-1",
+      "--term", "1,1.8,2.2"], "--lambda"),
+    (["region-map", *PARAMS, "--eta-min", "0", "--eta-max", "1", "--eta-steps", "3",
+      "--r-min", "-1e3", "--r-max", "7", "--r-steps", "3", "--out", "atlas.csv"], "--r-min"),
+], ids=["term", "lambda", "r-min"])
+def test_negative_values_reach_their_options(argv, option, tmp_path, monkeypatch, capsys):
+    # a value that starts with "-" and a digit is the option's value, as if
+    # written --opt=value; argparse alone takes only -1 and -.5 for numbers
+    monkeypatch.chdir(tmp_path)
+    at = len(argv) - 1 - argv[::-1].index(option)
+    joined = [*argv[:at], f"{option}={argv[at + 1]}", *argv[at + 2:]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and json.loads(out)
+    assert run_cli(capsys, *joined) == (code, out, err)
+    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(joined)
+    bad = [*argv[:at + 1], "-x", *argv[at + 2:]]  # still an unknown option, not a value
+    code, printed = _parser_output(build_parser(argv[0]), bad, capsys)
+    assert code == 2 and f"argument {option}: expected one argument" in printed.err
 
 
 def _readme_block(heading):

@@ -158,7 +158,8 @@ def _random_profiles(g, seed):
 
 def test_quadrature_matches_reference_sums_bit_for_bit():
     # the explicit formulas the sums were first written as; the cached
-    # products regroup them, which is exact because w is 0.5 or 1
+    # products regroup them, which is exact because w is 0.5 or 1. |v|^r is
+    # |v|^(r-1) |v|, as the energies form it
     g = il.make_grid(1e-4, 1e4, 1025, 3)
     w = np.ones(g.M)
     w[0] = w[-1] = 0.5
@@ -167,10 +168,10 @@ def test_quadrature_matches_reference_sums_bit_for_bit():
     for eta in (0.0, 1.0, 1.3333333333333335, 1.8):
         mass = g.omega * g.h * w * g.nodes ** (g.N - eta)
         assert np.array_equal(g.quad.mass(eta), mass)
-        for vals in _random_profiles(g, 5):
+        for a in map(np.abs, _random_profiles(g, 5)):
             for r in (1.5, 2.2, 3.0, 6.0):
-                ref = g.omega * g.h * float(np.sum(w * np.abs(vals) ** r * g.nodes ** (g.N - eta)))
-                assert g.quad.wint(np.abs(vals), r, eta) == ref
+                ref = g.omega * g.h * float(np.sum(w * (a ** (r - 1) * a) * g.nodes ** (g.N - eta)))
+                assert g.quad.wint(a, r, eta) == ref
     for vals in _random_profiles(g, 6):
         slopes = (vals[1:] - vals[:-1]) / ds
         f = 2.0 * g.omega * g.h * smid ** g.N * slopes / ds
